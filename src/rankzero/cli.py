@@ -174,9 +174,12 @@ def eval_cmd(sched_path: str, j_factor: str, grid: str, rows: Optional[int],
     """Evaluate the product on a grid; emits CSV."""
     obj, inputs = _read_input(sched_path)
     sched = schedule_from_json(obj)
-    j = int(j_factor)
-    if j < 1:
-        raise click.UsageError("--j must be a positive integer")
+    try:
+        j = int(j_factor)
+        if j < 1:
+            raise ValueError(j_factor)
+    except ValueError:
+        raise click.UsageError(f"--j must be a positive integer, not {j_factor!r}") from None
     kind, opts = _parse_grid(grid)
     points = []
     try:

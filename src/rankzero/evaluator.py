@@ -18,13 +18,19 @@ exceed the radius two rings below the truncation.
 
 No certified tail is claimed for the logarithmic derivative; its consumers
 only use self-consistency and monotone comparisons.
+
+Sweeps screen their points with a float upper bound on the spherical
+derivative (_spherical_log_bound); only full-precision values are reported.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from typing import List, Optional, Tuple
 
@@ -191,6 +197,23 @@ def _zeros_through(schedule: ZeroSchedule, rows_used: int) -> List[Zero]:
     return [z for z in schedule.zeros if z.ring <= rows_used]
 
 
+def _zero_constants(schedule: ZeroSchedule) -> Tuple[Tuple[object, object], ...]:
+    """(log a_ring, 2 pi turn) as mpf per zero, aligned with schedule.zeros.
+
+    Built once per schedule and working precision; the values are the ones
+    the kernels would compute inline, so results are bit-identical.
+    """
+    key = mp.prec
+    table = schedule.tables.get(key)
+    if table is None:
+        table = tuple(
+            (_mpf_fraction(zero.log_r), 2 * mp.pi * _mpf_fraction(zero.turn))
+            for zero in schedule.zeros
+        )
+        schedule.tables[key] = table
+    return table
+
+
 def _zero_hit(schedule: ZeroSchedule, z: LogPolar, rows_used: int) -> bool:
     if z.exact is None:
         return False
@@ -208,9 +231,9 @@ def _tail_bound(schedule: ZeroSchedule, log_mag, rows_used: int):
     old = iv.prec
     iv.prec = mp.prec + _GUARD
     try:
-        x = iv.mpf(mp.nstr(log_mag, 40)) if log_mag != mp.ninf else None
-        if x is None:
+        if log_mag == mp.ninf:
             return mp.mpf(0)
+        x = iv.mpf(log_mag)
         total = iv.mpf(0)
         j = rows_used + 1
         last_term = None
@@ -252,11 +275,10 @@ def log_eval(schedule: ZeroSchedule, z: LogPolar, rows_used: Optional[int] = Non
             return EvalResult(LogPolar(mp.ninf, mp.mpf(0)), rows, mp.mpf(0), True)
         mag = mp.mpf(0)
         ph = mp.mpf(0)
-        for zero in _zeros_through(schedule, rows):
-            s = mp.mpc(
-                z.log_mag - _mpf_fraction(zero.log_r),
-                _norm_phase(z.phase - 2 * mp.pi * _mpf_fraction(zero.turn)),
-            )
+        for zero, (log_r, angle) in zip(schedule.zeros, _zero_constants(schedule)):
+            if zero.ring > rows:
+                continue
+            s = mp.mpc(z.log_mag - log_r, _norm_phase(z.phase - angle))
             m, p = _log_one_minus_exp(s)
             if m == mp.ninf:
                 return EvalResult(LogPolar(mp.ninf, mp.mpf(0)), rows, mp.mpf(0), True)
@@ -294,11 +316,9 @@ def log_derivative(
             raise ValueError("logarithmic derivative has a pole at a scheduled zero")
         zc = z.to_complex()
         total = mp.mpc(0)
-        for zero in _zeros_through(schedule, rows):
-            bc = mp.exp(
-                mp.mpc(_mpf_fraction(zero.log_r), 2 * mp.pi * _mpf_fraction(zero.turn))
-            )
-            total += 1 / (zc - bc)
+        for zero, (log_r, angle) in zip(schedule.zeros, _zero_constants(schedule)):
+            if zero.ring <= rows:
+                total += 1 / (zc - mp.exp(mp.mpc(log_r, angle)))
         return LogPolar.from_complex(total)
 
 
@@ -352,21 +372,124 @@ def spherical_derivative(
         return mp.exp(log_fprime - log_denom)
 
 
+# -- float screen for sweeps ------------------------------------------------------
+
+_EPS = 2.0**-53
+# added to every screen bound on top of its running rounding bounds, which
+# are first order; the terms they drop are smaller by many orders
+_SCREEN_SLACK = 1e-6
+# relative error at which a float factor e^s - 1 counts as rounding noise
+_NOISE = 1e-3
+
+
+def _float_constants(schedule: ZeroSchedule, rows: int) -> Tuple[Tuple[float, float], ...]:
+    """(log a_ring, 2 pi turn) as floats for the zeros in rings <= rows."""
+    key = ("float", rows)
+    table = schedule.tables.get(key)
+    if table is None:
+        table = tuple(
+            (float(zero.log_r), 2 * math.pi * float(zero.turn))
+            for zero in schedule.zeros
+            if zero.ring <= rows
+        )
+        schedule.tables[key] = table
+    return table
+
+
+def _log_sigmoid_peak(x: float) -> float:
+    """x - log(1 + e^(2x)): log of |f| / (1 + |f|^2) at log|f| = x."""
+    if x > 0:
+        return -x - math.log1p(math.exp(-2 * x))
+    return x - math.log1p(math.exp(2 * x))
+
+
+def _spherical_log_bound(schedule: ZeroSchedule, j: int, z: LogPolar, rows: int) -> float:
+    """Float upper bound U on log(j * spherical_derivative(schedule, j, z, rows)).
+
+    With w = j z, s = log w - log b per zero b, and S the sum of
+    e^s / (e^s - 1), f'/f(w) = S / w, so the logarithm of j f#(w) is
+    -log|z| + log|S| + log|f| - log(1 + |f|^2).  Each factor uses the three
+    branches of _log_one_minus_exp in floats (the expm1 form for e^s - 1 in
+    the middle one) and carries a first-order bound on its rounding; U
+    takes the worst case of both error bounds plus _SCREEN_SLACK.
+
+    U is +inf where floats cannot bound the value: exact-tagged points
+    (which may be zeros), the origin, factors e^s - 1 within rounding noise
+    of zero, and sums S that cancel below their error bound, which includes
+    the empty product.
+    """
+    if z.exact is not None or z.is_zero:
+        return math.inf
+    log_z = float(z.log_mag)
+    log_j = math.log(j)
+    x = log_z + log_j
+    y = float(z.phase)
+    table = _float_constants(schedule, rows)
+    lf = err_lf = abs_lf = 0.0
+    total = 0j
+    err_total = abs_total = 0.0
+    for log_r, angle in table:
+        s = complex(x - log_r, y - angle)
+        es = 4 * _EPS * (abs(log_z) + log_j + abs(log_r) + 10)  # rounding of s
+        if s.real >= _BRANCH:
+            # log|1 - e^s| = Re s + log|1 - e^-s| and e^s/(e^s - 1) = 1/(1 - e^-s)
+            m, t = s.real, 1.0
+            tiny = 3 * math.exp(-s.real)
+            em, et = es + tiny, tiny
+        elif s.real <= -_BRANCH:
+            e = cmath.exp(s)
+            m, t = -e.real, -e
+            em = et = 2 * abs(e) * (es + abs(e) + _EPS)
+        else:
+            a, cos, sin = math.exp(s.real), math.cos(s.imag), math.sin(s.imag)
+            # e^s - 1 without cancellation
+            d = complex(math.expm1(s.real) * cos - 2 * math.sin(s.imag / 2) ** 2, a * sin)
+            ad = abs(d)
+            rel = (a + 1) * (es + 8 * _EPS) / ad if ad else math.inf
+            if rel > _NOISE:
+                return math.inf
+            m = math.log(ad)
+            t = complex(a * cos, a * sin) / d
+            em = 2 * rel + _EPS * abs(m)
+            et = abs(t) * (2 * rel + es + 8 * _EPS)
+        lf += m
+        err_lf += em
+        abs_lf += abs(m)
+        total += t
+        err_total += et
+        abs_total += abs(t)
+    err_lf += len(table) * _EPS * abs_lf
+    err_total += len(table) * _EPS * abs_total
+    if abs(total) <= 2 * err_total:
+        return math.inf
+    lo, hi = lf - err_lf, lf + err_lf
+    peak = -math.log(2) if lo <= 0 <= hi else max(_log_sigmoid_peak(lo), _log_sigmoid_peak(hi))
+    return -log_z + math.log(abs(total) + err_total) + peak + _SCREEN_SLACK
+
+
 # -- sector lower bound ---------------------------------------------------------
 
 
 def small_product_constant(prec: Optional[int] = None):
-    """Certified lower bound of prod(1 - 2^-j) over j >= 1 (about 0.288788)."""
+    """Certified (lower, upper) bounds of prod(1 - 2^-j) over j >= 1 (about
+    0.288788), computed once per precision."""
+    return _small_product_bounds(prec or default_precision())
+
+
+@lru_cache(maxsize=None)
+def _small_product_bounds(prec: int):
     old = iv.prec
-    iv.prec = (prec or default_precision()) + _GUARD
+    iv.prec = prec + _GUARD
     try:
         terms = iv.prec + 10
         prod = iv.mpf(1)
         for j in range(1, terms + 1):
             prod *= 1 - iv.mpf(1) / iv.mpf(2) ** j
-        # log of the remaining factors is at least -2^(1-terms)
-        lower = prod.a * mp.mpf(1 - mp.mpf(2) ** (1 - terms))
-        return mp.mpf(lower), mp.mpf(prod.b)
+        # log of the remaining factors is at least -2^(1-terms), so they
+        # multiply to at least 1 - 2^(1-terms)
+        lower = (prod * (1 - iv.mpf(2) ** (1 - terms))).a
+        with mp.workprec(iv.prec):  # the endpoints convert exactly
+            return mp.mpf(lower), mp.mpf(prod.b)
     finally:
         iv.prec = old
 

@@ -29,7 +29,12 @@ from typing import List, Optional, Sequence, Tuple
 
 from mpmath import iv, mp
 
-from .evaluator import LogPolar, default_precision, spherical_derivative
+from .evaluator import (
+    LogPolar,
+    _spherical_log_bound,
+    default_precision,
+    spherical_derivative,
+)
 from .ordinal import Ordinal, as_ordinal, predecessor
 from .pointset import RankProfile, rank_profile
 from .schedule import RadiiSequence, ZeroSchedule, triangular
@@ -456,6 +461,16 @@ def condition_m_sweep(
     Row (n, i) reports max over the mesh of j_n * f#(j_n z), the spherical
     derivative of the n-th family member.  The Marty-style surrogate at
     level n holds when every point with index at most n exceeds n.
+
+    Screen, then certify: a float pass bounds log(j_n * f#(j_n z)) from
+    above at every mesh point (+inf at exact zero preimages and wherever
+    floats cannot decide), and the full-precision spherical_derivative runs
+    in descending order of that bound until the log of the best value
+    strictly exceeds the next bound.  Every skipped point is then below the
+    maximum, so the argmax is always evaluated and each row's maximum is
+    the same number an exhaustive sweep returns.  This rests on one
+    assumption: float rounding in the screen stays far below its stated
+    slack (1e-6 in log units, on top of first-order rounding bounds).
     """
     rows = schedule.n_rings if rows_used is None else rows_used
     out: List[SweepRow] = []
@@ -472,11 +487,15 @@ def condition_m_sweep(
                 valid = rows >= 3 and top_log <= _log_radius_mpf(
                     schedule.radii, rows - 2
                 )
-                best = mp.mpf(0)
-                for z in _mesh(center, radius, schedule, j):
-                    sd = mp.mpf(j) * spherical_derivative(schedule, j, z, rows)
+                mesh = _mesh(center, radius, schedule, j)
+                bounds = [_spherical_log_bound(schedule, j, z, rows) for z in mesh]
+                best, log_best = mp.mpf(0), mp.ninf
+                for k in sorted(range(len(mesh)), key=lambda k: -bounds[k]):
+                    if log_best > bounds[k]:
+                        break
+                    sd = mp.mpf(j) * spherical_derivative(schedule, j, mesh[k], rows)
                     if sd > best:
-                        best = sd
+                        best, log_best = sd, mp.log(sd)
                 out.append(SweepRow(n, i, best, bool(valid)))
     return out
 

@@ -197,6 +197,11 @@ class ZeroSchedule:
     # enumeration actually used per sector (key 0 holds the row layout's one)
     angles: Dict[int, Tuple[Fraction, ...]] = field(default_factory=dict)
     sources: Dict[int, Optional[RankTree]] = field(default_factory=dict)
+    # per-zero numeric constants of the evaluator, built on first use and
+    # keyed by what they depend on (working precision, truncation)
+    tables: Dict[object, tuple] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def __len__(self) -> int:
         return len(self.zeros)

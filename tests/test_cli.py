@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import rankzero
 from rankzero.cli import main
 
 
@@ -117,3 +122,25 @@ class TestFailures:
                    "--out", str(tmp_path / "x.csv")]
         )
         assert result.exit_code == 2
+
+    def test_non_integer_j_is_a_usage_error(self, runner, tmp_path):
+        sched = tmp_path / "s.json"
+        run(runner, "build-zeros", "--alpha", "3", "--nu", "1", "--nmax", "6",
+            "--out", str(sched))
+        args = ["eval", "--schedule", str(sched), "--j", "abc",
+                "--out", str(tmp_path / "x.csv")]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert "positive integer" in result.output
+        # the console entry point turns it into exit status 2 and a message
+        env = dict(os.environ)
+        src = str(Path(rankzero.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", "from rankzero.cli import entry; entry()", *args],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "positive integer" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "x.csv").exists()

@@ -12,7 +12,7 @@ from rankzero.evaluator import (
     small_product_constant,
     spherical_derivative,
 )
-from rankzero.evaluator import _log_one_minus_exp
+from rankzero.evaluator import _log_one_minus_exp, _tail_bound
 from rankzero.ordinal import as_ordinal
 from rankzero.schedule import Zero, ZeroSchedule, build_radii, build_row_schedule
 
@@ -109,6 +109,15 @@ class TestLogEval:
         with pytest.raises(ValueError):
             log_eval(sched, LogPolar.origin(), 13)
 
+    def test_tail_bound_encloses_its_exact_input(self, sched):
+        with mp.workprec(230):
+            third = mp.mpf(1) / 3
+            x = third + mp.mpf(2) ** -200
+            # a 40-digit rounding cannot tell x from 1/3 ...
+            assert mp.nstr(x, 40) == mp.nstr(third, 40)
+            # ... but the tail grows with the modulus, so its bound must too
+            assert _tail_bound(sched, x, 3) > _tail_bound(sched, third, 3)
+
 
 class TestFamily:
     def test_unit_dilation_is_identity(self, sched):
@@ -202,3 +211,20 @@ class TestSectorBound:
         lo, hi = small_product_constant()
         assert lo <= hi
         assert abs(lo - mp.mpf("0.288788095086602")) < mp.mpf("1e-12")
+
+    def test_small_product_constant_encloses_double_precision_product(self):
+        lo, hi = small_product_constant(200)
+        with mp.workprec(2 * 230):
+            terms = 470
+            prod = mp.mpf(1)
+            for j in range(1, terms + 1):
+                prod *= 1 - mp.mpf(2) ** -j
+            # the infinite product lies in [prod * (1 - 2^(1-terms)), prod]
+            assert lo <= prod * (1 - mp.mpf(2) ** (1 - terms))
+            assert hi >= prod
+
+    def test_small_product_constant_is_memoized_per_precision(self):
+        pair = small_product_constant(200)
+        assert small_product_constant(200) is pair
+        other = small_product_constant(120)
+        assert other is not pair and other != pair

@@ -1,11 +1,15 @@
+import math
 from fractions import Fraction as F
 
 import pytest
 from mpmath import mp
 
+import rankzero.probe as probe
+from rankzero.evaluator import _spherical_log_bound, default_precision, spherical_derivative
 from rankzero.ordinal import OMEGA
 from rankzero.probe import (
     DilationRule,
+    SweepRow,
     classify,
     condition_m_sweep,
     dilation_factor,
@@ -22,6 +26,58 @@ from rankzero.schedule import (
     build_sector_schedule,
     triangular,
 )
+
+HALF = F(1, 2)
+
+
+def _center(turn, modulus):
+    return (mp.mpf(modulus.numerator) / modulus.denominator) * mp.exp(
+        mp.mpc(0, 2 * mp.pi * mp.mpf(turn.numerator) / turn.denominator)
+    )
+
+
+def _exhaustive_sweep(schedule, points, rule, n_range, rows_used=None):
+    """The sweep without screening: spherical_derivative at every mesh point."""
+    rows = schedule.n_rings if rows_used is None else rows_used
+    out = []
+    with mp.workprec(default_precision() + 30):
+        for n in n_range:
+            j = dilation_factor(rule, schedule.radii, n)
+            radius = mp.mpf(1) / n
+            for i, (turn, modulus) in enumerate(points, start=1):
+                center = _center(F(turn), F(modulus))
+                top_log = mp.log(mp.mpf(j)) + mp.log(abs(center) + radius)
+                valid = rows >= 3 and top_log <= probe._log_radius_mpf(
+                    schedule.radii, rows - 2
+                )
+                best = mp.mpf(0)
+                for z in probe._mesh(center, radius, schedule, j):
+                    sd = mp.mpf(j) * spherical_derivative(schedule, j, z, rows)
+                    if sd > best:
+                        best = sd
+                out.append(SweepRow(n, i, best, bool(valid)))
+    return out
+
+
+def _criterion9_points(schedule):
+    c1 = schedule.enumeration()[0]
+    return [(c1, HALF), (c1 + HALF, HALF)]
+
+
+def _empty(schedule):
+    return type(schedule)(
+        schedule.variant, schedule.alpha, schedule.nu, schedule.radii, (), {0: ()},
+        {0: None},
+    )
+
+
+# criterion 9's schedule and points, a truncation below its ring count, and
+# the empty schedule
+SWEEP_CASES = {
+    "criterion-9": (lambda s: s, None),
+    "rows-10": (lambda s: s, 10),
+    "empty": (_empty, None),
+}
 
 
 @pytest.fixture(scope="module")
@@ -139,15 +195,61 @@ class TestCertificates:
 
 class TestSweep:
     def test_flat_function_fails_surrogate(self):
-        s = build_row_schedule(3, 1, 12)
-        empty = type(s)(
-            s.variant, s.alpha, s.nu, s.radii, (), {0: ()}, {0: None}
-       )
+        empty = _empty(build_row_schedule(3, 1, 12))
         rows = condition_m_sweep(
             empty, [(F(0), F(1, 2))], DilationRule.ratio_plus(F(1, 2)), range(5, 7)
         )
         assert all(r.max_spherical == 0 for r in rows)
         assert not sweep_passes(rows, 5)
+
+    @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+    def test_screened_rows_equal_exhaustive_rows(self, sched, case):
+        make, rows_used = SWEEP_CASES[case]
+        s = make(sched)
+        args = (s, _criterion9_points(sched), DilationRule.ratio_plus(HALF), range(5, 7))
+        screened = condition_m_sweep(*args, rows_used)
+        reference = _exhaustive_sweep(*args, rows_used)
+        assert [(r.n, r.point_index, r.valid) for r in screened] == [
+            (r.n, r.point_index, r.valid) for r in reference
+        ]
+        assert all(a.max_spherical == b.max_spherical for a, b in zip(screened, reference))
+
+    @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+    def test_screen_bounds_every_mesh_value(self, sched, case):
+        make, rows_used = SWEEP_CASES[case]
+        s = make(sched)
+        rows = s.n_rings if rows_used is None else rows_used
+        rule = DilationRule.ratio_plus(HALF)
+        finite = 0
+        with mp.workprec(default_precision() + 30):
+            for n in range(5, 7):
+                j = dilation_factor(rule, s.radii, n)
+                for turn, modulus in _criterion9_points(sched):
+                    for z in probe._mesh(_center(turn, modulus), mp.mpf(1) / n, s, j):
+                        bound = _spherical_log_bound(s, j, z, rows)
+                        if z.exact is not None or not s.zeros:
+                            assert bound == math.inf
+                        if bound == math.inf:
+                            continue
+                        finite += 1
+                        sd = spherical_derivative(s, j, z, rows)
+                        assert bound >= mp.log(mp.mpf(j) * sd)
+        assert finite > 0 or not s.zeros
+
+    def test_criterion9_sweep_makes_few_full_precision_calls(self, sched, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return spherical_derivative(*args, **kwargs)
+
+        monkeypatch.setattr(probe, "spherical_derivative", counted)
+        rows = condition_m_sweep(
+            sched, _criterion9_points(sched), DilationRule.ratio_plus(HALF), range(5, 10)
+        )
+        assert len(rows) == 10
+        # the exhaustive sweep makes 525 calls on these meshes
+        assert len(calls) <= 60
 
     def test_clustered_point_blows_up(self, sched):
         c1 = sched.enumeration()[0]
