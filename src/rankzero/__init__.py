@@ -45,8 +45,10 @@ from .pointset import (
 from .probe import (
     Certificate,
     Classification,
-    DilationRule,
+    GeometricMean,
     ProbeReport,
+    RatioPlus,
+    Sector,
     classify,
     condition_m_sweep,
     dilation_factor,
@@ -59,7 +61,6 @@ from .schedule import (
     build_limit_schedule,
     build_radii,
     build_row_schedule,
-    build_rows,
     build_sector_schedule,
     convergence_exponent_check,
     growth_threshold_index,

@@ -23,10 +23,25 @@ import click
 from mpmath import mp
 
 from . import __version__
-from .evaluator import LogPolar, default_precision, log_eval
+from .evaluator import LogPolar, default_precision, log_eval, precision_scope
 from .ordinal import parse_ordinal, predecessor
-from .pointset import Arc, build_rank_set, cardinality, derive, tree_from_json, tree_to_json
-from .probe import DilationRule, InconclusiveProbe, order_report
+from .pointset import (
+    Arc,
+    build_rank_set,
+    canonical_json,
+    cardinality,
+    derive,
+    tree_from_json,
+    tree_to_json,
+)
+from .probe import (
+    DilationRule,
+    GeometricMean,
+    InconclusiveProbe,
+    RatioPlus,
+    Sector,
+    order_report,
+)
 from .schedule import (
     build_limit_schedule,
     build_row_schedule,
@@ -56,14 +71,21 @@ def _write_with_manifest(path: str, data: bytes, command: str, params: dict,
         "inputs": inputs or {},
         "outputs": {os.path.basename(path): _digest(data)},
     }
-    Path(path + ".manifest.json").write_bytes(
-        json.dumps(manifest, sort_keys=True, indent=1).encode("ascii")
-    )
+    Path(path + ".manifest.json").write_bytes(canonical_json(manifest))
 
 
-def _read_input(path: str) -> tuple[dict, dict]:
+def _load(path: str, parse):
+    """parse(JSON content of path) plus the input digest for the manifest;
+    malformed content is a usage error."""
     data = Path(path).read_bytes()
-    return json.loads(data), {os.path.basename(path): _digest(data)}
+    try:
+        obj = parse(json.loads(data))
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        # ValueError covers JSONDecodeError and bytes that are not UTF-8
+        raise click.UsageError(
+            f"cannot load {path}: {type(exc).__name__}: {exc}"
+        ) from exc
+    return obj, {os.path.basename(path): _digest(data)}
 
 
 def _fraction(text: str) -> Fraction:
@@ -75,11 +97,13 @@ def _fraction(text: str) -> Fraction:
 
 @click.group()
 @click.option("--precision", type=int, default=None,
-              help="Working precision in bits (default 200 or RANKZERO_BITS).")
-def main(precision: Optional[int]) -> None:
+              help="Working precision in bits for this command "
+                   "(default RANKZERO_BITS, else 200).")
+@click.pass_context
+def main(ctx: click.Context, precision: Optional[int]) -> None:
     """Transfinite rank sets, zero schedules and dilation-family probes."""
     if precision is not None:
-        os.environ["RANKZERO_BITS"] = str(precision)
+        ctx.with_resource(precision_scope(precision))
 
 
 @main.command("build-set")
@@ -96,7 +120,7 @@ def build_set_cmd(alpha: str, nu: int, arc_center: str, arc_width: str, out_path
         tree = build_rank_set(a, nu, arc)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
-    data = json.dumps(tree_to_json(tree), sort_keys=True, indent=1).encode("ascii")
+    data = canonical_json(tree_to_json(tree))
     _write_with_manifest(out_path, data, "build-set",
                          {"alpha": alpha, "nu": nu, "arc_center": arc_center,
                           "arc_width": arc_width})
@@ -109,14 +133,13 @@ def build_set_cmd(alpha: str, nu: int, arc_center: str, arc_width: str, out_path
 @click.option("--out", "out_path", required=True, type=click.Path())
 def derive_cmd(set_path: str, beta: str, out_path: str) -> None:
     """Prune a stored set at an ordinal stage."""
-    obj, inputs = _read_input(set_path)
+    tree, inputs = _load(set_path, tree_from_json)
     try:
-        tree = tree_from_json(obj)
         b = parse_ordinal(beta)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
     result = derive(tree, b)
-    data = json.dumps(tree_to_json(result), sort_keys=True, indent=1).encode("ascii")
+    data = canonical_json(tree_to_json(result))
     _write_with_manifest(out_path, data, "derive", {"beta": beta}, inputs)
     card = cardinality(result)
     click.echo(f"stage {beta}: cardinality {'infinite' if card == float('inf') else card}")
@@ -143,7 +166,7 @@ def build_zeros_cmd(alpha: str, nu: str, nmax: int, out_path: str) -> None:
             sched = build_row_schedule(a, int(nu), nmax)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
-    data = json.dumps(schedule_to_json(sched), sort_keys=True, indent=1).encode("ascii")
+    data = canonical_json(schedule_to_json(sched))
     _write_with_manifest(out_path, data, "build-zeros",
                          {"alpha": alpha, "nu": nu, "nmax": nmax})
     click.echo(f"wrote {out_path} ({len(sched)} zeros, variant {sched.variant})")
@@ -172,8 +195,7 @@ def _parse_grid(spec: str):
 def eval_cmd(sched_path: str, j_factor: str, grid: str, rows: Optional[int],
              out_path: str) -> None:
     """Evaluate the product on a grid; emits CSV."""
-    obj, inputs = _read_input(sched_path)
-    sched = schedule_from_json(obj)
+    sched, inputs = _load(sched_path, schedule_from_json)
     try:
         j = int(j_factor)
         if j < 1:
@@ -224,11 +246,11 @@ def _parse_rule(spec: str) -> DilationRule:
         opts[key] = val
     try:
         if kind == "ratio-plus":
-            return DilationRule.ratio_plus(Fraction(opts["r"]))
+            return RatioPlus(Fraction(opts["r"]))
         if kind == "geometric-mean":
-            return DilationRule.geometric_mean(Fraction(opts.get("L", "1")))
+            return GeometricMean(Fraction(opts.get("L", "1")))
         if kind == "sector":
-            return DilationRule.sector(Fraction(opts["r"]), int(opts["t"]))
+            return Sector(Fraction(opts["r"]), int(opts["t"]))
     except (KeyError, ValueError) as exc:
         raise click.UsageError(f"bad rule {spec!r}: {exc}") from exc
     raise click.UsageError(f"unknown rule kind {kind!r}")
@@ -245,8 +267,7 @@ def _parse_rule(spec: str) -> DilationRule:
 def probe_cmd(sched_path: str, rule: str, k_spec: Optional[str], depth: int,
               out_path: str) -> None:
     """Classify a dilation rule and certify its clustering targets."""
-    obj, inputs = _read_input(sched_path)
-    sched = schedule_from_json(obj)
+    sched, inputs = _load(sched_path, schedule_from_json)
     dil = _parse_rule(rule)
     k_range = None
     if k_spec:
@@ -256,7 +277,7 @@ def probe_cmd(sched_path: str, rule: str, k_spec: Optional[str], depth: int,
         except ValueError as exc:
             raise click.UsageError(f"bad range {k_spec!r}") from exc
     report = order_report(sched, dil, depth=depth, k_range=k_range)
-    data = json.dumps(report.as_dict(), sort_keys=True, indent=1).encode("ascii")
+    data = canonical_json(report.as_dict())
     _write_with_manifest(out_path, data, "probe",
                          {"rule": rule, "k": k_spec, "depth": depth}, inputs)
     click.echo(f"branch: {report.branch}; claimed: {report.claimed}")

@@ -28,6 +28,8 @@ from __future__ import annotations
 import cmath
 import math
 import os
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -36,6 +38,7 @@ from typing import List, Optional, Tuple
 
 from mpmath import iv, mp
 
+from .pointset import Forest, _hull
 from .schedule import Zero, ZeroSchedule
 
 __all__ = [
@@ -53,18 +56,34 @@ __all__ = [
 
 _ENV_BITS = "RANKZERO_BITS"
 _GUARD = 30
+_SCOPED_BITS: ContextVar[Optional[int]] = ContextVar("rankzero_bits", default=None)
 
 
 def default_precision() -> int:
-    """Working precision in bits; override with the RANKZERO_BITS variable."""
-    try:
-        bits = int(os.environ.get(_ENV_BITS, "200"))
-    except ValueError:
-        bits = 200
+    """Working precision in bits: the innermost precision_scope, else the
+    RANKZERO_BITS variable, else 200; never below 64."""
+    bits = _SCOPED_BITS.get()
+    if bits is None:
+        try:
+            bits = int(os.environ.get(_ENV_BITS, "200"))
+        except ValueError:
+            bits = 200
     return max(64, bits)
 
 
+@contextmanager
+def precision_scope(bits: int):
+    """Make default_precision() start from `bits` inside the block only."""
+    token = _SCOPED_BITS.set(bits)
+    try:
+        yield
+    finally:
+        _SCOPED_BITS.reset(token)
+
+
 def _mpf_fraction(f: Fraction):
+    """A rational as an mpf at the working precision.  Numerator and
+    denominator are rounded separately; artifact digests depend on it."""
     return mp.mpf(f.numerator) / mp.mpf(f.denominator)
 
 
@@ -538,15 +557,10 @@ def sector_bound_check(
         for sector, tree in sorted(schedule.sources.items()):
             if tree is None:
                 continue
-            pieces = tree.members if hasattr(tree, "members") else (tree,)
+            pieces = tree.members if isinstance(tree, Forest) else (tree,)
             for piece in pieces:
-                if hasattr(piece, "arc"):
-                    c = _mpf_fraction(piece.arc.center)
-                    hw = _mpf_fraction(piece.arc.half_width)
-                else:
-                    c = _mpf_fraction(piece.angle)
-                    hw = mp.mpf(0)
-                gap = _turn_gap(turn, c) - hw
+                center, half_width = _hull(piece)
+                gap = _turn_gap(turn, _mpf_fraction(center)) - _mpf_fraction(half_width)
                 if 2 * mp.pi * gap < alpha0:
                     raise ValueError(
                         f"ray within alpha0 of the zero arc at sector {sector}"

@@ -61,7 +61,6 @@ __all__ = [
     "rank_profile",
     "tree_to_json",
     "tree_from_json",
-    "dumps_tree",
     "turn_distance",
 ]
 
@@ -269,10 +268,6 @@ def _hull(tree: Union[Leaf, Cluster]) -> Tuple[Fraction, Fraction]:
     if isinstance(tree, Leaf):
         return tree.angle, Fraction(0)
     return tree.arc.center, tree.arc.half_width
-
-
-def _hulls_disjoint(a: Tuple[Fraction, Fraction], b: Tuple[Fraction, Fraction]) -> bool:
-    return turn_distance(a[0], b[0]) > a[1] + b[1]
 
 
 def _sort_key(tree: Union[Leaf, Cluster]):
@@ -582,12 +577,13 @@ def rank_profile(e: Optional[RankTree], betas: Sequence[OrdinalLike],
 # -- JSON ---------------------------------------------------------------------
 
 
+def canonical_json(obj) -> bytes:
+    """The one byte form of every JSON artifact, manifest and report."""
+    return json.dumps(obj, sort_keys=True, indent=1).encode("ascii")
+
+
 def _frac_str(f: Fraction) -> str:
     return str(Fraction(f))
-
-
-def _frac(s: str) -> Fraction:
-    return Fraction(s)
 
 
 def _arc_to_json(arc: Arc) -> dict:
@@ -595,7 +591,7 @@ def _arc_to_json(arc: Arc) -> dict:
 
 
 def _arc_from_json(obj: dict) -> Arc:
-    return Arc(_frac(obj["center"]), _frac(obj["half_width"]))
+    return Arc(Fraction(obj["center"]), Fraction(obj["half_width"]))
 
 
 def _kids_to_json(kids: KidsSpec) -> dict:
@@ -654,7 +650,7 @@ def tree_from_json(obj: dict) -> Optional[RankTree]:
     if kind == "empty":
         return None
     if kind == "leaf":
-        return Leaf(_frac(obj["angle"]))
+        return Leaf(Fraction(obj["angle"]))
     if kind == "forest":
         members = [tree_from_json(m) for m in obj["members"]]
         return _forest(members)
@@ -663,18 +659,14 @@ def tree_from_json(obj: dict) -> Optional[RankTree]:
         rank = parse_ordinal(obj["ordinal"])
         if "kids" not in obj:
             tree = _apex_tree(rank, arc)
-            if isinstance(tree, Cluster) and tree.limit != _frac(obj["limit"]):
+            if isinstance(tree, Cluster) and tree.limit != Fraction(obj["limit"]):
                 raise ValueError("cluster limit does not match its arc center")
             return tree
         return Cluster(
-            _frac(obj["limit"]),
+            Fraction(obj["limit"]),
             arc,
             _kids_from_json(obj["kids"]),
             rank,
             bool(obj.get("with_apex", False)),
         )
     raise ValueError(f"unknown tree kind {kind!r}")
-
-
-def dumps_tree(e: Optional[RankTree]) -> str:
-    return json.dumps(tree_to_json(e), sort_keys=True, separators=(",", ":"))

@@ -1,7 +1,7 @@
 """Certification harness for the dilation families of scheduled products.
 
 A dilation rule turns the radius ladder into integer dilation factors.  The
-three stock rules:
+three stock rules, the classes RatioPlus, GeometricMean and Sector:
 
 * ratio-plus:  j_k = floor(a_k / r + 1), which parks j_k * r just above
   a_k, so the k-th ring of zeros collapses onto the circle of radius r;
@@ -22,25 +22,28 @@ independent of every floating-point computation here.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import ClassVar, List, Optional, Sequence, Tuple, Union
 
 from mpmath import iv, mp
 
 from .evaluator import (
+    _GUARD,
     LogPolar,
+    _mpf_fraction,
     _spherical_log_bound,
     default_precision,
     spherical_derivative,
 )
-from .ordinal import Ordinal, as_ordinal, predecessor
+from .ordinal import Ordinal, as_ordinal, enumerate_below, predecessor, successor
 from .pointset import RankProfile, rank_profile
-from .schedule import RadiiSequence, ZeroSchedule, triangular
+from .schedule import RadiiSequence, ZeroSchedule, _iv_fraction, triangular
 
 __all__ = [
-    "DilationRule",
+    "RatioPlus",
+    "GeometricMean",
+    "Sector",
     "Classification",
     "Certificate",
     "SweepRow",
@@ -52,90 +55,120 @@ __all__ = [
     "condition_m_sweep",
     "sweep_passes",
     "order_report",
-    "report_to_json",
     "InconclusiveProbe",
 ]
-
-_GUARD = 30
 
 
 class InconclusiveProbe(RuntimeError):
     """A probe whose certificates failed; reports carry the details."""
 
 
+def _check_r(r: Fraction, name: str) -> Fraction:
+    r = Fraction(r)
+    if not 0 < r < 1:
+        raise ValueError(f"{name} needs 0 < r < 1")
+    return r
+
+
 @dataclass(frozen=True)
-class DilationRule:
-    """Recipe for the integer dilation factors j_k.
+class RatioPlus:
+    """j_k = floor(a_k / r + 1)."""
 
-    kind is one of ratio_plus, geometric_mean, sector, explicit.  Explicit
-    rules carry either literal integers or exact log-domain values (used
-    for degenerate calibration cases where j_k should sit exactly on a
-    radius, which no integer can do).
-    """
+    r: Fraction
+    sector: ClassVar[int] = 0
+    pins_rings: ClassVar[bool] = True
 
-    kind: str
-    r: Optional[Fraction] = None
-    L: Optional[Fraction] = None
-    t: Optional[int] = None
-    values: Optional[Tuple[int, ...]] = None
-    exact_logs: Optional[Tuple[Fraction, ...]] = None
-
-    @staticmethod
-    def ratio_plus(r: Fraction) -> "DilationRule":
-        r = Fraction(r)
-        if not 0 < r < 1:
-            raise ValueError("ratio-plus needs 0 < r < 1")
-        return DilationRule("ratio_plus", r=r)
-
-    @staticmethod
-    def geometric_mean(L: Fraction) -> "DilationRule":
-        L = Fraction(L)
-        if L <= 0:
-            raise ValueError("geometric-mean needs L > 0")
-        return DilationRule("geometric_mean", L=L)
-
-    @staticmethod
-    def sector(r: Fraction, t: int) -> "DilationRule":
-        r = Fraction(r)
-        if not 0 < r < 1:
-            raise ValueError("sector rule needs 0 < r < 1")
-        if t < 1:
-            raise ValueError("sector index must be >= 1")
-        return DilationRule("sector", r=r, t=t)
-
-    @staticmethod
-    def explicit(values: Sequence[int] = (), exact_logs: Sequence[Fraction] = (),
-                 r: Optional[Fraction] = None) -> "DilationRule":
-        if bool(values) == bool(exact_logs):
-            raise ValueError("explicit rules take integers or exact logs, not both")
-        return DilationRule(
-            "explicit",
-            r=Fraction(r) if r is not None else None,
-            values=tuple(int(v) for v in values) or None,
-            exact_logs=tuple(Fraction(x) for x in exact_logs) or None,
-        )
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "r", _check_r(self.r, "ratio-plus"))
 
     def radius_index(self, k: int) -> int:
         """Global ring index whose radius drives j_k."""
-        if self.kind == "sector":
-            assert self.t is not None
-            if k < self.t:
-                raise ValueError(f"sector rule needs k >= t = {self.t}")
-            return triangular(k - 1) + self.t
         return k
 
+    def k_cap(self, schedule: ZeroSchedule) -> int:
+        return schedule.n_rings
+
     def describe(self) -> str:
-        if self.kind == "ratio_plus":
-            return f"ratio-plus:r={self.r}"
-        if self.kind == "geometric_mean":
-            return f"geometric-mean:L={self.L}"
-        if self.kind == "sector":
-            return f"sector:r={self.r},t={self.t}"
-        return "explicit"
+        return f"ratio-plus:r={self.r}"
+
+    def factor(self, radii: RadiiSequence, k: int) -> int:
+        return _floor_over_r(radii.log_radius(k), self.r)
 
 
-def _iv_fraction(f: Fraction):
-    return iv.mpf(f.numerator) / iv.mpf(f.denominator)
+@dataclass(frozen=True)
+class GeometricMean:
+    """j_k = floor(L * sqrt(a_k * a_{k+1}))."""
+
+    L: Fraction
+    r: ClassVar[Fraction] = Fraction(1, 2)
+    sector: ClassVar[int] = 0
+    pins_rings: ClassVar[bool] = False
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "L", Fraction(self.L))
+        if self.L <= 0:
+            raise ValueError("geometric-mean needs L > 0")
+
+    def radius_index(self, k: int) -> int:
+        return k
+
+    def k_cap(self, schedule: ZeroSchedule) -> int:
+        return schedule.n_rings
+
+    def describe(self) -> str:
+        return f"geometric-mean:L={self.L}"
+
+    def factor(self, radii: RadiiSequence, k: int) -> int:
+        half = (radii.log_radius(k) + radii.log_radius(k + 1)) / 2
+        prec = max(default_precision() + _GUARD, _magnitude_bits(half))
+        return _certified_floor(
+            lambda: _iv_fraction(self.L) * iv.exp(_iv_fraction(half)), prec
+        )
+
+
+@dataclass(frozen=True)
+class Sector:
+    """j_k = floor(a^(k)_t / r + 1), with a^(k)_t the radius of ring
+    (k, t) of the sector layout."""
+
+    r: Fraction
+    t: int
+    pins_rings: ClassVar[bool] = True
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "r", _check_r(self.r, "sector rule"))
+        if self.t < 1:
+            raise ValueError("sector index must be >= 1")
+
+    @property
+    def sector(self) -> int:
+        return self.t
+
+    def radius_index(self, k: int) -> int:
+        if k < self.t:
+            raise ValueError(f"sector rule needs k >= t = {self.t}")
+        return triangular(k - 1) + self.t
+
+    def k_cap(self, schedule: ZeroSchedule) -> int:
+        # the last complete super-row n satisfies n(n+1)/2 <= n_rings
+        n = 1
+        while triangular(n + 1) <= schedule.n_rings:
+            n += 1
+        return n
+
+    def describe(self) -> str:
+        return f"sector:r={self.r},t={self.t}"
+
+    def factor(self, radii: RadiiSequence, k: int) -> int:
+        return _floor_over_r(radii.log_radius(self.radius_index(k)), self.r)
+
+
+# Every rule has r (the target radius of its certificates; geometric-mean
+# rules certify at 1/2), sector (0 outside the sector layout), pins_rings
+# (whether j_k * r lands just above a ring radius, pinning that ring's zeros
+# onto radius r), radius_index(k), k_cap(schedule), describe() and
+# factor(radii, k).
+DilationRule = Union[RatioPlus, GeometricMean, Sector]
 
 
 def _certified_floor(expr, start_prec: int) -> int:
@@ -167,33 +200,19 @@ def _magnitude_bits(log_value: Fraction) -> int:
     return max(0, int(log_value * 1.4427)) + 80
 
 
+def _floor_over_r(log_radius: Fraction, r: Fraction) -> int:
+    """floor(e^log_radius / r + 1), which puts j * r just above the radius."""
+    prec = max(default_precision() + _GUARD, _magnitude_bits(log_radius))
+    return _certified_floor(
+        lambda: iv.exp(_iv_fraction(log_radius)) / _iv_fraction(r) + 1, prec
+    )
+
+
 def dilation_factor(rule: DilationRule, radii: RadiiSequence, k: int) -> int:
     """Exact j_k for the rule (arbitrary-precision integer)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if rule.kind == "explicit":
-        if rule.values is None:
-            raise ValueError(
-                "exact-log explicit rules describe non-integer dilation sizes; "
-                "they support classification only"
-            )
-        return rule.values[k - 1]
-    if rule.kind == "geometric_mean":
-        assert rule.L is not None
-        half = (radii.log_radius(k) + radii.log_radius(k + 1)) / 2
-        prec = max(default_precision() + _GUARD, _magnitude_bits(half))
-        return _certified_floor(
-            lambda: _iv_fraction(rule.L) * iv.exp(_iv_fraction(half)), prec
-        )
-    # ratio_plus and sector share the floor(a / r + 1) shape
-    assert rule.r is not None
-    idx = rule.radius_index(k)
-    lr = radii.log_radius(idx)
-    prec = max(default_precision() + _GUARD, _magnitude_bits(lr))
-    return _certified_floor(
-        lambda: iv.exp(_iv_fraction(lr)) / _iv_fraction(rule.r) + 1,
-        prec,
-    )
+    return rule.factor(radii, k)
 
 
 def dilation_factors(rule: DilationRule, radii: RadiiSequence,
@@ -233,44 +252,32 @@ def classify(
     geometric-mean rule).
     """
     if eta0 is None:
-        eta0 = rule.r if rule.r is not None else Fraction(1, 2)
+        eta0 = rule.r
     eta0 = Fraction(eta0)
     if eta0 <= 0:
         raise ValueError("eta0 must be positive")
-    exact = rule.exact_logs is not None and eta0 == 1
-    xs: List = []
-    if exact:
-        # degenerate calibration path: the dilated modulus is known in
-        # closed log form, so the gaps are exact rationals
-        xs = [rule.exact_logs[k - 1] for k in k_range]
-    elif rule.exact_logs is not None:
-        with mp.workprec(default_precision() + _GUARD):
+    xs = []
+    # the lower gap shrinks like 1/j, so resolving it takes precision past
+    # the bit length of j itself
+    for k, j in dilation_factors(rule, radii, k_range):
+        with mp.workprec(max(default_precision(), j.bit_length() + 120)):
             log_eta = mp.log(mp.mpf(eta0.numerator)) - mp.log(mp.mpf(eta0.denominator))
-            for k in k_range:
-                f = rule.exact_logs[k - 1]
-                xs.append(mp.mpf(f.numerator) / f.denominator + log_eta)
-    else:
-        # the lower gap shrinks like 1/j, so resolving it takes precision
-        # past the bit length of j itself
-        for k, j in dilation_factors(rule, radii, k_range):
-            with mp.workprec(max(default_precision(), j.bit_length() + 120)):
-                log_eta = mp.log(mp.mpf(eta0.numerator)) - mp.log(
-                    mp.mpf(eta0.denominator)
-                )
-                xs.append(mp.log(mp.mpf(j)) + log_eta)
+            xs.append(mp.log(mp.mpf(j)) + log_eta)
+    return _branch(radii, k_range, xs)
+
+
+def _branch(radii: RadiiSequence, k_range: Sequence[int], xs: List) -> Classification:
+    """Gaps from each log modulus in xs (mpf) to the radii around it, and
+    the branch they mark."""
     trail = []
     lows, highs = [], []
     for k, x in zip(k_range, xs):
         n = 1
-        while _bracket_le(radii.log_radius(n + 1), x, exact):
+        while _mpf_fraction(radii.log_radius(n + 1)) <= x:
             n += 1
-        if exact:
-            gl = x - radii.log_radius(n)
-            gu = radii.log_radius(n + 1) - x
-        else:
-            with mp.workprec(mp.prec + 2 * _magnitude_bits(radii.log_radius(n + 1))):
-                gl = x - _log_radius_mpf(radii, n)
-                gu = _log_radius_mpf(radii, n + 1) - x
+        with mp.workprec(mp.prec + 2 * _magnitude_bits(radii.log_radius(n + 1))):
+            gl = x - _mpf_fraction(radii.log_radius(n))
+            gu = _mpf_fraction(radii.log_radius(n + 1)) - x
         lows.append(gl)
         highs.append(gu)
         trail.append((k, float(gl), float(gu)))
@@ -280,17 +287,6 @@ def classify(
     elif _shrinks(highs):
         branch = "toward-upper"
     return Classification(branch, tuple(trail))
-
-
-def _log_radius_mpf(radii: RadiiSequence, n: int):
-    f = radii.log_radius(n)
-    return mp.mpf(f.numerator) / f.denominator
-
-
-def _bracket_le(log_radius: Fraction, x, exact: bool) -> bool:
-    if exact:
-        return log_radius <= x
-    return mp.mpf(log_radius.numerator) / log_radius.denominator <= x
 
 
 def _shrinks(gaps: List) -> bool:
@@ -363,8 +359,7 @@ def non_c0_certificate(
     delta = Fraction(delta)
     if delta <= 0:
         raise ValueError("delta must be positive")
-    r = rule.r if rule.r is not None else Fraction(1, 2)
-    sector = rule.t if rule.kind == "sector" else 0
+    r = rule.r
     known = set()
     for angs in schedule.angles.values():
         known.update(angs)
@@ -391,7 +386,7 @@ def non_c0_certificate(
                 dl, dh = _zero_distance(schedule, j, point)
                 dl, dh = mp.mpf(dl), mp.mpf(dh)
                 bound = None
-                if rule.kind in ("ratio_plus", "sector"):
+                if rule.pins_rings:
                     ring = rule.radius_index(k)
                     ring_angles = {z.turn for z in schedule.zeros_in_ring(ring)}
                     if target_turn in ring_angles:
@@ -439,10 +434,8 @@ def _mesh(center, radius, schedule: ZeroSchedule, j: int):
             ang = 2 * mp.pi * m / (8 * k)
             pts.append(LogPolar.from_complex(center + rho * mp.exp(mp.mpc(0, 1) * ang)))
     for z in schedule.zeros:
-        lm = mp.mpf(z.log_r.numerator) / z.log_r.denominator - mp.log(mp.mpf(j))
-        pre = mp.exp(
-            mp.mpc(lm, 2 * mp.pi * mp.mpf(z.turn.numerator) / z.turn.denominator)
-        )
+        lm = _mpf_fraction(z.log_r) - mp.log(mp.mpf(j))
+        pre = mp.exp(mp.mpc(lm, 2 * mp.pi * _mpf_fraction(z.turn)))
         if abs(pre - center) <= radius:
             pts.append(LogPolar.from_exact(z.log_r, z.turn, num=1, den=j))
     return pts
@@ -480,12 +473,12 @@ def condition_m_sweep(
             radius = mp.mpf(1) / n
             for i, (turn, modulus) in enumerate(points, start=1):
                 turn, modulus = Fraction(turn), Fraction(modulus)
-                center = (
-                    mp.mpf(modulus.numerator) / modulus.denominator
-                ) * mp.exp(mp.mpc(0, 2 * mp.pi * mp.mpf(turn.numerator) / turn.denominator))
+                center = _mpf_fraction(modulus) * mp.exp(
+                    mp.mpc(0, 2 * mp.pi * _mpf_fraction(turn))
+                )
                 top_log = mp.log(mp.mpf(j)) + mp.log(abs(center) + radius)
-                valid = rows >= 3 and top_log <= _log_radius_mpf(
-                    schedule.radii, rows - 2
+                valid = rows >= 3 and top_log <= _mpf_fraction(
+                    schedule.radii.log_radius(rows - 2)
                 )
                 mesh = _mesh(center, radius, schedule, j)
                 bounds = [_spherical_log_bound(schedule, j, z, rows) for z in mesh]
@@ -557,8 +550,6 @@ def _profile_stages(alpha: Ordinal) -> List[Ordinal]:
     if p is not None:
         stages.extend([p, alpha])
     else:
-        from .ordinal import successor
-
         stages.extend([alpha, successor(alpha)])
     return stages
 
@@ -579,25 +570,19 @@ def order_report(
     first `depth` enumerated angles; any failure marks the report
     inconclusive and lists the failing targets.
     """
+    sector = rule.sector
     if k_range is None:
-        hi = schedule.n_rings if rule.kind != "sector" else _sector_k_cap(schedule)
-        lo = max(depth + 1, hi - 4)
-        if rule.kind == "sector":
-            assert rule.t is not None
-            lo = max(lo, rule.t)
+        hi = rule.k_cap(schedule)
+        lo = max(depth + 1, hi - 4, sector)  # sector rules need k >= t
         if lo > hi:
             raise ValueError("schedule too small for the requested probe depth")
         k_range = range(lo, hi + 1)
-    sector = rule.t if rule.kind == "sector" else 0
-    r = rule.r if rule.r is not None else Fraction(1, 2)
 
     certs: List[Certificate] = [
         non_c0_certificate(schedule, rule, None, delta, k_range)
     ]
-    targets: List[Fraction] = []
-    if rule.kind in ("ratio_plus", "sector"):
-        targets = list(schedule.enumeration(sector)[:depth])
-        for turn in targets:
+    if rule.pins_rings:
+        for turn in schedule.enumeration(sector)[:depth]:
             certs.append(non_c0_certificate(schedule, rule, turn, delta, k_range))
 
     branch = classify(rule, schedule.radii, k_range)
@@ -607,18 +592,16 @@ def order_report(
         if not c.passed
     )
 
-    if rule.kind == "geometric_mean":
+    if not rule.pins_rings:
         claimed = "{0}"
         profile = RankProfile(((as_ordinal(0), 1), (as_ordinal(1), 0)))
     else:
         tree = schedule.source_tree(sector)
         alpha = schedule.alpha
-        if schedule.variant == "limit" and rule.kind == "sector":
-            from .ordinal import enumerate_below, successor
-
+        if schedule.variant == "limit" and sector:
             alpha = successor(enumerate_below(schedule.alpha, sector)[sector - 1])
         label = "closure of the source set" if sector == 0 else f"closure of sector {sector}"
-        claimed = f"{{0}} union {r} * {label}"
+        claimed = f"{{0}} union {rule.r} * {label}"
         profile = rank_profile(tree, _profile_stages(alpha), extra_isolated=1)
 
     return ProbeReport(
@@ -630,16 +613,3 @@ def order_report(
         bool(failing),
         failing,
     )
-
-
-def _sector_k_cap(schedule: ZeroSchedule) -> int:
-    # sector rules index super-rows; the last complete super-row n satisfies
-    # n(n+1)/2 <= n_rings
-    n = 1
-    while triangular(n + 1) <= schedule.n_rings:
-        n += 1
-    return n
-
-
-def report_to_json(report: ProbeReport) -> str:
-    return json.dumps(report.as_dict(), sort_keys=True, indent=1)

@@ -23,7 +23,6 @@ turn, with half-widths 1/(3*2^(t+4)); all pairwise strongly disjoint.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -56,13 +55,11 @@ __all__ = [
     "build_radii",
     "validate_radii",
     "growth_threshold_index",
-    "build_rows",
     "build_row_schedule",
     "build_sector_schedule",
     "build_limit_schedule",
     "schedule_to_json",
     "schedule_from_json",
-    "dumps_schedule",
     "convergence_exponent_check",
     "ConvergenceReport",
     "sector_arc",
@@ -140,7 +137,8 @@ def validate_radii(radii: RadiiSequence) -> None:
             raise ValueError(f"multiplicative growth law fails at index {i + 1}")
 
 
-def _iv_from_fraction(f: Fraction):
+def _iv_fraction(f: Fraction):
+    """A rational as an interval at the current iv precision."""
     return iv.mpf(f.numerator) / iv.mpf(f.denominator)
 
 
@@ -156,7 +154,7 @@ def growth_threshold_index(radii: RadiiSequence, prec: int = 200) -> int:
             p = one - one / iv.mpf(2 ** (n + 1))
             root = p ** (one / iv.mpf(n + 1))
             rhs = one / (one - root)
-            lhs = iv.exp(_iv_from_fraction(radii.log_radius(n)))
+            lhs = iv.exp(_iv_fraction(radii.log_radius(n)))
             if lhs.a > rhs.b:
                 holds.append(True)
             elif lhs.b < rhs.a:
@@ -247,35 +245,9 @@ def _enumerate_angles(tree: RankTree, needed: int, label: str) -> Tuple[Fraction
     )
 
 
-def build_rows(tree: RankTree, radii: RadiiSequence, n_max: int) -> ZeroSchedule:
-    """Row layout: ring n carries the first n enumerated angles at radius
-    a_n, so the l-th zero of ring n is radius a_n times the n-th angle."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    if n_max > radii.n_max:
-        raise ValueError(f"n_max {n_max} exceeds the radius ladder ({radii.n_max})")
-    angles = _enumerate_angles(tree, n_max, "row layout")
-    if len(angles) < n_max:
-        raise ValueError(
-            f"row layout needs {n_max} distinct angles but the set materializes "
-            f"to {len(angles)}"
-        )
-    zeros = [
-        Zero(n, radii.log_radius(n), angles[m])
-        for n in range(1, n_max + 1)
-        for m in range(n)
-    ]
-    # rank metadata is unknown at this level; build_row_schedule fills it in
-    return ZeroSchedule(
-        "rows", as_ordinal(0), None, radii, tuple(zeros), {0: angles}, {0: tree}
-    )
-
-
-def _sector_zero_rows(
-    alpha: Ordinal,
-    n_rows: int,
-    make_tree,
-) -> Tuple[Tuple[Zero, ...], Dict[int, Tuple[Fraction, ...]], Dict[int, Optional[RankTree]], RadiiSequence]:
+def _sector_layout(variant: str, alpha: Ordinal, n_rows: int, make_tree) -> ZeroSchedule:
+    """Super-row n holds rings n(n-1)/2 + t for t = 1..n; ring (n, t)
+    carries the first n angles of sector t's set make_tree(t)."""
     radii = build_radii(max(3, triangular(n_rows)))
     sources: Dict[int, Optional[RankTree]] = {}
     angles: Dict[int, Tuple[Fraction, ...]] = {}
@@ -290,7 +262,7 @@ def _sector_zero_rows(
             avail = angles[t]
             for i in range(min(n, len(avail))):
                 zeros.append(Zero(ring, radii.log_radius(ring), avail[i], sector=t))
-    return tuple(zeros), angles, sources, radii
+    return ZeroSchedule(variant, alpha, None, radii, tuple(zeros), angles, sources)
 
 
 def build_sector_schedule(alpha: OrdinalLike, n_rows: int) -> ZeroSchedule:
@@ -304,11 +276,9 @@ def build_sector_schedule(alpha: OrdinalLike, n_rows: int) -> ZeroSchedule:
         )
     if n_rows < 1:
         raise ValueError("n_rows must be >= 1")
-    zeros, angles, sources, radii = _sector_zero_rows(
-        alpha, n_rows, lambda t: build_rank_set(alpha, t, sector_arc(t))
+    return _sector_layout(
+        "sectors", alpha, n_rows, lambda t: build_rank_set(alpha, t, sector_arc(t))
     )
-    sched = ZeroSchedule("sectors", alpha, None, radii, zeros, angles, sources)
-    return sched
 
 
 def build_limit_schedule(alpha: OrdinalLike, n_rows: int) -> ZeroSchedule:
@@ -320,28 +290,34 @@ def build_limit_schedule(alpha: OrdinalLike, n_rows: int) -> ZeroSchedule:
     if n_rows < 1:
         raise ValueError("n_rows must be >= 1")
     betas = enumerate_below(alpha, n_rows)
-    zeros, angles, sources, radii = _sector_zero_rows(
-        alpha, n_rows,
+    return _sector_layout(
+        "limit", alpha, n_rows,
         lambda t: build_rank_set(successor(betas[t - 1]), 1, sector_arc(t)),
-    )
-    return ZeroSchedule("limit", alpha, None, radii, zeros, angles, sources)
-
-
-def _finish_rows_schedule(sched: ZeroSchedule, alpha: Ordinal, nu: int) -> ZeroSchedule:
-    return ZeroSchedule(
-        sched.variant, alpha, nu, sched.radii, sched.zeros, sched.angles, sched.sources
     )
 
 
 def build_row_schedule(alpha: OrdinalLike, nu: int, n_max: int,
                        host: Optional[Arc] = None) -> ZeroSchedule:
-    """Convenience: build the rank set on the standard arc and lay out rows."""
+    """Row layout of E(alpha, nu) on `host` (default: the standard arc):
+    ring n carries the first n enumerated angles at radius a_n, so the l-th
+    zero of ring n is radius a_n times the l-th angle."""
     alpha = as_ordinal(alpha)
-    host = host or standard_arc()
-    tree = build_rank_set(alpha, nu, host)
+    tree = build_rank_set(alpha, nu, host or standard_arc())
     radii = build_radii(max(3, n_max))
-    sched = build_rows(tree, radii, n_max)
-    return _finish_rows_schedule(sched, alpha, nu)
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    angles = _enumerate_angles(tree, n_max, "row layout")
+    if len(angles) < n_max:
+        raise ValueError(
+            f"row layout needs {n_max} distinct angles but the set materializes "
+            f"to {len(angles)}"
+        )
+    zeros = tuple(
+        Zero(n, radii.log_radius(n), angles[m])
+        for n in range(1, n_max + 1)
+        for m in range(n)
+    )
+    return ZeroSchedule("rows", alpha, nu, radii, zeros, {0: angles}, {0: tree})
 
 
 # -- convergence exponent ------------------------------------------------------
@@ -383,12 +359,12 @@ def convergence_exponent_check(
     old = iv.prec
     iv.prec = prec
     try:
-        expo = _iv_from_fraction(exponent)
+        expo = _iv_fraction(exponent)
         total = iv.mpf(0)
         for n in range(1, n_terms + 1):
-            total += iv.mpf(n) * iv.exp(-expo * _iv_from_fraction(radii.log_radius(n)))
+            total += iv.mpf(n) * iv.exp(-expo * _iv_fraction(radii.log_radius(n)))
         anchor = n_terms if n_terms >= 1 else 1
-        log_anchor = _iv_from_fraction(radii.log_radius(anchor))
+        log_anchor = _iv_fraction(radii.log_radius(anchor))
         # tail: sum over m >= 1 of (anchor + m) * (a_anchor * 2^m)^(-exponent),
         # a plain geometric series with ratio 2^(-exponent) < 1
         r = iv.exp(-expo * iv.log(iv.mpf(2)))
@@ -444,7 +420,3 @@ def schedule_from_json(obj: dict) -> ZeroSchedule:
         angles,
         sources,
     )
-
-
-def dumps_schedule(s: ZeroSchedule) -> str:
-    return json.dumps(schedule_to_json(s), sort_keys=True, separators=(",", ":"))

@@ -8,7 +8,6 @@ twice.  run_suite prints one PASS/FAIL line per criterion.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,6 +17,7 @@ from mpmath import mp
 
 from .evaluator import (
     LogPolar,
+    _mpf_fraction,
     default_precision,
     family_eval,
     sector_bound_check,
@@ -33,6 +33,7 @@ from .pointset import (
     Arc,
     Leaf,
     build_rank_set,
+    canonical_json,
     cardinality,
     derive,
     derive_once,
@@ -42,7 +43,9 @@ from .pointset import (
     union_disjoint,
 )
 from .probe import (
-    DilationRule,
+    GeometricMean,
+    RatioPlus,
+    Sector,
     classify,
     condition_m_sweep,
     dilation_factor,
@@ -263,9 +266,8 @@ def _divergence_samples(schedule, n: int) -> List[LogPolar]:
             log_r = lo + (hi - lo) * frac
             pts.append(
                 LogPolar(
-                    mp.mpf(log_r.numerator) / log_r.denominator,
-                    2 * mp.pi * mp.mpf(turn.numerator) / turn.denominator
-                    - 2 * mp.pi * (turn > Fraction(1, 2)),
+                    _mpf_fraction(log_r),
+                    2 * mp.pi * _mpf_fraction(turn) - 2 * mp.pi * (turn > Fraction(1, 2)),
                 )
             )
     return pts
@@ -307,7 +309,7 @@ def check_zero_clustering() -> CheckResult:
     ok = True
     details = []
     for r in (_frac(3, 10), _frac(7, 10)):
-        rule = DilationRule.ratio_plus(r)
+        rule = RatioPlus(r)
         for m in range(5):
             cert = non_c0_certificate(s, rule, c[m], _frac(1, 1000), range(6, 11))
             rational_ok = all(
@@ -333,7 +335,7 @@ def check_zero_clustering() -> CheckResult:
 def check_geometric_mean_immunity() -> CheckResult:
     s = build_row_schedule(3, 1, 12)
     c = s.enumeration()
-    rule = DilationRule.geometric_mean(Fraction(1))
+    rule = GeometricMean(Fraction(1))
     details = []
     cl = classify(rule, s.radii, range(4, 9), eta0=_frac(1, 2))
     neither = cl.branch == "neither"
@@ -371,7 +373,7 @@ def check_geometric_mean_immunity() -> CheckResult:
 def check_condition_m() -> CheckResult:
     s = build_row_schedule(3, 1, 12)
     c1 = s.enumeration()[0]
-    rule = DilationRule.ratio_plus(_frac(1, 2))
+    rule = RatioPlus(_frac(1, 2))
     rows = condition_m_sweep(
         s,
         [(c1, _frac(1, 2)), (c1 + _frac(1, 2), _frac(1, 2))],
@@ -409,7 +411,7 @@ def check_sector_layouts() -> CheckResult:
         ok = ok and purity
         details.append(f"{label} layout: one sector per ring through ring 12: {purity}")
     for t in (1, 2):
-        rule = DilationRule.sector(_frac(1, 2), t)
+        rule = Sector(_frac(1, 2), t)
         rep = order_report(ss, rule, depth=2, k_range=range(max(2, t), 6))
         certs_ok = not rep.inconclusive
         profile = rep.rank_conclusion.as_dict()
@@ -452,7 +454,7 @@ def suite_report_bytes(results: List[CheckResult]) -> bytes:
         ],
         "all_passed": all(r.passed for r in results),
     }
-    return json.dumps(payload, sort_keys=True, indent=1).encode("ascii")
+    return canonical_json(payload)
 
 
 def check_determinism(first: Optional[List[CheckResult]] = None) -> CheckResult:

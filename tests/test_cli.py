@@ -22,6 +22,18 @@ def run(runner, *args):
     return result
 
 
+def run_entry(*args, prelude=""):
+    """The console entry point in a child process, after running `prelude`."""
+    env = dict(os.environ)
+    src = str(Path(rankzero.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = prelude + "\nfrom rankzero.cli import entry; entry()"
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
 class TestPipelines:
     def test_build_set_then_derive(self, runner, tmp_path):
         set_path = tmp_path / "set.json"
@@ -133,14 +145,78 @@ class TestFailures:
         assert result.exit_code == 2
         assert "positive integer" in result.output
         # the console entry point turns it into exit status 2 and a message
-        env = dict(os.environ)
-        src = str(Path(rankzero.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", "from rankzero.cli import entry; entry()", *args],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = run_entry(*args)
         assert proc.returncode == 2
         assert "positive integer" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("command, content", [
+        ("eval", '{"variant": "rows"}'),
+        ("eval", "[1, 2]"),
+        ("probe", "not json at all"),
+        ("probe", '{"variant": "rows", "alpha": "3", "nu": 1, "log_radii": ["1/0"]}'),
+        ("derive", '{"kind": "leaf"}'),
+        ("derive", "\x00\xff"),
+    ])
+    def test_malformed_input_is_a_usage_error(self, runner, tmp_path, command, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content.encode("latin-1"))
+        option = "--set" if command == "derive" else "--schedule"
+        extra = {"eval": [], "probe": ["--rule", "ratio-plus:r=1/2"],
+                 "derive": ["--beta", "1"]}[command]
+        args = [command, option, str(bad), *extra, "--out", str(tmp_path / "o")]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert "cannot load" in result.output
+        assert not (tmp_path / "o").exists()
+
+    def test_malformed_schedule_through_entry(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"variant": "rows"}')
+        proc = run_entry("eval", "--schedule", str(bad), "--out", str(tmp_path / "x.csv"))
+        assert proc.returncode == 2
+        assert "cannot load" in proc.stderr and "log_radii" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+class TestExitCodes:
+    def test_inconclusive_probe_exits_4(self, runner, tmp_path):
+        sched = tmp_path / "s.json"
+        run(runner, "build-zeros", "--alpha", "2", "--nu", "1", "--nmax", "6",
+            "--out", str(sched))
+        rep = tmp_path / "r.json"
+        proc = run_entry("probe", "--schedule", str(sched), "--rule", "ratio-plus:r=1/2",
+                         "--k", "2..3", "--depth", "2", "--out", str(rep))
+        assert proc.returncode == 4, proc.stderr
+        assert "inconclusive; failing targets: origin, 23/192, 47/384" in proc.stdout
+        assert "Traceback" not in proc.stderr
+        payload = json.loads(rep.read_text())
+        assert payload["inconclusive"]
+        assert payload["failing_targets"] == ["origin", "23/192", "47/384"]
+
+    def test_failing_criterion_exits_3(self, tmp_path):
+        prelude = (
+            "import rankzero.verification as v\n"
+            "v.CRITERIA[:] = [(1, 'forced', "
+            "lambda: v.CheckResult(1, 'forced', False, ['forced failure']))]"
+        )
+        proc = run_entry("verify", "--suite", "core", prelude=prelude)
+        assert proc.returncode == 3, proc.stderr
+        assert "FAIL  [ 1] forced" in proc.stdout
+        assert "invariant breach: acceptance criteria failed" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+class TestPrecision:
+    def test_precision_applies_to_one_invocation(self, runner, tmp_path, monkeypatch):
+        monkeypatch.delenv("RANKZERO_BITS", raising=False)
+        environ = dict(os.environ)
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        run(runner, "--precision", "64", "build-set", "--alpha", "2", "--out", str(a))
+        run(runner, "build-set", "--alpha", "2", "--out", str(b))
+        first = json.loads((tmp_path / "a.json.manifest.json").read_text())
+        second = json.loads((tmp_path / "b.json.manifest.json").read_text())
+        assert first["precision_bits"] == 64
+        assert second["precision_bits"] == 200
+        assert dict(os.environ) == environ

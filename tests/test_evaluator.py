@@ -5,15 +5,18 @@ from mpmath import mp
 
 from rankzero.evaluator import (
     LogPolar,
+    default_precision,
     family_eval,
     log_derivative,
     log_eval,
+    precision_scope,
     sector_bound_check,
     small_product_constant,
     spherical_derivative,
 )
 from rankzero.evaluator import _log_one_minus_exp, _tail_bound
 from rankzero.ordinal import as_ordinal
+from rankzero.pointset import Leaf
 from rankzero.schedule import Zero, ZeroSchedule, build_radii, build_row_schedule
 
 
@@ -207,6 +210,18 @@ class TestSectorBound:
         with pytest.raises(ValueError, match="ray"):
             sector_bound_check(sched, z, 0.3, 12)
 
+    @pytest.mark.parametrize("alpha, nu, n_max", [(3, 2, 8), (1, 3, 2)])
+    def test_rejects_ray_at_source_piece_without_zeros(self, alpha, nu, n_max):
+        # the last member of the source forest (a cluster, then a point)
+        # hosts no zero, so only the check against source pieces catches it
+        s = build_row_schedule(alpha, nu, n_max)
+        last = s.source_tree().members[-1]
+        turn = last.angle if isinstance(last, Leaf) else last.arc.center
+        assert all(z.turn < turn for z in s.zeros)
+        z = LogPolar(mp.mpf(4), 2 * mp.pi * mp.mpf(turn.numerator) / turn.denominator)
+        with pytest.raises(ValueError, match="zero arc"):
+            sector_bound_check(s, z, 0.01, n_max)
+
     def test_small_product_constant(self):
         lo, hi = small_product_constant()
         assert lo <= hi
@@ -228,3 +243,14 @@ class TestSectorBound:
         assert small_product_constant(200) is pair
         other = small_product_constant(120)
         assert other is not pair and other != pair
+
+
+def test_precision_scope_is_local(monkeypatch):
+    monkeypatch.delenv("RANKZERO_BITS", raising=False)
+    assert default_precision() == 200
+    with precision_scope(80):
+        assert default_precision() == 80
+        with precision_scope(10):
+            assert default_precision() == 64
+        assert default_precision() == 80
+    assert default_precision() == 200

@@ -12,8 +12,8 @@ from rankzero.pointset import (
     build_rank_set,
     cardinality,
     derive,
+    canonical_json,
     derive_once,
-    dumps_tree,
     materialize,
     member,
     rank_of,
@@ -211,6 +211,26 @@ class TestProperties:
         assert base <= set(materialize(tree, depth, per + 1))
 
 
+    @given(
+        st.sampled_from(["1", "2", "3", "4", "w", "w+1", "w+3", "w*2", "w^2", "w^w"]),
+        st.integers(1, 3),
+        st.sampled_from(["0", "1", "2", "w"]),
+        st.integers(0, 63),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_canonical_bytes_round_trip(self, alpha, nu, beta, center):
+        alpha = parse_ordinal(alpha)
+        from rankzero.ordinal import predecessor
+
+        if predecessor(alpha) is None:
+            nu = 1
+        tree = derive(build_rank_set(alpha, nu, Arc(F(center, 64), F(1, 96))), beta)
+        data = canonical_json(tree_to_json(tree))
+        loaded = tree_from_json(json.loads(data))
+        assert loaded == tree
+        assert canonical_json(tree_to_json(loaded)) == data
+
+
 class TestIsolation:
     @pytest.mark.parametrize("alpha,nu", [("2", 1), ("3", 2), ("w", 1), ("w+1", 1)])
     def test_set_avoids_own_accumulation_points(self, alpha, nu):
@@ -355,4 +375,5 @@ class TestJson:
 
     def test_deterministic_dumps(self):
         tree = build_rank_set(o("w"), 1, HOST)
-        assert dumps_tree(tree) == dumps_tree(build_rank_set(o("w"), 1, HOST))
+        again = build_rank_set(o("w"), 1, HOST)
+        assert canonical_json(tree_to_json(tree)) == canonical_json(tree_to_json(again))

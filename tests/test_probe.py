@@ -5,10 +5,18 @@ import pytest
 from mpmath import mp
 
 import rankzero.probe as probe
-from rankzero.evaluator import _spherical_log_bound, default_precision, spherical_derivative
+from rankzero.evaluator import (
+    _mpf_fraction,
+    _spherical_log_bound,
+    default_precision,
+    spherical_derivative,
+)
 from rankzero.ordinal import OMEGA
+from rankzero.pointset import canonical_json
 from rankzero.probe import (
-    DilationRule,
+    GeometricMean,
+    RatioPlus,
+    Sector,
     SweepRow,
     classify,
     condition_m_sweep,
@@ -16,7 +24,6 @@ from rankzero.probe import (
     dilation_factors,
     non_c0_certificate,
     order_report,
-    report_to_json,
     sweep_passes,
 )
 from rankzero.schedule import (
@@ -31,9 +38,7 @@ HALF = F(1, 2)
 
 
 def _center(turn, modulus):
-    return (mp.mpf(modulus.numerator) / modulus.denominator) * mp.exp(
-        mp.mpc(0, 2 * mp.pi * mp.mpf(turn.numerator) / turn.denominator)
-    )
+    return _mpf_fraction(modulus) * mp.exp(mp.mpc(0, 2 * mp.pi * _mpf_fraction(turn)))
 
 
 def _exhaustive_sweep(schedule, points, rule, n_range, rows_used=None):
@@ -47,8 +52,8 @@ def _exhaustive_sweep(schedule, points, rule, n_range, rows_used=None):
             for i, (turn, modulus) in enumerate(points, start=1):
                 center = _center(F(turn), F(modulus))
                 top_log = mp.log(mp.mpf(j)) + mp.log(abs(center) + radius)
-                valid = rows >= 3 and top_log <= probe._log_radius_mpf(
-                    schedule.radii, rows - 2
+                valid = rows >= 3 and top_log <= _mpf_fraction(
+                    schedule.radii.log_radius(rows - 2)
                 )
                 best = mp.mpf(0)
                 for z in probe._mesh(center, radius, schedule, j):
@@ -93,12 +98,12 @@ def sched():
 class TestDilationFactors:
     def test_known_value(self, radii):
         # floor(2 e^8 + 1) with e^8 = 2980.958...
-        assert dilation_factor(DilationRule.ratio_plus(F(1, 2)), radii, 5) == 5962
+        assert dilation_factor(RatioPlus(F(1, 2)), radii, 5) == 5962
 
     @pytest.mark.parametrize("k", [4, 7, 9, 10])
     def test_ratio_plus_against_high_precision_floor(self, radii, k):
         r = F(1, 2)
-        j = dilation_factor(DilationRule.ratio_plus(r), radii, k)
+        j = dilation_factor(RatioPlus(r), radii, k)
         with mp.workprec(600):
             x = mp.exp(int(radii.log_radius(k))) * 2 + 1
             assert j == int(mp.floor(x))
@@ -108,53 +113,75 @@ class TestDilationFactors:
             assert a_k < j * mp.mpf(1) / 2 < a_k1
 
     def test_geometric_mean_value(self, radii):
-        j = dilation_factor(DilationRule.geometric_mean(F(1)), radii, 4)
+        j = dilation_factor(GeometricMean(F(1)), radii, 4)
         with mp.workprec(400):
             assert j == int(mp.floor(mp.exp(mp.mpf(13) / 2)))
 
     def test_sector_indexing(self, radii):
-        rule = DilationRule.sector(F(1, 2), 2)
+        rule = Sector(F(1, 2), 2)
         assert rule.radius_index(2) == 3
         assert rule.radius_index(3) == triangular(2) + 2
         with pytest.raises(ValueError):
             rule.radius_index(1)
 
-    def test_strictly_increasing_enforced(self, radii):
-        rule = DilationRule.explicit(values=[10, 10, 11])
-        with pytest.raises(ValueError):
-            dilation_factors(rule, radii, range(1, 4))
+    def test_rules_describe_themselves(self):
+        assert RatioPlus(F(1, 2)).describe() == "ratio-plus:r=1/2"
+        assert GeometricMean(F(3, 2)).describe() == "geometric-mean:L=3/2"
+        assert Sector(F(1, 2), 2).describe() == "sector:r=1/2,t=2"
 
-    def test_exact_log_rules_have_no_integer_factor(self, radii):
-        rule = DilationRule.explicit(exact_logs=[F(1), F(2)], r=F(1))
+    @pytest.mark.parametrize("make", [
+        lambda: RatioPlus(F(1)),
+        lambda: RatioPlus(F(0)),
+        lambda: GeometricMean(F(0)),
+        lambda: Sector(F(3, 2), 1),
+        lambda: Sector(F(1, 2), 0),
+    ])
+    def test_rules_reject_bad_parameters(self, make):
         with pytest.raises(ValueError):
-            dilation_factor(rule, radii, 1)
+            make()
+
+    def test_rejects_k_below_one(self, radii):
+        with pytest.raises(ValueError):
+            dilation_factor(RatioPlus(F(1, 2)), radii, 0)
+
+    def test_strictly_increasing_enforced(self, radii):
+        class Listed:
+            """A rule whose factors are 10, 10, 11."""
+
+            def factor(self, radii, k):
+                return (10, 10, 11)[k - 1]
+
+        with pytest.raises(ValueError):
+            dilation_factors(Listed(), radii, range(1, 4))
 
 
 class TestClassify:
     def test_ratio_plus_collapses_from_above(self, radii):
-        cl = classify(DilationRule.ratio_plus(F(1, 2)), radii, range(4, 10))
+        cl = classify(RatioPlus(F(1, 2)), radii, range(4, 10))
         assert cl.branch == "toward-lower"
         lows = [g for _, g, _ in cl.trail]
         assert all(a >= b for a, b in zip(lows, lows[1:]))
 
     def test_geometric_mean_is_neither(self, radii):
-        cl = classify(DilationRule.geometric_mean(F(1)), radii, range(4, 9), eta0=F(1, 2))
+        cl = classify(GeometricMean(F(1)), radii, range(4, 9), eta0=F(1, 2))
         assert cl.branch == "neither"
 
     def test_exact_coincidence_gives_zero_gaps(self, radii):
-        rule = DilationRule.explicit(exact_logs=[F(k) for k in (1, 2, 3, 5, 8)], r=F(1))
-        cl = classify(rule, radii, range(1, 6), eta0=F(1))
+        # dilated moduli sitting exactly on the radii 1, 2, 3, 5, 8 (in logs),
+        # which no integer factor can do; the mpf values are exact
+        xs = [mp.mpf(k) for k in (1, 2, 3, 5, 8)]
+        cl = probe._branch(radii, range(1, 6), xs)
         assert cl.branch == "toward-lower"
         assert all(g == 0 for _, g, _ in cl.trail)
 
     def test_rejects_bad_eta(self, radii):
         with pytest.raises(ValueError):
-            classify(DilationRule.ratio_plus(F(1, 2)), radii, range(4, 6), eta0=F(0))
+            classify(RatioPlus(F(1, 2)), radii, range(4, 6), eta0=F(0))
 
 
 class TestCertificates:
     def test_ratio_plus_targets_pass(self, sched):
-        rule = DilationRule.ratio_plus(F(1, 2))
+        rule = RatioPlus(F(1, 2))
         c = sched.enumeration()
         cert = non_c0_certificate(sched, rule, c[0], F(1, 1000), range(6, 11))
         assert cert.passed
@@ -167,7 +194,7 @@ class TestCertificates:
 
     def test_certificate_coherence_with_branch(self, sched):
         # a passing certificate away from the origin needs a collapsing branch
-        rule = DilationRule.geometric_mean(F(1))
+        rule = GeometricMean(F(1))
         assert classify(rule, sched.radii, range(4, 9), eta0=F(1, 2)).branch == "neither"
         for m in range(3):
             cert = non_c0_certificate(
@@ -176,19 +203,19 @@ class TestCertificates:
             assert not cert.passed
 
     def test_origin_clusters_under_any_increasing_rule(self, sched):
-        for rule in (DilationRule.ratio_plus(F(1, 2)), DilationRule.geometric_mean(F(1))):
+        for rule in (RatioPlus(F(1, 2)), GeometricMean(F(1))):
             cert = non_c0_certificate(sched, rule, None, F(1, 1000), range(4, 9))
             assert cert.passed
 
     def test_off_set_immunity(self, sched):
-        rule = DilationRule.ratio_plus(F(1, 2))
+        rule = RatioPlus(F(1, 2))
         cert = non_c0_certificate(
             sched, rule, F(5, 8), F(1, 1000), range(6, 11), strict=False
         )
         assert not cert.passed
 
     def test_strict_mode_rejects_off_set(self, sched):
-        rule = DilationRule.ratio_plus(F(1, 2))
+        rule = RatioPlus(F(1, 2))
         with pytest.raises(ValueError):
             non_c0_certificate(sched, rule, F(5, 8), F(1, 1000), range(6, 11))
 
@@ -197,7 +224,7 @@ class TestSweep:
     def test_flat_function_fails_surrogate(self):
         empty = _empty(build_row_schedule(3, 1, 12))
         rows = condition_m_sweep(
-            empty, [(F(0), F(1, 2))], DilationRule.ratio_plus(F(1, 2)), range(5, 7)
+            empty, [(F(0), F(1, 2))], RatioPlus(F(1, 2)), range(5, 7)
         )
         assert all(r.max_spherical == 0 for r in rows)
         assert not sweep_passes(rows, 5)
@@ -206,7 +233,7 @@ class TestSweep:
     def test_screened_rows_equal_exhaustive_rows(self, sched, case):
         make, rows_used = SWEEP_CASES[case]
         s = make(sched)
-        args = (s, _criterion9_points(sched), DilationRule.ratio_plus(HALF), range(5, 7))
+        args = (s, _criterion9_points(sched), RatioPlus(HALF), range(5, 7))
         screened = condition_m_sweep(*args, rows_used)
         reference = _exhaustive_sweep(*args, rows_used)
         assert [(r.n, r.point_index, r.valid) for r in screened] == [
@@ -219,7 +246,7 @@ class TestSweep:
         make, rows_used = SWEEP_CASES[case]
         s = make(sched)
         rows = s.n_rings if rows_used is None else rows_used
-        rule = DilationRule.ratio_plus(HALF)
+        rule = RatioPlus(HALF)
         finite = 0
         with mp.workprec(default_precision() + 30):
             for n in range(5, 7):
@@ -245,7 +272,7 @@ class TestSweep:
 
         monkeypatch.setattr(probe, "spherical_derivative", counted)
         rows = condition_m_sweep(
-            sched, _criterion9_points(sched), DilationRule.ratio_plus(HALF), range(5, 10)
+            sched, _criterion9_points(sched), RatioPlus(HALF), range(5, 10)
         )
         assert len(rows) == 10
         # the exhaustive sweep makes 525 calls on these meshes
@@ -254,7 +281,7 @@ class TestSweep:
     def test_clustered_point_blows_up(self, sched):
         c1 = sched.enumeration()[0]
         rows = condition_m_sweep(
-            sched, [(c1, F(1, 2))], DilationRule.ratio_plus(F(1, 2)), range(5, 8)
+            sched, [(c1, F(1, 2))], RatioPlus(F(1, 2)), range(5, 8)
         )
         maxima = [r.max_spherical for r in rows]
         assert maxima[0] < maxima[1] < maxima[2]
@@ -265,7 +292,7 @@ class TestSweep:
 class TestOrderReport:
     def test_row_schedule_order(self):
         s = build_row_schedule(3, 2, 10)
-        rep = order_report(s, DilationRule.ratio_plus(F(7, 10)), depth=3)
+        rep = order_report(s, RatioPlus(F(7, 10)), depth=3)
         assert rep.branch == "toward-lower"
         assert not rep.inconclusive
         assert rep.rank_conclusion.as_dict()["2"] == 2
@@ -273,7 +300,7 @@ class TestOrderReport:
 
     def test_geometric_mean_claims_origin_only(self):
         s = build_row_schedule(3, 1, 10)
-        rep = order_report(s, DilationRule.geometric_mean(F(1)), depth=2,
+        rep = order_report(s, GeometricMean(F(1)), depth=2,
                            k_range=range(4, 9))
         assert rep.claimed == "{0}"
         assert rep.rank_conclusion.as_dict() == {"0": 1, "1": 0}
@@ -281,19 +308,19 @@ class TestOrderReport:
     def test_sector_rank_matches_sector_index(self):
         s = build_sector_schedule(2, 5)
         for t in (1, 2):
-            rep = order_report(s, DilationRule.sector(F(1, 2), t), depth=2,
+            rep = order_report(s, Sector(F(1, 2), t), depth=2,
                                k_range=range(max(2, t), 6))
             assert not rep.inconclusive
             assert rep.rank_conclusion.as_dict()["1"] == t
 
     def test_limit_schedule_sector_rank(self):
         s = build_limit_schedule(OMEGA, 5)
-        rep = order_report(s, DilationRule.sector(F(1, 2), 3), depth=1)
+        rep = order_report(s, Sector(F(1, 2), 3), depth=1)
         prof = rep.rank_conclusion.as_dict()
         assert prof["2"] == 1 and prof["3"] == 0
 
     def test_report_serializes(self):
         s = build_row_schedule(3, 1, 10)
-        rep = order_report(s, DilationRule.ratio_plus(F(1, 2)), depth=2)
-        blob = report_to_json(rep)
+        rep = order_report(s, RatioPlus(F(1, 2)), depth=2)
+        blob = canonical_json(rep.as_dict()).decode("ascii")
         assert '"branch"' in blob and '"rank_profile"' in blob

@@ -2,16 +2,16 @@ import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 from rankzero.ordinal import OMEGA, enumerate_below, parse_ordinal
-from rankzero.pointset import Leaf, build_rank_set, cardinality, derive
+from rankzero.pointset import Leaf, build_rank_set, canonical_json, cardinality, derive
 from rankzero.schedule import (
     RadiiSequence,
     build_limit_schedule,
     build_radii,
     build_row_schedule,
-    build_rows,
     build_sector_schedule,
     convergence_exponent_check,
     growth_threshold_index,
@@ -86,13 +86,16 @@ class TestRowSchedule:
             assert member(source, z.turn)
 
     def test_insufficient_angles_error(self):
-        radii = build_radii(5)
+        # rank 1 with nu = 1 is the single point Leaf(1/8)
+        assert build_rank_set(1, 1, standard_arc()) == Leaf(F(1, 8))
         with pytest.raises(ValueError, match="angles"):
-            build_rows(Leaf(F(1, 8)), radii, 3)
+            build_row_schedule(1, 1, 3)
 
-    def test_nmax_beyond_radii_rejected(self):
-        with pytest.raises(ValueError):
-            build_rows(build_rank_set(2, 1, standard_arc()), build_radii(4), 9)
+    def test_rank_metadata_is_recorded(self):
+        s = build_row_schedule(parse_ordinal("w+1"), 2, 5)
+        assert (s.variant, s.alpha, s.nu) == ("rows", parse_ordinal("w+1"), 2)
+        assert s.source_tree() == build_rank_set(parse_ordinal("w+1"), 2, standard_arc())
+        assert s.radii == build_radii(5)
 
 
 class TestSectorSchedule:
@@ -220,3 +223,27 @@ class TestJson:
         s = make()
         blob = json.dumps(schedule_to_json(s), sort_keys=True)
         assert schedule_from_json(json.loads(blob)) == s
+
+
+# Rank parameters whose sets the angle enumeration expands completely: the
+# first isolated point of every sector set sits within depth 3.  Limit
+# layouts stop at 4 super-rows, before the enumeration below w reaches 4.
+_ROW_RANKS = ["2", "3", "4", "w+1", "w+2", "w+3", "w*2+1"]
+_LIMIT_RANKS = ["w", "w*2", "w^2"]
+
+schedules = st.one_of(
+    st.builds(build_row_schedule, st.sampled_from(_ROW_RANKS), st.integers(1, 3),
+              st.integers(1, 6)),
+    st.builds(build_sector_schedule, st.sampled_from(["1"] + _ROW_RANKS),
+              st.integers(1, 4)),
+    st.builds(build_limit_schedule, st.sampled_from(_LIMIT_RANKS), st.integers(1, 4)),
+)
+
+
+@given(schedules)
+@settings(max_examples=40, deadline=None)
+def test_canonical_bytes_round_trip(s):
+    data = canonical_json(schedule_to_json(s))
+    loaded = schedule_from_json(json.loads(data))
+    assert loaded == s
+    assert canonical_json(schedule_to_json(loaded)) == data
