@@ -23,7 +23,7 @@ import click
 from mpmath import mp
 
 from . import __version__
-from .evaluator import LogPolar, default_precision, log_eval, precision_scope
+from .evaluator import LogPolar, _rows, default_precision, log_eval, precision_scope
 from .ordinal import parse_ordinal, predecessor
 from .pointset import (
     Arc,
@@ -172,7 +172,9 @@ def build_zeros_cmd(alpha: str, nu: str, nmax: int, out_path: str) -> None:
     click.echo(f"wrote {out_path} ({len(sched)} zeros, variant {sched.variant})")
 
 
-def _parse_grid(spec: str):
+def _parse_spec(spec: str):
+    """kind:key=value,... as (kind, {key: value}); a bare token is stored
+    under the empty key (ring:a3)."""
     kind, _, rest = spec.partition(":")
     opts = {}
     for part in rest.split(",") if rest else []:
@@ -182,6 +184,14 @@ def _parse_grid(spec: str):
         else:
             opts[""] = part  # bare positional token, e.g. ring:a3
     return kind, opts
+
+
+def _grid_log_radius(sched, n: int) -> Fraction:
+    """log a_n on the schedule's own ladder; past it the radii soon need
+    more bits than any working precision holds."""
+    if not 1 <= n <= sched.radii.n_max:
+        raise ValueError(f"ring {n} outside 1..{sched.radii.n_max}")
+    return sched.radii.log_radius(n)
 
 
 @main.command("eval")
@@ -202,20 +212,24 @@ def eval_cmd(sched_path: str, j_factor: str, grid: str, rows: Optional[int],
             raise ValueError(j_factor)
     except ValueError:
         raise click.UsageError(f"--j must be a positive integer, not {j_factor!r}") from None
-    kind, opts = _parse_grid(grid)
+    try:
+        _rows(sched, rows)
+    except ValueError as exc:
+        raise click.UsageError(f"--rows: {exc}") from exc
+    kind, opts = _parse_spec(grid)
     points = []
     try:
         if kind == "ring":
             raw = opts.get("n") or opts.get("", "3")
             n = int(raw.lstrip("a"))  # both ring:3 and ring:a3 name radius a_3
             samples = int(opts.get("samples", "64"))
-            lr = sched.radii.log_radius(n)
+            lr = _grid_log_radius(sched, n)
             for i in range(samples):
                 points.append((lr, Fraction(i, samples)))
         elif kind == "annulus":
             n = int(opts["n"])
             samples = int(opts.get("samples", "64"))
-            lo, hi = sched.radii.log_radius(n), sched.radii.log_radius(n + 1)
+            lo, hi = _grid_log_radius(sched, n), _grid_log_radius(sched, n + 1)
             for i in range(samples):
                 frac = Fraction(i + 1, samples)
                 points.append((lo + (hi - lo) * frac, Fraction((2 * i + 1), 2 * samples)))
@@ -239,11 +253,7 @@ def eval_cmd(sched_path: str, j_factor: str, grid: str, rows: Optional[int],
 
 
 def _parse_rule(spec: str) -> DilationRule:
-    kind, _, rest = spec.partition(":")
-    opts = {}
-    for part in rest.split(",") if rest else []:
-        key, _, val = part.partition("=")
-        opts[key] = val
+    kind, opts = _parse_spec(spec)
     try:
         if kind == "ratio-plus":
             return RatioPlus(Fraction(opts["r"]))
@@ -251,7 +261,7 @@ def _parse_rule(spec: str) -> DilationRule:
             return GeometricMean(Fraction(opts.get("L", "1")))
         if kind == "sector":
             return Sector(Fraction(opts["r"]), int(opts["t"]))
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, ZeroDivisionError) as exc:
         raise click.UsageError(f"bad rule {spec!r}: {exc}") from exc
     raise click.UsageError(f"unknown rule kind {kind!r}")
 
@@ -276,7 +286,10 @@ def probe_cmd(sched_path: str, rule: str, k_spec: Optional[str], depth: int,
             k_range = range(int(lo), int(hi) + 1)
         except ValueError as exc:
             raise click.UsageError(f"bad range {k_spec!r}") from exc
-    report = order_report(sched, dil, depth=depth, k_range=k_range)
+    try:
+        report = order_report(sched, dil, depth=depth, k_range=k_range)
+    except ValueError as exc:  # arguments the schedule cannot honour
+        raise click.UsageError(str(exc)) from exc
     data = canonical_json(report.as_dict())
     _write_with_manifest(out_path, data, "probe",
                          {"rule": rule, "k": k_spec, "depth": depth}, inputs)

@@ -34,12 +34,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from mpmath import iv, mp
 
-from .pointset import Forest, _hull
-from .schedule import Zero, ZeroSchedule
+from .pointset import _hull, _pieces
+from .schedule import Zero, ZeroSchedule, _iv_fraction, _iv_prec
 
 __all__ = [
     "LogPolar",
@@ -212,8 +212,26 @@ class EvalResult:
     valid: bool
 
 
-def _zeros_through(schedule: ZeroSchedule, rows_used: int) -> List[Zero]:
-    return [z for z in schedule.zeros if z.ring <= rows_used]
+def _rows(schedule: ZeroSchedule, rows_used: Optional[int]) -> int:
+    """The truncation depth in rings: all of them by default."""
+    if rows_used is None:
+        return schedule.n_rings
+    if not 0 <= rows_used <= schedule.n_rings:
+        raise ValueError(f"rows_used {rows_used} outside 0..{schedule.n_rings}")
+    return rows_used
+
+
+def _hit(schedule: ZeroSchedule, z: LogPolar, end: int) -> Optional[Zero]:
+    """The zero among schedule.zeros[:end] that z is exactly, if any."""
+    if z.exact is None:
+        return None
+    return next((zero for zero in schedule.zeros[:end] if z.exact.hits(zero)), None)
+
+
+def _tail_hypothesis(schedule: ZeroSchedule, log_mag, rows: int) -> bool:
+    """Whether |z| = e^log_mag is at most the radius two rings below the
+    truncation, where _tail_bound holds."""
+    return rows >= 3 and log_mag <= _mpf_fraction(schedule.radii.log_radius(rows - 2))
 
 
 def _zero_constants(schedule: ZeroSchedule) -> Tuple[Tuple[object, object], ...]:
@@ -233,12 +251,6 @@ def _zero_constants(schedule: ZeroSchedule) -> Tuple[Tuple[object, object], ...]
     return table
 
 
-def _zero_hit(schedule: ZeroSchedule, z: LogPolar, rows_used: int) -> bool:
-    if z.exact is None:
-        return False
-    return any(z.exact.hits(zz) for zz in _zeros_through(schedule, rows_used))
-
-
 def _tail_bound(schedule: ZeroSchedule, log_mag, rows_used: int):
     """Strict majorant of |log f - log f_truncated| at modulus e^log_mag.
 
@@ -247,18 +259,15 @@ def _tail_bound(schedule: ZeroSchedule, log_mag, rows_used: int):
     superexponentially, so the series is summed until it is negligible and
     the rest is closed off geometrically.
     """
-    old = iv.prec
-    iv.prec = mp.prec + _GUARD
-    try:
-        if log_mag == mp.ninf:
-            return mp.mpf(0)
+    if log_mag == mp.ninf:
+        return mp.mpf(0)
+    with _iv_prec(mp.prec + _GUARD):
         x = iv.mpf(log_mag)
         total = iv.mpf(0)
         j = rows_used + 1
         last_term = None
         for _ in range(400):
-            lr = schedule.radii.log_radius(j)
-            q = iv.exp(x - iv.mpf(lr.numerator) / iv.mpf(lr.denominator))
+            q = iv.exp(x - _iv_fraction(schedule.radii.log_radius(j)))
             if q.b >= 1:
                 raise ArithmeticError("tail hypothesis violated in bound computation")
             term = iv.mpf(j) * q / (1 - q)
@@ -273,8 +282,6 @@ def _tail_bound(schedule: ZeroSchedule, log_mag, rows_used: int):
         ratio = iv.mpf(2) / iv.exp(iv.mpf(1))
         total += last_term * ratio / (1 - ratio)
         return mp.mpf(total.b)
-    finally:
-        iv.prec = old
 
 
 def log_eval(schedule: ZeroSchedule, z: LogPolar, rows_used: Optional[int] = None) -> EvalResult:
@@ -284,34 +291,24 @@ def log_eval(schedule: ZeroSchedule, z: LogPolar, rows_used: Optional[int] = Non
     below the truncation; outside it the value is still returned with
     valid=False.  An exact hit on a scheduled zero gives log_mag = -inf.
     """
-    rows = schedule.n_rings if rows_used is None else rows_used
-    if rows > schedule.n_rings:
-        raise ValueError(f"rows_used {rows} exceeds schedule rings {schedule.n_rings}")
+    rows = _rows(schedule, rows_used)
+    end = schedule.through(rows)
     with mp.workprec(default_precision() + _GUARD):
         if z.is_zero:
             return EvalResult(LogPolar(mp.mpf(0), mp.mpf(0)), rows, mp.mpf(0), True)
-        if _zero_hit(schedule, z, rows):
+        if _hit(schedule, z, end) is not None:
             return EvalResult(LogPolar(mp.ninf, mp.mpf(0)), rows, mp.mpf(0), True)
         mag = mp.mpf(0)
         ph = mp.mpf(0)
-        for zero, (log_r, angle) in zip(schedule.zeros, _zero_constants(schedule)):
-            if zero.ring > rows:
-                continue
+        for log_r, angle in _zero_constants(schedule)[:end]:
             s = mp.mpc(z.log_mag - log_r, _norm_phase(z.phase - angle))
             m, p = _log_one_minus_exp(s)
             if m == mp.ninf:
                 return EvalResult(LogPolar(mp.ninf, mp.mpf(0)), rows, mp.mpf(0), True)
             mag += m
             ph += p
-        hypothesis = rows >= 3 and z.log_mag <= _mpf_fraction(
-            schedule.radii.log_radius(rows - 2)
-        )
-        if hypothesis:
-            tail = _tail_bound(schedule, z.log_mag, rows)
-            valid = True
-        else:
-            tail = mp.inf
-            valid = False
+        valid = _tail_hypothesis(schedule, z.log_mag, rows)
+        tail = _tail_bound(schedule, z.log_mag, rows) if valid else mp.inf
         return EvalResult(LogPolar(mag, _norm_phase(ph)), rows, tail, valid)
 
 
@@ -329,23 +326,22 @@ def log_derivative(
     """Truncated logarithmic derivative: sum of 1/(z - b) over included
     zeros.  Carries no certified tail; use it only for self-consistency and
     monotone comparisons."""
-    rows = schedule.n_rings if rows_used is None else rows_used
+    end = schedule.through(_rows(schedule, rows_used))
     with mp.workprec(default_precision() + _GUARD):
-        if _zero_hit(schedule, z, rows):
+        if _hit(schedule, z, end) is not None:
             raise ValueError("logarithmic derivative has a pole at a scheduled zero")
         zc = z.to_complex()
         total = mp.mpc(0)
-        for zero, (log_r, angle) in zip(schedule.zeros, _zero_constants(schedule)):
-            if zero.ring <= rows:
-                total += 1 / (zc - mp.exp(mp.mpc(log_r, angle)))
+        for log_r, angle in _zero_constants(schedule)[:end]:
+            total += 1 / (zc - mp.exp(mp.mpc(log_r, angle)))
         return LogPolar.from_complex(total)
 
 
-def _derivative_at_zero(schedule: ZeroSchedule, hit: Zero, rows: int):
+def _derivative_at_zero(schedule: ZeroSchedule, hit: Zero, end: int):
     """log |f'(b)| at a scheduled zero b: the product over the other zeros
-    of |1 - b/b'|, divided by |b|."""
+    among schedule.zeros[:end] of |1 - b/b'|, divided by |b|."""
     mag = -_mpf_fraction(hit.log_r)
-    for zero in _zeros_through(schedule, rows):
+    for zero in schedule.zeros[:end]:
         if zero == hit:
             continue
         s = mp.mpc(
@@ -366,15 +362,15 @@ def spherical_derivative(
     j belongs to the family member, not to this quantity; sweeps that need
     the family's derivative multiply by j themselves.
     """
-    rows = schedule.n_rings if rows_used is None else rows_used
+    rows = _rows(schedule, rows_used)
+    end = schedule.through(rows)
     with mp.workprec(default_precision() + _GUARD):
         w = z.scaled_by_int(j) if j != 1 else z
         if w.is_zero:
             w = LogPolar.origin()
-        if w.exact is not None:
-            for zero in _zeros_through(schedule, rows):
-                if w.exact.hits(zero):
-                    return mp.exp(_derivative_at_zero(schedule, zero, rows))
+        hit = _hit(schedule, w, end)
+        if hit is not None:
+            return mp.exp(_derivative_at_zero(schedule, hit, end))
         fv = log_eval(schedule, w, rows)
         if fv.value.is_zero:  # numeric zero without exact tag
             return mp.inf
@@ -401,17 +397,14 @@ _SCREEN_SLACK = 1e-6
 _NOISE = 1e-3
 
 
-def _float_constants(schedule: ZeroSchedule, rows: int) -> Tuple[Tuple[float, float], ...]:
-    """(log a_ring, 2 pi turn) as floats for the zeros in rings <= rows."""
-    key = ("float", rows)
-    table = schedule.tables.get(key)
+def _float_constants(schedule: ZeroSchedule) -> Tuple[Tuple[float, float], ...]:
+    """(log a_ring, 2 pi turn) as floats per zero, aligned with schedule.zeros."""
+    table = schedule.tables.get("float")
     if table is None:
         table = tuple(
-            (float(zero.log_r), 2 * math.pi * float(zero.turn))
-            for zero in schedule.zeros
-            if zero.ring <= rows
+            (float(zero.log_r), 2 * math.pi * float(zero.turn)) for zero in schedule.zeros
         )
-        schedule.tables[key] = table
+        schedule.tables["float"] = table
     return table
 
 
@@ -443,7 +436,7 @@ def _spherical_log_bound(schedule: ZeroSchedule, j: int, z: LogPolar, rows: int)
     log_j = math.log(j)
     x = log_z + log_j
     y = float(z.phase)
-    table = _float_constants(schedule, rows)
+    table = _float_constants(schedule)[:schedule.through(rows)]
     lf = err_lf = abs_lf = 0.0
     total = 0j
     err_total = abs_total = 0.0
@@ -497,9 +490,7 @@ def small_product_constant(prec: Optional[int] = None):
 
 @lru_cache(maxsize=None)
 def _small_product_bounds(prec: int):
-    old = iv.prec
-    iv.prec = prec + _GUARD
-    try:
+    with _iv_prec(prec + _GUARD):
         terms = iv.prec + 10
         prod = iv.mpf(1)
         for j in range(1, terms + 1):
@@ -509,8 +500,6 @@ def _small_product_bounds(prec: int):
         lower = (prod * (1 - iv.mpf(2) ** (1 - terms))).a
         with mp.workprec(iv.prec):  # the endpoints convert exactly
             return mp.mpf(lower), mp.mpf(prod.b)
-    finally:
-        iv.prec = old
 
 
 @dataclass(frozen=True)
@@ -535,7 +524,7 @@ def sector_bound_check(
     at least 2^(n(n-1)/2) * sin(alpha0/2)^(3(n+1)) times the small-product
     constant; the comparison concedes the truncation tail on the right.
     """
-    rows = schedule.n_rings if rows_used is None else rows_used
+    rows = _rows(schedule, rows_used)
     with mp.workprec(default_precision() + _GUARD):
         alpha0 = mp.mpf(alpha0)
         if alpha0 <= 0:
@@ -557,8 +546,7 @@ def sector_bound_check(
         for sector, tree in sorted(schedule.sources.items()):
             if tree is None:
                 continue
-            pieces = tree.members if isinstance(tree, Forest) else (tree,)
-            for piece in pieces:
+            for piece in _pieces(tree):
                 center, half_width = _hull(piece)
                 gap = _turn_gap(turn, _mpf_fraction(center)) - _mpf_fraction(half_width)
                 if 2 * mp.pi * gap < alpha0:

@@ -67,10 +67,6 @@ class Ordinal:
         return bool(self.terms) and not self.terms[-1][0].is_zero
 
     @property
-    def is_successor(self) -> bool:
-        return bool(self.terms) and self.terms[-1][0].is_zero
-
-    @property
     def is_finite(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and self.terms[0][0].is_zero)
 

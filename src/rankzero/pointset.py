@@ -270,6 +270,11 @@ def _hull(tree: Union[Leaf, Cluster]) -> Tuple[Fraction, Fraction]:
     return tree.arc.center, tree.arc.half_width
 
 
+def _pieces(tree: RankTree) -> Tuple[Union[Leaf, Cluster], ...]:
+    """The members of a forest, or the tree itself."""
+    return tree.members if isinstance(tree, Forest) else (tree,)
+
+
 def _sort_key(tree: Union[Leaf, Cluster]):
     c, h = _hull(tree)
     return (c, h, 0 if isinstance(tree, Leaf) else 1)
@@ -384,8 +389,7 @@ def union_disjoint(sets: Sequence[Tuple[Optional[RankTree], Arc]]) -> Optional[R
     for tree, arc in sets:
         if tree is None:
             continue
-        pieces = tree.members if isinstance(tree, Forest) else (tree,)
-        for piece in pieces:
+        for piece in _pieces(tree):
             hc, hh = _hull(piece)
             if turn_distance(hc, arc.center) + hh > arc.half_width:
                 raise ValueError("set leaves its declared host arc")
@@ -410,25 +414,27 @@ def member(e: Optional[RankTree], angle: Fraction) -> bool:
         return False
     if angle == e.limit:
         return e.with_apex
-    h = e.arc.half_width
-    delta = _norm_turn(e.limit - angle)
+    child = _child_containing(e, angle)
+    return child is not None and member(child, angle)
+
+
+def _child_containing(cluster: Cluster, angle: Fraction) -> Optional[Union[Leaf, Cluster]]:
+    """The effective child whose sub-arc holds angle (not the limit angle),
+    or None when no child does."""
+    h = cluster.arc.half_width
+    delta = _norm_turn(cluster.limit - angle)
     if delta == 0 or delta > h:
-        return False
+        return None
     # children sit at offsets h/2^n below the limit; stop once they are all
     # strictly closer to the limit than the query angle
     for n in count(1):
         off = h / 2**n
         hw = h / 3 ** (n + 2)
         if off + hw < delta:
-            return False
+            return None
         if abs(delta - off) <= hw:
-            child = _child_at(e, n)
-            return child is not None and member(child, angle)
-    return False  # pragma: no cover
-
-
-def _child_at(cluster: Cluster, n: int) -> Optional[Union[Leaf, Cluster]]:
-    """Effective child at base sub-arc index n, or None if pruned/skipped."""
+            break
+    # the effective child on sub-arc n, unless pruning removed it
     for i, child in _children(cluster):
         if i == n:
             return child
@@ -465,18 +471,9 @@ def _refine(e: RankTree, alpha: Ordinal, target: Fraction) -> RankTree:
         if alpha.is_zero:
             return Leaf(e.limit)
         return Cluster(e.limit, e.arc, PickedKids(e.kids, alpha), alpha, e.with_apex)
-    h = e.arc.half_width
-    delta = _norm_turn(e.limit - target)
-    for n in count(1):
-        off = h / 2**n
-        hw = h / 3 ** (n + 2)
-        if off + hw < delta:
-            break
-        if abs(delta - off) <= hw:
-            child = _child_at(e, n)
-            if child is not None and member(derive(child, alpha), target):
-                return _refine(child, alpha, target)
-            break
+    child = _child_containing(e, target)
+    if child is not None and member(derive(child, alpha), target):
+        return _refine(child, alpha, target)
     raise AssertionError("unreachable: member check passed")  # pragma: no cover
 
 

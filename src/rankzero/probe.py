@@ -32,13 +32,15 @@ from .evaluator import (
     _GUARD,
     LogPolar,
     _mpf_fraction,
+    _rows,
     _spherical_log_bound,
+    _tail_hypothesis,
     default_precision,
     spherical_derivative,
 )
-from .ordinal import Ordinal, as_ordinal, enumerate_below, predecessor, successor
-from .pointset import RankProfile, rank_profile
-from .schedule import RadiiSequence, ZeroSchedule, _iv_fraction, triangular
+from .ordinal import ONE, ZERO, successor
+from .pointset import RankProfile, _pieces, rank_of, rank_profile
+from .schedule import RadiiSequence, ZeroSchedule, _iv_fraction, _iv_prec, triangular
 
 __all__ = [
     "RatioPlus",
@@ -180,19 +182,15 @@ def _certified_floor(expr, start_prec: int) -> int:
     corrupts values past 2^53.
     """
     prec = start_prec
-    old = iv.prec
-    try:
-        for _ in range(8):
-            iv.prec = prec
+    for _ in range(8):
+        with _iv_prec(prec):
             x = expr()
             with mp.workprec(prec + 20):
                 lo, hi = int(mp.floor(x.a)), int(mp.floor(x.b))
-            if lo == hi:
-                return lo
-            prec *= 2
-        raise ArithmeticError(f"floor undecidable below {prec} bits")
-    finally:
-        iv.prec = old
+        if lo == hi:
+            return lo
+        prec *= 2
+    raise ArithmeticError(f"floor undecidable below {prec} bits")
 
 
 def _magnitude_bits(log_value: Fraction) -> int:
@@ -369,13 +367,11 @@ def non_c0_certificate(
             raise ValueError(
                 f"target turn {target_turn} is not an enumerated source angle"
             )
-    old = iv.prec
-    try:
-        entries: List[CertificateEntry] = []
-        for k, j in dilation_factors(rule, schedule.radii, k_range):
-            # distances shrink like 1/j, so the interval resolution must
-            # scale with the bit length of j
-            iv.prec = max(default_precision() + _GUARD, j.bit_length() + 160)
+    entries: List[CertificateEntry] = []
+    for k, j in dilation_factors(rule, schedule.radii, k_range):
+        # distances shrink like 1/j, so the interval resolution must scale
+        # with the bit length of j
+        with _iv_prec(max(default_precision() + _GUARD, j.bit_length() + 160)):
             if target_turn is None:
                 lo_lr = min(z.log_r for z in schedule.zeros)
                 d = iv.exp(_iv_fraction(lo_lr)) / iv.mpf(j)
@@ -392,23 +388,19 @@ def non_c0_certificate(
                     if target_turn in ring_angles:
                         bound = Fraction(r, j)
             entries.append(CertificateEntry(k, j, dl, dh, bound))
-        decreasing = all(
-            b.dist_high < a.dist_low for a, b in zip(entries, entries[1:])
-        )
-        threshold = r * delta
-        final_ok = bool(entries) and bool(
-            entries[-1].dist_high * threshold.denominator < threshold.numerator
-        )
-        passed = bool(entries) and decreasing and final_ok
-        if passed:
-            reason = "distances decrease strictly and finish below r*delta"
-        elif not decreasing:
-            reason = "distances do not decrease monotonically"
-        else:
-            reason = "final distance not below r*delta"
-        return Certificate(target_turn, tuple(entries), passed, reason)
-    finally:
-        iv.prec = old
+    decreasing = all(b.dist_high < a.dist_low for a, b in zip(entries, entries[1:]))
+    threshold = r * delta
+    final_ok = bool(entries) and bool(
+        entries[-1].dist_high * threshold.denominator < threshold.numerator
+    )
+    passed = bool(entries) and decreasing and final_ok
+    if passed:
+        reason = "distances decrease strictly and finish below r*delta"
+    elif not decreasing:
+        reason = "distances do not decrease monotonically"
+    else:
+        reason = "final distance not below r*delta"
+    return Certificate(target_turn, tuple(entries), passed, reason)
 
 
 # -- condition (M) sweep ---------------------------------------------------------
@@ -465,7 +457,7 @@ def condition_m_sweep(
     assumption: float rounding in the screen stays far below its stated
     slack (1e-6 in log units, on top of first-order rounding bounds).
     """
-    rows = schedule.n_rings if rows_used is None else rows_used
+    rows = _rows(schedule, rows_used)
     out: List[SweepRow] = []
     with mp.workprec(default_precision() + _GUARD):
         for n in n_range:
@@ -477,9 +469,7 @@ def condition_m_sweep(
                     mp.mpc(0, 2 * mp.pi * _mpf_fraction(turn))
                 )
                 top_log = mp.log(mp.mpf(j)) + mp.log(abs(center) + radius)
-                valid = rows >= 3 and top_log <= _mpf_fraction(
-                    schedule.radii.log_radius(rows - 2)
-                )
+                valid = _tail_hypothesis(schedule, top_log, rows)
                 mesh = _mesh(center, radius, schedule, j)
                 bounds = [_spherical_log_bound(schedule, j, z, rows) for z in mesh]
                 best, log_best = mp.mpf(0), mp.ninf
@@ -543,17 +533,6 @@ class ProbeReport:
         }
 
 
-def _profile_stages(alpha: Ordinal) -> List[Ordinal]:
-    one = as_ordinal(1)
-    stages = [as_ordinal(0), one]
-    p = predecessor(alpha)
-    if p is not None:
-        stages.extend([p, alpha])
-    else:
-        stages.extend([alpha, successor(alpha)])
-    return stages
-
-
 def order_report(
     schedule: ZeroSchedule,
     rule: DilationRule,
@@ -571,12 +550,17 @@ def order_report(
     inconclusive and lists the failing targets.
     """
     sector = rule.sector
+    tree = schedule.source_tree(sector)
+    if rule.pins_rings and tree is None:
+        raise ValueError(f"{rule.describe()} claims sector {sector}, "
+                         "which has no source set in this schedule")
     if k_range is None:
         hi = rule.k_cap(schedule)
         lo = max(depth + 1, hi - 4, sector)  # sector rules need k >= t
-        if lo > hi:
-            raise ValueError("schedule too small for the requested probe depth")
         k_range = range(lo, hi + 1)
+    if not k_range:
+        raise ValueError("no dilation index to probe: the schedule is too small "
+                         "for the depth, or the k range is empty")
 
     certs: List[Certificate] = [
         non_c0_certificate(schedule, rule, None, delta, k_range)
@@ -594,15 +578,14 @@ def order_report(
 
     if not rule.pins_rings:
         claimed = "{0}"
-        profile = RankProfile(((as_ordinal(0), 1), (as_ordinal(1), 0)))
+        profile = RankProfile(((ZERO, 1), (ONE, 0)))
     else:
-        tree = schedule.source_tree(sector)
-        alpha = schedule.alpha
-        if schedule.variant == "limit" and sector:
-            alpha = successor(enumerate_below(schedule.alpha, sector)[sector - 1])
         label = "closure of the source set" if sector == 0 else f"closure of sector {sector}"
         claimed = f"{{0}} union {rule.r} * {label}"
-        profile = rank_profile(tree, _profile_stages(alpha), extra_isolated=1)
+        # stages 0 and 1, the largest collapse rank among the pieces (each
+        # piece of that rank is down to one point) and the stage after it
+        top = max(rank_of(piece) for piece in _pieces(tree))
+        profile = rank_profile(tree, (ZERO, ONE, top, successor(top)), extra_isolated=1)
 
     return ProbeReport(
         rule.describe(),

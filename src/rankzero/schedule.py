@@ -23,8 +23,11 @@ turn, with half-widths 1/(3*2^(t+4)); all pairwise strongly disjoint.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 from mpmath import iv
@@ -142,12 +145,21 @@ def _iv_fraction(f: Fraction):
     return iv.mpf(f.numerator) / iv.mpf(f.denominator)
 
 
+@contextmanager
+def _iv_prec(bits: int):
+    """Run the block with iv.prec = bits, then restore the caller's."""
+    saved = iv.prec
+    iv.prec = bits
+    try:
+        yield
+    finally:
+        iv.prec = saved
+
+
 def growth_threshold_index(radii: RadiiSequence, prec: int = 200) -> int:
     """Smallest index from which a_n >= 1/(1 - (1 - 2^-(n+1))^(1/(n+1)))
     holds through n_max, certified by interval arithmetic."""
-    old = iv.prec
-    iv.prec = prec
-    try:
+    with _iv_prec(prec):
         holds: List[bool] = []
         for n in range(1, radii.n_max + 1):
             one = iv.mpf(1)
@@ -167,8 +179,6 @@ def growth_threshold_index(radii: RadiiSequence, prec: int = 200) -> int:
             if all(holds[i:]):
                 return i + 1
         raise ValueError("growth bound never holds on the generated range")
-    finally:
-        iv.prec = old
 
 
 # -- zero schedules -----------------------------------------------------------
@@ -196,17 +206,36 @@ class ZeroSchedule:
     angles: Dict[int, Tuple[Fraction, ...]] = field(default_factory=dict)
     sources: Dict[int, Optional[RankTree]] = field(default_factory=dict)
     # per-zero numeric constants of the evaluator, built on first use and
-    # keyed by what they depend on (working precision, truncation)
+    # keyed by what they depend on (the working precision, or "float")
     tables: Dict[object, tuple] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
+
+    def __post_init__(self) -> None:
+        """The evaluator relies on these for built and loaded schedules alike:
+        rings ascend within 1..n_max (so truncations are prefixes) and each
+        zero sits exactly on its ring's radius of a validated ladder."""
+        validate_radii(self.radii)
+        prev = 1
+        for i, zero in enumerate(self.zeros, start=1):
+            if not prev <= zero.ring <= self.radii.n_max:
+                raise ValueError(f"zero {i}: ring {zero.ring} outside "
+                                 f"{prev}..{self.radii.n_max}; rings must ascend")
+            if zero.log_r != self.radii.log_radius(zero.ring):
+                raise ValueError(f"zero {i}: log_r {zero.log_r} is not the log "
+                                 f"radius of ring {zero.ring}")
+            prev = zero.ring
 
     def __len__(self) -> int:
         return len(self.zeros)
 
     @property
     def n_rings(self) -> int:
-        return max((z.ring for z in self.zeros), default=0)
+        return self.zeros[-1].ring if self.zeros else 0
+
+    def through(self, rows: int) -> int:
+        """Count of the zeros in rings <= rows: they are zeros[:through(rows)]."""
+        return bisect_right(self.zeros, rows, key=attrgetter("ring"))
 
     def row_of(self, l: int) -> int:
         """Ring index of the l-th zero (1-based), i.e. the row map."""
@@ -214,8 +243,8 @@ class ZeroSchedule:
             raise ValueError(f"zero index {l} outside 1..{len(self.zeros)}")
         return self.zeros[l - 1].ring
 
-    def zeros_in_ring(self, n: int) -> List[Zero]:
-        return [z for z in self.zeros if z.ring == n]
+    def zeros_in_ring(self, n: int) -> Tuple[Zero, ...]:
+        return self.zeros[self.through(n - 1):self.through(n)]
 
     def ring_sectors(self, n: int) -> set:
         return {z.sector for z in self.zeros_in_ring(n)}
@@ -339,10 +368,6 @@ class ConvergenceReport:
     partial_high: object
     tail_bound: object
 
-    @property
-    def total_upper(self):
-        return self.partial_high + self.tail_bound
-
 
 def convergence_exponent_check(
     radii: RadiiSequence, exponent: Fraction, n_terms: int, prec: int = 200
@@ -356,9 +381,7 @@ def convergence_exponent_check(
     if n_terms < 0:
         raise ValueError("n_terms must be >= 0")
     validate_radii(radii)
-    old = iv.prec
-    iv.prec = prec
-    try:
+    with _iv_prec(prec):
         expo = _iv_fraction(exponent)
         total = iv.mpf(0)
         for n in range(1, n_terms + 1):
@@ -374,8 +397,6 @@ def convergence_exponent_check(
             # no computed terms: the bound covers the full series from n = 1
             tail = tail + iv.mpf(1) * iv.exp(-expo * log_anchor)
         return ConvergenceReport(exponent, n_terms, total.a, total.b, tail.b)
-    finally:
-        iv.prec = old
 
 
 # -- JSON ----------------------------------------------------------------------

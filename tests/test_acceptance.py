@@ -5,18 +5,25 @@ asserts the criterion.  The determinism criterion reruns the entire core
 suite and compares serialized reports byte for byte.
 """
 
+import hashlib
+
 import pytest
 
+from rankzero.evaluator import precision_scope
 from rankzero.verification import (
     CRITERIA,
     check_determinism,
     suite_report_bytes,
 )
 
+# sha256 of `rankzero --precision 200 verify --suite core --out r.json`
+CORE_REPORT_SHA256 = "286a5bb269d9de0870cb4890cb3926f93cf240260f037c9ce0b0d29f969f22e1"
+
 
 @pytest.fixture(scope="module")
 def core_results():
-    return {cid: fn() for cid, _, fn in CRITERIA}
+    with precision_scope(200):
+        return {cid: fn() for cid, _, fn in CRITERIA}
 
 
 def _report(result):
@@ -34,7 +41,15 @@ def test_criterion(cid, name, core_results):
 
 def test_criterion_11_determinism(core_results):
     ordered = [core_results[cid] for cid, _, _ in CRITERIA]
-    result = check_determinism(ordered)
+    with precision_scope(200):
+        result = check_determinism(ordered)
     _report(result)
     # and the serialized report itself is stable
     assert suite_report_bytes(ordered) == suite_report_bytes(ordered)
+
+
+def test_core_report_bytes_are_pinned(core_results):
+    ordered = [core_results[cid] for cid, _, _ in CRITERIA]
+    with precision_scope(200):
+        data = suite_report_bytes(ordered)
+    assert hashlib.sha256(data).hexdigest() == CORE_REPORT_SHA256

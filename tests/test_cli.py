@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -178,6 +179,67 @@ class TestFailures:
         assert proc.returncode == 2
         assert "cannot load" in proc.stderr and "log_radii" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+@pytest.fixture(scope="module")
+def schedules(tmp_path_factory):
+    """A 10-ring row schedule and a 4-super-row sector schedule on disk."""
+    root = tmp_path_factory.mktemp("schedules")
+    paths = {"rows": root / "rows.json", "sectors": root / "sectors.json"}
+    runner = CliRunner()
+    run(runner, "build-zeros", "--alpha", "3", "--nu", "1", "--nmax", "10",
+        "--out", str(paths["rows"]))
+    run(runner, "build-zeros", "--alpha", "2", "--nu", "inf", "--nmax", "4",
+        "--out", str(paths["sectors"]))
+    return paths
+
+
+class TestBadArguments:
+    @pytest.mark.parametrize("layout, args, message", [
+        ("rows", ["probe", "--rule", "ratio-plus:r=1/0"], "bad rule"),
+        ("rows", ["probe", "--rule", "geometric-mean:L=1/0"], "bad rule"),
+        ("rows", ["probe", "--rule", "ratio-plus:r=1/2", "--k", "5..2"], "k range is empty"),
+        ("rows", ["probe", "--rule", "ratio-plus:r=1/2", "--k", "0..2"], "k must be >= 1"),
+        ("rows", ["probe", "--rule", "ratio-plus:r=1/2", "--depth", "12"], "too small"),
+        ("rows", ["probe", "--rule", "sector:r=1/2,t=3", "--k", "1..2"], "no source set"),
+        ("sectors", ["probe", "--rule", "sector:r=1/2,t=3", "--k", "1..2"], "k >= t = 3"),
+        ("sectors", ["probe", "--rule", "ratio-plus:r=1/2"], "no source set"),
+        ("rows", ["eval", "--rows", "40"], "rows_used 40 outside 0..10"),
+        ("rows", ["eval", "--rows", "-1"], "rows_used -1 outside 0..10"),
+        ("rows", ["eval", "--grid", "ring:40"], "ring 40 outside 1..10"),
+        ("rows", ["eval", "--grid", "ring:0"], "ring 0 outside 1..10"),
+        ("rows", ["eval", "--grid", "annulus:n=10"], "ring 11 outside 1..10"),
+    ])
+    def test_usage_error(self, runner, tmp_path, schedules, layout, args, message):
+        out = tmp_path / "o"
+        command, *rest = args
+        result = runner.invoke(
+            main, [command, "--schedule", str(schedules[layout]), *rest, "--out", str(out)]
+        )
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+        assert not out.exists()
+
+    def test_usage_error_through_entry(self, tmp_path, schedules):
+        out = tmp_path / "o.json"
+        proc = run_entry("probe", "--schedule", str(schedules["rows"]),
+                         "--rule", "ratio-plus:r=1/2", "--k", "5..2", "--out", str(out))
+        assert proc.returncode == 2, proc.stderr
+        assert "k range is empty" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    def test_corrupt_radii_are_rejected_on_load(self, runner, tmp_path, schedules):
+        # the ladder 1, 3/2, 2, ... under the original zeros
+        payload = json.loads(schedules["rows"].read_text())
+        payload["log_radii"] = [str(1 + F(i, 2)) for i in range(len(payload["log_radii"]))]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        out = tmp_path / "x.csv"
+        result = runner.invoke(main, ["eval", "--schedule", str(bad), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "cannot load" in result.output and "radius ratio" in result.output
+        assert not out.exists()
 
 
 class TestExitCodes:

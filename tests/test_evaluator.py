@@ -122,6 +122,20 @@ class TestLogEval:
             assert _tail_bound(sched, x, 3) > _tail_bound(sched, third, 3)
 
 
+@pytest.mark.parametrize("rows", [-1, 13])
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda s, z, rows: log_eval(s, z, rows), id="log_eval"),
+    pytest.param(lambda s, z, rows: log_derivative(s, z, rows), id="log_derivative"),
+    pytest.param(lambda s, z, rows: spherical_derivative(s, 1, z, rows),
+                 id="spherical_derivative"),
+    pytest.param(lambda s, z, rows: sector_bound_check(s, z, 0.3, rows),
+                 id="sector_bound_check"),
+])
+def test_rows_used_outside_the_schedule_is_rejected(sched, call, rows):
+    with pytest.raises(ValueError, match=f"rows_used {rows} outside 0..12"):
+        call(sched, LogPolar(mp.mpf(4), mp.pi), rows)
+
+
 class TestFamily:
     def test_unit_dilation_is_identity(self, sched):
         z = LogPolar(mp.mpf("2.5"), mp.pi / 5)

@@ -319,6 +319,28 @@ class TestOrderReport:
         prof = rep.rank_conclusion.as_dict()
         assert prof["2"] == 1 and prof["3"] == 0
 
+    # profiles of sector rules on limit and sector layouts, as the stages
+    # derived from the ordinal alpha gave them before the stages came from
+    # the source tree
+    @pytest.mark.parametrize("build, alpha, n_rows, t, profile", [
+        (build_limit_schedule, "w", 5, 1, {"0": 2, "1": 0}),
+        (build_limit_schedule, "w", 5, 3, {"0": "infinite", "1": "infinite", "2": 1, "3": 0}),
+        (build_limit_schedule, "w*2", 5, 2, {"0": "infinite", "1": 1, "2": 0}),
+        (build_limit_schedule, "w^(w+1)", 5, 4,
+         {"0": "infinite", "1": "infinite", "3": 1, "4": 0}),
+        (build_sector_schedule, "w+1", 4, 2, {"0": "infinite", "1": "infinite", "w": 2,
+                                              "w+1": 0}),
+    ])
+    def test_sector_rule_profiles(self, build, alpha, n_rows, t, profile):
+        s = build(alpha, n_rows)
+        rep = order_report(s, Sector(HALF, t), depth=1, k_range=range(t, t + 2))
+        assert rep.rank_conclusion.as_dict() == profile
+
+    def test_rule_without_a_source_set_is_rejected(self):
+        s = build_sector_schedule(2, 4)
+        with pytest.raises(ValueError, match="no source set"):
+            order_report(s, RatioPlus(HALF), depth=1)
+
     def test_report_serializes(self):
         s = build_row_schedule(3, 1, 10)
         rep = order_report(s, RatioPlus(F(1, 2)), depth=2)

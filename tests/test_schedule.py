@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -207,6 +208,47 @@ class TestConvergence:
     def test_bad_exponent(self):
         with pytest.raises(ValueError):
             convergence_exponent_check(build_radii(5), F(0), 3)
+
+
+def _corrupt(edit):
+    obj = schedule_to_json(build_row_schedule(3, 1, 6))
+    edit(obj)
+    return obj
+
+
+class TestInvariants:
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(lambda o: o["zeros"].insert(0, o["zeros"].pop(3)),
+                     "rings must ascend", id="unsorted"),
+        pytest.param(lambda o: o["zeros"][0].update(row=0), "ring 0 outside 1..6",
+                     id="ring-0"),
+        pytest.param(lambda o: o["zeros"].append(dict(o["zeros"][-1], row=7, log_r="21")),
+                     "ring 7 outside 6..6", id="past-the-ladder"),
+        pytest.param(lambda o: o["zeros"][4].update(log_r="5/2"),
+                     "not the log radius of ring 3", id="wrong-log-r"),
+        pytest.param(lambda o: o.update(log_radii=["1", "3/2", "2", "5/2", "3", "7/2"]),
+                     "radius ratio", id="slow-ladder"),
+    ])
+    def test_loader_rejects(self, edit, message):
+        with pytest.raises(ValueError, match=message):
+            schedule_from_json(_corrupt(edit))
+
+    def test_built_in_code_is_checked_too(self):
+        s = build_row_schedule(3, 1, 6)
+        with pytest.raises(ValueError, match="rings must ascend"):
+            replace(s, zeros=s.zeros[::-1])
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: build_row_schedule(3, 1, 6), id="rows"),
+        pytest.param(lambda: build_sector_schedule(2, 4), id="sectors"),
+        pytest.param(lambda: replace(build_row_schedule(3, 1, 6), zeros=()), id="empty"),
+    ])
+    def test_truncations_are_prefixes(self, make):
+        s = make()
+        for rows in range(s.n_rings + 2):
+            assert s.zeros[:s.through(rows)] == tuple(z for z in s.zeros if z.ring <= rows)
+            assert s.zeros_in_ring(rows) == tuple(z for z in s.zeros if z.ring == rows)
+        assert s.n_rings == max((z.ring for z in s.zeros), default=0)
 
 
 class TestJson:
