@@ -219,16 +219,17 @@ def eval_cmd(sched_path: str, j_factor: str, grid: str, rows: Optional[int],
     kind, opts = _parse_spec(grid)
     points = []
     try:
+        samples = int(opts.get("samples", "64"))
+        if samples < 1:
+            raise ValueError(f"samples must be >= 1, not {samples}")
         if kind == "ring":
             raw = opts.get("n") or opts.get("", "3")
             n = int(raw.lstrip("a"))  # both ring:3 and ring:a3 name radius a_3
-            samples = int(opts.get("samples", "64"))
             lr = _grid_log_radius(sched, n)
             for i in range(samples):
                 points.append((lr, Fraction(i, samples)))
         elif kind == "annulus":
             n = int(opts["n"])
-            samples = int(opts.get("samples", "64"))
             lo, hi = _grid_log_radius(sched, n), _grid_log_radius(sched, n + 1)
             for i in range(samples):
                 frac = Fraction(i + 1, samples)

@@ -19,8 +19,18 @@ exceed the radius two rings below the truncation.
 No certified tail is claimed for the logarithmic derivative; its consumers
 only use self-consistency and monotone comparisons.
 
-Sweeps screen their points with a float upper bound on the spherical
-derivative (_spherical_log_bound); only full-precision values are reported.
+Two searches screen their points with one float pass over the zeros
+(_float_log_sum), then evaluate at full precision only where it can decide
+the result; only full-precision values are reported:
+
+* condition-(M) sweeps bound the spherical derivative from above
+  (_spherical_log_bound) and stop once the best value beats the next bound;
+* family_floor bounds log|f_j| minus its tail from below
+  (_floor_log_bound) and stops once the least value is below the next bound.
+
+Both rest on one assumption: float rounding stays far below the screen's
+slack (_SCREEN_SLACK, 1e-6 in log units, added to first-order rounding
+bounds).
 """
 
 from __future__ import annotations
@@ -34,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 from mpmath import iv, mp
 
@@ -48,6 +58,7 @@ __all__ = [
     "default_precision",
     "log_eval",
     "family_eval",
+    "family_floor",
     "log_derivative",
     "spherical_derivative",
     "sector_bound_check",
@@ -415,23 +426,19 @@ def _log_sigmoid_peak(x: float) -> float:
     return x - math.log1p(math.exp(2 * x))
 
 
-def _spherical_log_bound(schedule: ZeroSchedule, j: int, z: LogPolar, rows: int) -> float:
-    """Float upper bound U on log(j * spherical_derivative(schedule, j, z, rows)).
+def _float_log_sum(schedule: ZeroSchedule, j: int, z: LogPolar, rows: int):
+    """Floats (lf, err_lf, S, err_S) at w = j z over the zeros of the first
+    rows rings: lf approximates log|f(w)| and S the sum of e^s / (e^s - 1)
+    with s = log w - log b per zero b; err_lf and err_S are first-order
+    bounds on their rounding.
 
-    With w = j z, s = log w - log b per zero b, and S the sum of
-    e^s / (e^s - 1), f'/f(w) = S / w, so the logarithm of j f#(w) is
-    -log|z| + log|S| + log|f| - log(1 + |f|^2).  Each factor uses the three
-    branches of _log_one_minus_exp in floats (the expm1 form for e^s - 1 in
-    the middle one) and carries a first-order bound on its rounding; U
-    takes the worst case of both error bounds plus _SCREEN_SLACK.
-
-    U is +inf where floats cannot bound the value: exact-tagged points
-    (which may be zeros), the origin, factors e^s - 1 within rounding noise
-    of zero, and sums S that cancel below their error bound, which includes
-    the empty product.
+    Each factor uses the three branches of _log_one_minus_exp in floats (the
+    expm1 form for e^s - 1 in the middle one).  None where floats cannot
+    bound the value: exact-tagged points (which may be zeros), the origin
+    and factors e^s - 1 within rounding noise of zero.
     """
     if z.exact is not None or z.is_zero:
-        return math.inf
+        return None
     log_z = float(z.log_mag)
     log_j = math.log(j)
     x = log_z + log_j
@@ -459,7 +466,7 @@ def _spherical_log_bound(schedule: ZeroSchedule, j: int, z: LogPolar, rows: int)
             ad = abs(d)
             rel = (a + 1) * (es + 8 * _EPS) / ad if ad else math.inf
             if rel > _NOISE:
-                return math.inf
+                return None
             m = math.log(ad)
             t = complex(a * cos, a * sin) / d
             em = 2 * rel + _EPS * abs(m)
@@ -472,11 +479,80 @@ def _spherical_log_bound(schedule: ZeroSchedule, j: int, z: LogPolar, rows: int)
         abs_total += abs(t)
     err_lf += len(table) * _EPS * abs_lf
     err_total += len(table) * _EPS * abs_total
+    return lf, err_lf, total, err_total
+
+
+def _spherical_log_bound(schedule: ZeroSchedule, j: int, z: LogPolar, rows: int) -> float:
+    """Float upper bound U on log(j * spherical_derivative(schedule, j, z, rows)).
+
+    With w = j z and S as in _float_log_sum, f'/f(w) = S / w, so the
+    logarithm of j f#(w) is -log|z| + log|S| + log|f| - log(1 + |f|^2); U
+    takes the worst case of both rounding bounds plus _SCREEN_SLACK.
+
+    U is +inf where _float_log_sum gives up and where S cancels below its
+    error bound, which includes the empty product.
+    """
+    terms = _float_log_sum(schedule, j, z, rows)
+    if terms is None:
+        return math.inf
+    lf, err_lf, total, err_total = terms
     if abs(total) <= 2 * err_total:
         return math.inf
     lo, hi = lf - err_lf, lf + err_lf
     peak = -math.log(2) if lo <= 0 <= hi else max(_log_sigmoid_peak(lo), _log_sigmoid_peak(hi))
-    return -log_z + math.log(abs(total) + err_total) + peak + _SCREEN_SLACK
+    return -float(z.log_mag) + math.log(abs(total) + err_total) + peak + _SCREEN_SLACK
+
+
+def _floor_log_bound(schedule: ZeroSchedule, j: int, z: LogPolar, rows: int) -> float:
+    """Float lower bound on log|f(j z)| minus _tail_bound at j z: the float
+    log|f| less its rounding bound and _SCREEN_SLACK, less the tail.
+
+    -inf where _float_log_sum gives up and outside the tail hypothesis.
+    Runs at the working precision of log_eval, so the tail is the one
+    log_eval reports.
+    """
+    terms = _float_log_sum(schedule, j, z, rows)
+    if terms is None:
+        return -math.inf
+    log_w = z.scaled_by_int(j).log_mag
+    if not _tail_hypothesis(schedule, log_w, rows):
+        return -math.inf
+    lf, err_lf, _, _ = terms
+    return lf - err_lf - _SCREEN_SLACK - float(_tail_bound(schedule, log_w, rows))
+
+
+def family_floor(
+    schedule: ZeroSchedule, j: int, points: Sequence[LogPolar],
+    rows_used: Optional[int] = None,
+):
+    """Certified floor of log|f_j| on the points: the least
+    log_mag - tail_log_bound of family_eval(schedule, j, z, rows_used), the
+    difference taken at the caller's precision (-inf if some point misses
+    the tail hypothesis or hits a zero).
+
+    Screen, then certify: a float pass bounds every point's value from
+    below (_floor_log_bound; -inf at exact-tagged points, outside the tail
+    hypothesis and wherever floats cannot decide), and family_eval runs in
+    ascending order of that bound until the next bound exceeds the least
+    value so far.  Every skipped point is then above the floor, so the
+    result is the number the exhaustive minimum returns.  This rests on one
+    assumption: float rounding in the screen stays far below its stated
+    slack (1e-6 in log units, on top of first-order rounding bounds).
+    """
+    if not points:
+        raise ValueError("the floor needs at least one point")
+    rows = _rows(schedule, rows_used)
+    with mp.workprec(default_precision() + _GUARD):
+        bounds = [_floor_log_bound(schedule, j, z, rows) for z in points]
+    best = None
+    for k in sorted(range(len(points)), key=bounds.__getitem__):
+        if best is not None and bounds[k] > best:
+            break
+        res = family_eval(schedule, j, points[k], rows)
+        value = res.value.log_mag - res.tail_log_bound
+        if best is None or value < best:
+            best = value
+    return best
 
 
 # -- sector lower bound ---------------------------------------------------------
@@ -534,14 +610,15 @@ def sector_bound_check(
         n = 1
         while z.log_mag > _mpf_fraction(schedule.radii.log_radius(n + 1)):
             n += 1
-        # angular gap against every zero ray of the full (untruncated) set:
-        # all its angles lie in the source hull arcs
+        # angular gap against every zero ray of the full (untruncated) set,
+        # one per distinct turn in order of first appearance: all its
+        # angles lie in the source hull arcs
         turn = z.phase / (2 * mp.pi)
-        for zero in schedule.zeros:
-            gap = _turn_gap(turn, _mpf_fraction(zero.turn))
+        for zero_turn in dict.fromkeys(zero.turn for zero in schedule.zeros):
+            gap = _turn_gap(turn, _mpf_fraction(zero_turn))
             if 2 * mp.pi * gap < alpha0:
                 raise ValueError(
-                    f"ray too close to the zero ray at turn {zero.turn}"
+                    f"ray too close to the zero ray at turn {zero_turn}"
                 )
         for sector, tree in sorted(schedule.sources.items()):
             if tree is None:

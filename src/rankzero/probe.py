@@ -18,10 +18,20 @@ Classification and certificates feed an order report that attaches the
 symbolic rank profile of the claimed set of convergence failures;
 those rank facts come straight from the tree descriptors and are
 independent of every floating-point computation here.
+
+The nearest-zero search and the condition-(M) sweep screen, then
+certify.  The search orders the zeros by a float lower bound on their log
+distance and computes interval distances only until the next bound
+exceeds the best one found; the sweep orders its mesh by a float upper
+bound on the spherical derivative and stops once the best value beats the
+next bound.  Either way the result is the one the exhaustive loop returns,
+on one assumption: float rounding in the screen stays far below its slack
+(1e-6 in log units, on top of first-order rounding bounds).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar, List, Optional, Sequence, Tuple, Union
@@ -29,8 +39,11 @@ from typing import ClassVar, List, Optional, Sequence, Tuple, Union
 from mpmath import iv, mp
 
 from .evaluator import (
+    _EPS,
     _GUARD,
+    _SCREEN_SLACK,
     LogPolar,
+    _float_constants,
     _mpf_fraction,
     _rows,
     _spherical_log_bound,
@@ -314,15 +327,58 @@ class Certificate:
     reason: str
 
 
-def _zero_distance(schedule: ZeroSchedule, j: int, point) -> Tuple[object, object]:
-    """Certified interval of min |b/j - point| over all scheduled zeros b."""
-    best = None
-    for z in schedule.zeros:
-        b = iv.exp(_iv_fraction(z.log_r)) * _cis(z.turn)
-        d = _cnorm(b / iv.mpf(j) - point)
-        if best is None or d.b < best.b:
-            best = d
-    assert best is not None
+def _distance_log_bounds(schedule: ZeroSchedule, j: int, r: Fraction,
+                         turn: Fraction) -> List[float]:
+    """Float lower bound on log|b/j - r e^(2 pi i turn)| per scheduled zero b.
+
+    With |b/j| and r the two moduli and delta the angle between them,
+    |b/j - p|^2 is the square of the modulus gap ||b/j| - r| plus the
+    square of the angular part 2 sqrt(|b/j| r) |sin(delta/2)|, so the
+    distance is at least the larger part.  Each part is bounded below from
+    float logs with first-order rounding bounds (-inf where rounding could
+    close it, as on the ring the rule pins), and the larger one is lowered
+    by _SCREEN_SLACK on top.
+    """
+    log_j = math.log(j)
+    log_num, log_den = math.log(r.numerator), math.log(r.denominator)
+    v = log_num - log_den  # log r
+    theta = 2 * math.pi * float(turn)
+    out = []
+    for log_r, angle in _float_constants(schedule):
+        u = log_r - log_j  # log |b/j|
+        e = 8 * _EPS * (abs(log_r) + log_j + log_num + log_den + 1)  # rounding of u and v
+        gap = abs(u - v) * (1 - _EPS) - e
+        lg = max(u, v) - e + math.log(-math.expm1(-gap)) if gap > 0 else -math.inf
+        sin = abs(math.sin((angle - theta) / 2)) - 8 * _EPS * (abs(angle) + abs(theta) + 1)
+        la = math.log(2) + (u + v - e) / 2 + math.log(sin) if sin > 0 else -math.inf
+        bound = max(lg, la)
+        out.append(bound - 8 * _EPS * (abs(bound) + 1) - _SCREEN_SLACK)
+    return out
+
+
+def _zero_distance(schedule: ZeroSchedule, j: int, r: Fraction,
+                   turn: Fraction) -> Tuple[object, object]:
+    """Certified interval of min |b/j - r e^(2 pi i turn)| over all
+    scheduled zeros b: the interval with the least upper end, the first
+    such in schedule order.
+
+    Screen, then certify: interval distances run in ascending order of
+    _distance_log_bounds until the next bound exceeds the log of the least
+    upper end so far.  A skipped zero's distance, and so its upper end, is
+    then above that least upper end, so it can neither win nor tie.
+    """
+    point = _iv_fraction(r) * _cis(turn)
+    bounds = _distance_log_bounds(schedule, j, r, turn)
+    found = {}
+    log_best = math.inf
+    for i in sorted(range(len(bounds)), key=bounds.__getitem__):
+        if bounds[i] > log_best:
+            break
+        zero = schedule.zeros[i]
+        b = iv.exp(_iv_fraction(zero.log_r)) * _cis(zero.turn)
+        found[i] = _cnorm(b / iv.mpf(j) - point)
+        log_best = min(log_best, float(mp.log(found[i].b)))
+    best = found[min(sorted(found), key=lambda i: found[i].b)]
     return best.a, best.b
 
 
@@ -353,6 +409,12 @@ def non_c0_certificate(
     set, a target outside the source enumeration is rejected; otherwise it
     produces a (failing) certificate, which is how off-set immunity is
     demonstrated.
+
+    The nearest zero is screened (_zero_distance): interval distances run
+    in ascending order of a float lower bound on the log distance and stop
+    once the next bound exceeds the log of the least upper end so far, so
+    the entries are those of an exhaustive search, provided float rounding
+    in the bound stays far below its 1e-6 slack.
     """
     delta = Fraction(delta)
     if delta <= 0:
@@ -378,8 +440,7 @@ def non_c0_certificate(
                 dl, dh = mp.mpf(d.a), mp.mpf(d.b)
                 bound = None
             else:
-                point = _iv_fraction(r) * _cis(target_turn)
-                dl, dh = _zero_distance(schedule, j, point)
+                dl, dh = _zero_distance(schedule, j, r, target_turn)
                 dl, dh = mp.mpf(dl), mp.mpf(dh)
                 bound = None
                 if rule.pins_rings:
@@ -549,6 +610,8 @@ def order_report(
     first `depth` enumerated angles; any failure marks the report
     inconclusive and lists the failing targets.
     """
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, not {depth}")
     sector = rule.sector
     tree = schedule.source_tree(sector)
     if rule.pins_rings and tree is None:

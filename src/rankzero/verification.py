@@ -19,7 +19,7 @@ from .evaluator import (
     LogPolar,
     _mpf_fraction,
     default_precision,
-    family_eval,
+    family_floor,
     sector_bound_check,
 )
 from .ordinal import (
@@ -345,17 +345,9 @@ def check_geometric_mean_immunity() -> CheckResult:
         cert = non_c0_certificate(s, rule, c[m], _frac(1, 1000), range(4, 9))
         cert_fail = cert_fail and not cert.passed
     details.append(f"all clustering certificates fail: {cert_fail}")
-    floors = []
-    for k in range(4, 9):
-        j = dilation_factor(rule, s.radii, k)
-        vals = []
-        for i in range(36):
-            z = LogPolar(
-                -mp.log(mp.mpf(2)), 2 * mp.pi * i / 36 - mp.pi
-            )
-            res = family_eval(s, j, z, 12)
-            vals.append(res.value.log_mag - res.tail_log_bound)
-        floors.append(min(vals))
+    circle = [LogPolar(-mp.log(mp.mpf(2)), 2 * mp.pi * i / 36 - mp.pi) for i in range(36)]
+    floors = [family_floor(s, dilation_factor(rule, s.radii, k), circle, 12)
+              for k in range(4, 9)]
     growing = all(a < b for a, b in zip(floors, floors[1:]))
     above = all(f > k for f, k in zip(floors, range(4, 9)))
     details.append(

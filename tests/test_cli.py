@@ -209,6 +209,11 @@ class TestBadArguments:
         ("rows", ["eval", "--grid", "ring:40"], "ring 40 outside 1..10"),
         ("rows", ["eval", "--grid", "ring:0"], "ring 0 outside 1..10"),
         ("rows", ["eval", "--grid", "annulus:n=10"], "ring 11 outside 1..10"),
+        ("rows", ["probe", "--rule", "ratio-plus:r=1/2", "--depth", "-1"],
+         "depth must be >= 0"),
+        ("rows", ["eval", "--grid", "ring:n=3,samples=0"], "samples must be >= 1"),
+        ("rows", ["eval", "--grid", "ring:n=3,samples=-5"], "samples must be >= 1"),
+        ("rows", ["eval", "--grid", "annulus:n=3,samples=0"], "samples must be >= 1"),
     ])
     def test_usage_error(self, runner, tmp_path, schedules, layout, args, message):
         out = tmp_path / "o"

@@ -1,12 +1,17 @@
+import math
 from fractions import Fraction as F
 
 import pytest
 from mpmath import mp
 
+import rankzero.evaluator as evaluator
+from rankzero import verification
 from rankzero.evaluator import (
+    _GUARD,
     LogPolar,
     default_precision,
     family_eval,
+    family_floor,
     log_derivative,
     log_eval,
     precision_scope,
@@ -14,9 +19,10 @@ from rankzero.evaluator import (
     small_product_constant,
     spherical_derivative,
 )
-from rankzero.evaluator import _log_one_minus_exp, _tail_bound
+from rankzero.evaluator import _floor_log_bound, _log_one_minus_exp, _tail_bound
 from rankzero.ordinal import as_ordinal
 from rankzero.pointset import Leaf
+from rankzero.probe import GeometricMean, RatioPlus, dilation_factor
 from rankzero.schedule import Zero, ZeroSchedule, build_radii, build_row_schedule
 
 
@@ -176,6 +182,81 @@ class TestLogDerivative:
         d8 = log_derivative(sched, z, 8).to_complex()
         d12 = log_derivative(sched, z, 12).to_complex()
         assert abs(d8 - d12) / abs(d12) < mp.mpf("1e-6")
+
+
+def _exhaustive_floor(schedule, j, points, rows_used=None):
+    """The floor without screening: family_eval at every point."""
+    values = []
+    for z in points:
+        res = family_eval(schedule, j, z, rows_used)
+        values.append(res.value.log_mag - res.tail_log_bound)
+    return min(values)
+
+
+def _circle(log_mag, count=36):
+    return [LogPolar(log_mag, 2 * mp.pi * i / count - mp.pi) for i in range(count)]
+
+
+def _zero_preimages(schedule, j, ring):
+    return [LogPolar.from_exact(z.log_r, z.turn, num=1, den=j)
+            for z in schedule.zeros_in_ring(ring)]
+
+
+# (rule, k, points, rows_used): criterion 8's circle |z| = 1/2; a ratio-plus
+# circle next to the ring it pins, alone and with that ring's exact zero
+# preimages; a truncation whose tail hypothesis fails on the outer of two
+# circles; exact preimages alone
+FLOOR_CASES = {
+    **{f"criterion-8-k{k}": (GeometricMean(F(1)), k, lambda s, j: _circle(-mp.log(2)), 12)
+       for k in range(4, 9)},
+    "pinned-ring": (RatioPlus(F(1, 2)), 6, lambda s, j: _circle(-mp.log(2), 12), 12),
+    "pinned-ring-preimages": (RatioPlus(F(1, 2)), 6,
+                              lambda s, j: _circle(-mp.log(2), 12) + _zero_preimages(s, j, 6),
+                              12),
+    "two-circles-rows-10": (RatioPlus(F(1, 2)), 5,
+                            lambda s, j: _circle(mp.mpf(20), 12) + _circle(mp.mpf(30), 12), 10),
+    "preimages-only": (RatioPlus(F(1, 2)), 7, lambda s, j: _zero_preimages(s, j, 3), 12),
+}
+
+
+class TestFloor:
+    @pytest.mark.parametrize("case", sorted(FLOOR_CASES))
+    def test_screened_floor_equals_exhaustive_floor(self, sched, case):
+        rule, k, make_points, rows = FLOOR_CASES[case]
+        j = dilation_factor(rule, sched.radii, k)
+        points = make_points(sched, j)
+        # mpf ==, at the caller's precision
+        assert family_floor(sched, j, points, rows) == _exhaustive_floor(sched, j, points, rows)
+
+    @pytest.mark.parametrize("case", sorted(FLOOR_CASES))
+    def test_floor_bounds_are_below_every_certified_value(self, sched, case):
+        rule, k, make_points, rows = FLOOR_CASES[case]
+        j = dilation_factor(rule, sched.radii, k)
+        for z in make_points(sched, j):
+            with mp.workprec(default_precision() + _GUARD):
+                bound = _floor_log_bound(sched, j, z, rows)
+            if z.exact is not None:
+                assert bound == -math.inf
+            if bound != -math.inf:
+                res = family_eval(sched, j, z, rows)
+                assert bound <= res.value.log_mag - res.tail_log_bound
+
+    def test_empty_point_set_is_rejected(self, sched):
+        with pytest.raises(ValueError):
+            family_floor(sched, 5, [], 12)
+
+    def test_criterion8_makes_few_product_evaluations(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return log_eval(*args, **kwargs)
+
+        monkeypatch.setattr(evaluator, "log_eval", counted)
+        with precision_scope(200):
+            assert verification.check_geometric_mean_immunity().passed
+        # the unscreened criterion evaluates all 36 points for each of 5 k
+        assert len(calls) <= 15
 
 
 class TestSpherical:

@@ -2,13 +2,17 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from mpmath import mp
+from hypothesis import given, settings, strategies as st
+from mpmath import iv, mp
 
 import rankzero.probe as probe
+from rankzero import verification
 from rankzero.evaluator import (
+    _GUARD,
     _mpf_fraction,
     _spherical_log_bound,
     default_precision,
+    precision_scope,
     spherical_derivative,
 )
 from rankzero.ordinal import OMEGA
@@ -33,6 +37,7 @@ from rankzero.schedule import (
     build_sector_schedule,
     triangular,
 )
+from rankzero.schedule import _iv_fraction, _iv_prec
 
 HALF = F(1, 2)
 
@@ -62,6 +67,69 @@ def _exhaustive_sweep(schedule, points, rule, n_range, rows_used=None):
                         best = sd
                 out.append(SweepRow(n, i, best, bool(valid)))
     return out
+
+
+def _zero_intervals(schedule, j, r, turn):
+    """The interval distance from every scheduled zero b to the target."""
+    point = _iv_fraction(r) * probe._cis(turn)
+    return [
+        probe._cnorm(iv.exp(_iv_fraction(z.log_r)) * probe._cis(z.turn) / iv.mpf(j) - point)
+        for z in schedule.zeros
+    ]
+
+
+def _exhaustive_zero_distance(intervals):
+    """The nearest-zero search without screening: the least upper end,
+    first in schedule order."""
+    best = None
+    for d in intervals:
+        if best is None or d.b < best.b:
+            best = d
+    return best.a, best.b
+
+
+def _enumerated(count, sector=0):
+    return lambda s: s.enumeration(sector)[:count]
+
+
+# (schedule, [(rule, targets, k range)]) for the certificates of criteria 7,
+# 8 (a geometric-mean rule: no zero is pinned onto the target) and 10, a
+# target off the source set, and a sector layout at 6 super-rows, where j_6
+# has 2,305 bits for t = 1 and 6,033 bits for t = 3
+CERTIFICATE_CASES = {
+    "criterion-7": (lambda: build_row_schedule(3, 1, 10), [
+        (RatioPlus(F(3, 10)), _enumerated(5), range(6, 11)),
+        (RatioPlus(F(7, 10)), _enumerated(5), range(6, 11)),
+    ]),
+    "criterion-8": (lambda: build_row_schedule(3, 1, 12), [
+        (GeometricMean(F(1)), _enumerated(5), range(4, 9)),
+    ]),
+    "criterion-10": (lambda: build_sector_schedule(2, 5), [
+        (Sector(HALF, 1), _enumerated(2, 1), range(2, 6)),
+        (Sector(HALF, 2), _enumerated(2, 2), range(2, 6)),
+    ]),
+    "off-set": (lambda: build_row_schedule(3, 1, 12), [
+        (RatioPlus(HALF), lambda s: [F(5, 8)], range(6, 11)),
+    ]),
+    "sector-6": (lambda: build_sector_schedule(2, 6), [
+        (Sector(HALF, 1), _enumerated(2, 1), range(2, 7)),
+        (Sector(HALF, 3), _enumerated(1, 3), range(6, 7)),
+    ]),
+}
+
+
+def _distance_cases(case):
+    """(schedule, j, r, turn) per certificate entry of a case."""
+    make, probes = CERTIFICATE_CASES[case]
+    s = make()
+    for rule, targets, k_range in probes:
+        for k, j in dilation_factors(rule, s.radii, k_range):
+            for turn in targets(s):
+                yield s, j, rule.r, turn
+
+
+def _certificate_precision(j):
+    return max(default_precision() + _GUARD, j.bit_length() + 160)
 
 
 def _criterion9_points(schedule):
@@ -213,6 +281,50 @@ class TestCertificates:
             sched, rule, F(5, 8), F(1, 1000), range(6, 11), strict=False
         )
         assert not cert.passed
+
+    @pytest.mark.parametrize("case", sorted(CERTIFICATE_CASES))
+    def test_screened_distances_equal_exhaustive_distances(self, case):
+        finite = 0
+        for s, j, r, turn in _distance_cases(case):
+            with _iv_prec(_certificate_precision(j)):
+                intervals = _zero_intervals(s, j, r, turn)
+                bounds = probe._distance_log_bounds(s, j, r, turn)
+                # every finite bound is below its zero's certified distance
+                for bound, d in zip(bounds, intervals):
+                    if bound != -math.inf:
+                        finite += 1
+                        assert bound <= mp.log(d.a)
+                # mpf == on both endpoints
+                assert probe._zero_distance(s, j, r, turn) == _exhaustive_zero_distance(intervals)
+        assert finite > 0
+
+    @given(st.fractions(F(1, 1000), F(999, 1000), max_denominator=1000),
+           st.fractions(0, 1, max_denominator=10**6), st.integers(1, 2**300))
+    @settings(max_examples=25, deadline=None)
+    def test_distance_bounds_hold_for_any_target(self, sched, r, turn, j):
+        with _iv_prec(_certificate_precision(j)):
+            intervals = _zero_intervals(sched, j, r, turn)
+            bounds = probe._distance_log_bounds(sched, j, r, turn)
+            for bound, d in zip(bounds, intervals):
+                assert bound == -math.inf or bound <= mp.log(d.a)
+            assert probe._zero_distance(sched, j, r, turn) == _exhaustive_zero_distance(intervals)
+
+    def test_certificates_make_few_interval_distances(self, monkeypatch):
+        calls = []
+
+        def counted(c):
+            calls.append(c)
+            return norm(c)
+
+        norm = probe._cnorm
+        monkeypatch.setattr(probe, "_cnorm", counted)
+        with precision_scope(200):
+            for check in (verification.check_zero_clustering,
+                          verification.check_geometric_mean_immunity,
+                          verification.check_sector_layouts):
+                assert check().passed
+        # criteria 7, 8 and 10 take 5,580 interval distances unscreened
+        assert len(calls) <= 400
 
     def test_strict_mode_rejects_off_set(self, sched):
         rule = RatioPlus(F(1, 2))
