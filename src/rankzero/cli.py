@@ -2,8 +2,9 @@
 
 Every command writes its artifacts plus a run manifest (same path with a
 .manifest.json suffix) recording the command line, parameters, precision,
-package version and content digests of inputs and outputs.  Outputs are
-deterministic: identical manifests mean byte-identical artifacts.
+package version, the Python and mpmath versions with mpmath's backend, and
+content digests of inputs and outputs.  Outputs are deterministic:
+identical manifests mean byte-identical artifacts.
 
 Exit codes: 0 success, 2 usage error, 3 internal invariant breach,
 4 inconclusive probe.
@@ -14,12 +15,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import platform
 import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
 import click
+import mpmath
 from mpmath import mp
 
 from . import __version__
@@ -68,6 +71,11 @@ def _write_with_manifest(path: str, data: bytes, command: str, params: dict,
         "parameters": params,
         "precision_bits": default_precision(),
         "version": __version__,
+        "environment": {
+            "python": platform.python_version(),
+            "mpmath": mpmath.__version__,
+            "mpmath_backend": mpmath.libmp.BACKEND,
+        },
         "inputs": inputs or {},
         "outputs": {os.path.basename(path): _digest(data)},
     }

@@ -19,18 +19,25 @@ exceed the radius two rings below the truncation.
 No certified tail is claimed for the logarithmic derivative; its consumers
 only use self-consistency and monotone comparisons.
 
-Two searches screen their points with one float pass over the zeros
+Three searches screen their points with one float pass over the zeros
 (_float_log_sum), then evaluate at full precision only where it can decide
 the result; only full-precision values are reported:
 
 * condition-(M) sweeps bound the spherical derivative from above
   (_spherical_log_bound) and stop once the best value beats the next bound;
 * family_floor bounds log|f_j| minus its tail from below
-  (_floor_log_bound) and stops once the least value is below the next bound.
+  (_floor_log_bound) and stops once the least value is below the next bound;
+* sector_divergence takes the same lower bound at j = 1, passes every point
+  whose bound already clears the divergence bound, and finds the floor as
+  family_floor does.
 
-Both rest on one assumption: float rounding stays far below the screen's
-slack (_SCREEN_SLACK, 1e-6 in log units, added to first-order rounding
-bounds).
+The fourth screen, the nearest-zero search of the probe layer, bounds
+distances to zeros in floats.  Every full-precision value a screen computes
+is checked against its float bound, and ArithmeticError is raised if the
+bound is crossed.  The candidates a screen skips are not evaluated, so
+skipping them rests on one assumption: float rounding stays far below the
+screen's slack (_SCREEN_SLACK, 1e-6 in log units, added to first-order
+rounding bounds).
 """
 
 from __future__ import annotations
@@ -55,6 +62,7 @@ __all__ = [
     "LogPolar",
     "EvalResult",
     "SectorBoundReport",
+    "SectorDivergence",
     "default_precision",
     "log_eval",
     "family_eval",
@@ -62,6 +70,7 @@ __all__ = [
     "log_derivative",
     "spherical_derivative",
     "sector_bound_check",
+    "sector_divergence",
     "small_product_constant",
 ]
 
@@ -521,6 +530,28 @@ def _floor_log_bound(schedule: ZeroSchedule, j: int, z: LogPolar, rows: int) -> 
     return lf - err_lf - _SCREEN_SLACK - float(_tail_bound(schedule, log_w, rows))
 
 
+def _screen_check(holds: bool) -> None:
+    """Raise unless a value certified at full precision lies on the promised
+    side of its float screen bound."""
+    if not holds:
+        raise ArithmeticError("a float screen bound crossed its certified value")
+
+
+def _least_screened(bounds: Sequence[float], certify):
+    """The least certify(k) over the indices of bounds, given that every
+    bounds[k] is a lower bound on certify(k): certify runs in ascending
+    order of the bounds until the next bound exceeds the least value so far,
+    so every skipped value is above the minimum."""
+    best = None
+    for k in sorted(range(len(bounds)), key=bounds.__getitem__):
+        if best is not None and bounds[k] > best:
+            break
+        value = certify(k)
+        if best is None or value < best:
+            best = value
+    return best
+
+
 def family_floor(
     schedule: ZeroSchedule, j: int, points: Sequence[LogPolar],
     rows_used: Optional[int] = None,
@@ -534,25 +565,23 @@ def family_floor(
     below (_floor_log_bound; -inf at exact-tagged points, outside the tail
     hypothesis and wherever floats cannot decide), and family_eval runs in
     ascending order of that bound until the next bound exceeds the least
-    value so far.  Every skipped point is then above the floor, so the
-    result is the number the exhaustive minimum returns.  This rests on one
-    assumption: float rounding in the screen stays far below its stated
-    slack (1e-6 in log units, on top of first-order rounding bounds).
+    value so far.  Every evaluated value is checked against its bound
+    (ArithmeticError if the bound is crossed); that a skipped point is above
+    the floor rests on float rounding staying below the screen's slack.
     """
     if not points:
         raise ValueError("the floor needs at least one point")
     rows = _rows(schedule, rows_used)
     with mp.workprec(default_precision() + _GUARD):
         bounds = [_floor_log_bound(schedule, j, z, rows) for z in points]
-    best = None
-    for k in sorted(range(len(points)), key=bounds.__getitem__):
-        if best is not None and bounds[k] > best:
-            break
+
+    def certify(k):
         res = family_eval(schedule, j, points[k], rows)
         value = res.value.log_mag - res.tail_log_bound
-        if best is None or value < best:
-            best = value
-    return best
+        _screen_check(value >= bounds[k])
+        return value
+
+    return _least_screened(bounds, certify)
 
 
 # -- sector lower bound ---------------------------------------------------------
@@ -583,8 +612,73 @@ class SectorBoundReport:
     ring: int
     lhs: object  # computed log |f_truncated(z)|
     certified_lhs: object  # lhs minus the truncation tail bound
-    rhs: object  # divergence bound for this ring at the given angular gap
-    passed: bool
+    rhs: object  # divergence bound log K_n for this ring at the given angular gap
+    passed: bool  # certified_lhs >= rhs
+
+
+@dataclass(frozen=True)
+class SectorDivergence:
+    rings: Tuple[int, ...]  # per point, as SectorBoundReport.ring
+    passed: Tuple[bool, ...]  # per point, as SectorBoundReport.passed
+    floor: object  # the least SectorBoundReport.certified_lhs over the points
+
+
+def _ray_arcs(schedule: ZeroSchedule) -> list:
+    """The arcs the ray of a checked point must keep alpha0 away from, as
+    (center turn, half width, error message) with mpf turns: one per
+    distinct zero turn of the full (untruncated) set, in order of first
+    appearance, then the hull of every source piece, since all the angles
+    of a sector lie in its source's hull arcs."""
+    arcs = [
+        (_mpf_fraction(turn), mp.mpf(0), f"ray too close to the zero ray at turn {turn}")
+        for turn in dict.fromkeys(zero.turn for zero in schedule.zeros)
+    ]
+    for sector, tree in sorted(schedule.sources.items()):
+        if tree is None:
+            continue
+        for piece in _pieces(tree):
+            center, half_width = _hull(piece)
+            arcs.append((_mpf_fraction(center), _mpf_fraction(half_width),
+                         f"ray within alpha0 of the zero arc at sector {sector}"))
+    return arcs
+
+
+def _sector_ring(schedule: ZeroSchedule, z: LogPolar, alpha0, arcs, rows: int) -> int:
+    """The ring index n with a_n < |z| <= a_{n+1}, once z is checked:
+    ValueError unless |z| exceeds the first radius, the ray of z keeps
+    alpha0 away from every arc of _ray_arcs, and the truncation to rows
+    rings meets the tail hypothesis at z."""
+    if z.is_zero or z.log_mag <= _mpf_fraction(schedule.radii.log_radius(1)):
+        raise ValueError("modulus must exceed the first radius")
+    n = 1
+    while z.log_mag > _mpf_fraction(schedule.radii.log_radius(n + 1)):
+        n += 1
+    two_pi = 2 * mp.pi
+    turn = z.phase / two_pi
+    for center, half_width, message in arcs:
+        if two_pi * (_turn_gap(turn, center) - half_width) < alpha0:
+            raise ValueError(message)
+    if not _tail_hypothesis(schedule, z.log_mag, rows):
+        raise ValueError("tail hypothesis fails: raise rows_used")
+    return n
+
+
+def _divergence_bound(n: int, alpha0):
+    """log K_n: K_n = 2^(n(n-1)/2) * sin(alpha0/2)^(3(n+1)) times the lower
+    end of the small-product constant."""
+    k0_low, _ = small_product_constant()
+    return (
+        mp.mpf(n * (n - 1)) / 2 * mp.log(2)
+        + 3 * (n + 1) * mp.log(mp.sin(alpha0 / 2))
+        + mp.log(k0_low)
+    )
+
+
+def _checked_alpha0(alpha0):
+    alpha0 = mp.mpf(alpha0)
+    if alpha0 <= 0:
+        raise ValueError("alpha0 must be positive")
+    return alpha0
 
 
 def sector_bound_check(
@@ -597,52 +691,68 @@ def sector_bound_check(
 
     With n the ring index satisfying a_n < |z| <= a_{n+1} and the ray of z
     at angular distance at least alpha0 from every zero ray, the product is
-    at least 2^(n(n-1)/2) * sin(alpha0/2)^(3(n+1)) times the small-product
-    constant; the comparison concedes the truncation tail on the right.
+    at least K_n = 2^(n(n-1)/2) * sin(alpha0/2)^(3(n+1)) times the
+    small-product constant.  The check is a claim about f, not about the
+    truncated product: it passes when log|f_truncated(z)| minus the
+    truncation tail bound, which is a lower bound on log|f(z)| up to the
+    rounding of the main sum, is at least log K_n.
     """
     rows = _rows(schedule, rows_used)
     with mp.workprec(default_precision() + _GUARD):
-        alpha0 = mp.mpf(alpha0)
-        if alpha0 <= 0:
-            raise ValueError("alpha0 must be positive")
-        if z.is_zero or z.log_mag <= _mpf_fraction(schedule.radii.log_radius(1)):
-            raise ValueError("modulus must exceed the first radius")
-        n = 1
-        while z.log_mag > _mpf_fraction(schedule.radii.log_radius(n + 1)):
-            n += 1
-        # angular gap against every zero ray of the full (untruncated) set,
-        # one per distinct turn in order of first appearance: all its
-        # angles lie in the source hull arcs
-        turn = z.phase / (2 * mp.pi)
-        for zero_turn in dict.fromkeys(zero.turn for zero in schedule.zeros):
-            gap = _turn_gap(turn, _mpf_fraction(zero_turn))
-            if 2 * mp.pi * gap < alpha0:
-                raise ValueError(
-                    f"ray too close to the zero ray at turn {zero_turn}"
-                )
-        for sector, tree in sorted(schedule.sources.items()):
-            if tree is None:
-                continue
-            for piece in _pieces(tree):
-                center, half_width = _hull(piece)
-                gap = _turn_gap(turn, _mpf_fraction(center)) - _mpf_fraction(half_width)
-                if 2 * mp.pi * gap < alpha0:
-                    raise ValueError(
-                        f"ray within alpha0 of the zero arc at sector {sector}"
-                    )
+        alpha0 = _checked_alpha0(alpha0)
+        n = _sector_ring(schedule, z, alpha0, _ray_arcs(schedule), rows)
         res = log_eval(schedule, z, rows)
-        if not res.valid:
-            raise ValueError("tail hypothesis fails: raise rows_used")
-        k0_low, _ = small_product_constant()
-        rhs = (
-            mp.mpf(n * (n - 1)) / 2 * mp.log(2)
-            + 3 * (n + 1) * mp.log(mp.sin(alpha0 / 2))
-            + mp.log(k0_low)
-            - res.tail_log_bound
-        )
         lhs = res.value.log_mag
         certified = lhs - res.tail_log_bound
-        return SectorBoundReport(n, lhs, certified, rhs, bool(lhs >= rhs))
+        rhs = _divergence_bound(n, alpha0)
+        return SectorBoundReport(n, lhs, certified, rhs, bool(certified >= rhs))
+
+
+def sector_divergence(
+    schedule: ZeroSchedule,
+    points: Sequence[LogPolar],
+    alpha0,
+    rows_used: Optional[int] = None,
+) -> SectorDivergence:
+    """sector_bound_check at every point, reduced to what a divergence claim
+    reports: each point's ring and pass flag, and the floor, the least
+    certified_lhs over the points.  Every point gets sector_bound_check's
+    checks, with its ValueErrors, before anything is evaluated.
+
+    Screen, then certify: _floor_log_bound (with j = 1) bounds every
+    point's certified_lhs from below in floats.  A point whose bound is at
+    least log K_n passes without evaluation; log_eval runs at the others,
+    and for the floor in ascending order of the bound until the next bound
+    exceeds the least value so far, as in family_floor.  The flags and the
+    floor are the numbers sector_bound_check returns.  Every evaluated value
+    is checked against its bound (ArithmeticError if the bound is crossed);
+    the skipped ones rest on float rounding staying below the screen's
+    slack.
+    """
+    if not points:
+        raise ValueError("the floor needs at least one point")
+    rows = _rows(schedule, rows_used)
+    with mp.workprec(default_precision() + _GUARD):
+        alpha0 = _checked_alpha0(alpha0)
+        arcs = _ray_arcs(schedule)
+        rings = tuple(_sector_ring(schedule, z, alpha0, arcs, rows) for z in points)
+        log_k = {n: _divergence_bound(n, alpha0) for n in set(rings)}
+        bounds = [_floor_log_bound(schedule, 1, z, rows) for z in points]
+        certified = {}
+
+        def certify(k):
+            if k not in certified:
+                res = log_eval(schedule, points[k], rows)
+                certified[k] = res.value.log_mag - res.tail_log_bound
+                _screen_check(certified[k] >= bounds[k])
+            return certified[k]
+
+        floor = _least_screened(bounds, certify)
+        passed = tuple(
+            bool(bounds[k] >= log_k[n] or certify(k) >= log_k[n])
+            for k, n in enumerate(rings)
+        )
+    return SectorDivergence(rings, passed, floor)
 
 
 def _turn_gap(a, b):

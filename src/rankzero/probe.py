@@ -24,9 +24,11 @@ certify.  The search orders the zeros by a float lower bound on their log
 distance and computes interval distances only until the next bound
 exceeds the best one found; the sweep orders its mesh by a float upper
 bound on the spherical derivative and stops once the best value beats the
-next bound.  Either way the result is the one the exhaustive loop returns,
-on one assumption: float rounding in the screen stays far below its slack
-(1e-6 in log units, on top of first-order rounding bounds).
+next bound.  Either way the result is the one the exhaustive loop returns.
+Every distance or derivative they compute is checked against its float
+bound (ArithmeticError if the bound is crossed); skipping the others rests
+on float rounding in the screen staying far below its slack (1e-6 in log
+units, on top of first-order rounding bounds).
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .evaluator import (
     _float_constants,
     _mpf_fraction,
     _rows,
+    _screen_check,
     _spherical_log_bound,
     _tail_hypothesis,
     default_precision,
@@ -365,7 +368,8 @@ def _zero_distance(schedule: ZeroSchedule, j: int, r: Fraction,
     Screen, then certify: interval distances run in ascending order of
     _distance_log_bounds until the next bound exceeds the log of the least
     upper end so far.  A skipped zero's distance, and so its upper end, is
-    then above that least upper end, so it can neither win nor tie.
+    then above that least upper end, so it can neither win nor tie.  A
+    bound above the upper end it bounds raises ArithmeticError.
     """
     point = _iv_fraction(r) * _cis(turn)
     bounds = _distance_log_bounds(schedule, j, r, turn)
@@ -377,7 +381,9 @@ def _zero_distance(schedule: ZeroSchedule, j: int, r: Fraction,
         zero = schedule.zeros[i]
         b = iv.exp(_iv_fraction(zero.log_r)) * _cis(zero.turn)
         found[i] = _cnorm(b / iv.mpf(j) - point)
-        log_best = min(log_best, float(mp.log(found[i].b)))
+        log_high = float(mp.log(found[i].b))
+        _screen_check(bounds[i] <= log_high)
+        log_best = min(log_best, log_high)
     best = found[min(sorted(found), key=lambda i: found[i].b)]
     return best.a, best.b
 
@@ -413,8 +419,9 @@ def non_c0_certificate(
     The nearest zero is screened (_zero_distance): interval distances run
     in ascending order of a float lower bound on the log distance and stop
     once the next bound exceeds the log of the least upper end so far, so
-    the entries are those of an exhaustive search, provided float rounding
-    in the bound stays far below its 1e-6 slack.
+    the entries are those of an exhaustive search.  Each computed distance
+    is checked against its bound; the skipped zeros rest on float rounding
+    in the bound staying far below its 1e-6 slack.
     """
     delta = Fraction(delta)
     if delta <= 0:
@@ -514,9 +521,11 @@ def condition_m_sweep(
     in descending order of that bound until the log of the best value
     strictly exceeds the next bound.  Every skipped point is then below the
     maximum, so the argmax is always evaluated and each row's maximum is
-    the same number an exhaustive sweep returns.  This rests on one
-    assumption: float rounding in the screen stays far below its stated
-    slack (1e-6 in log units, on top of first-order rounding bounds).
+    the same number an exhaustive sweep returns.  Every evaluated value is
+    checked against its bound (ArithmeticError if the bound is crossed);
+    the skipped points rest on float rounding in the screen staying far
+    below its stated slack (1e-6 in log units, on top of first-order
+    rounding bounds).
     """
     rows = _rows(schedule, rows_used)
     out: List[SweepRow] = []
@@ -538,8 +547,10 @@ def condition_m_sweep(
                     if log_best > bounds[k]:
                         break
                     sd = mp.mpf(j) * spherical_derivative(schedule, j, mesh[k], rows)
+                    log_sd = mp.log(sd)
+                    _screen_check(log_sd <= bounds[k])
                     if sd > best:
-                        best, log_best = sd, mp.log(sd)
+                        best, log_best = sd, log_sd
                 out.append(SweepRow(n, i, best, bool(valid)))
     return out
 

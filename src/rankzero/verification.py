@@ -20,7 +20,7 @@ from .evaluator import (
     _mpf_fraction,
     default_precision,
     family_floor,
-    sector_bound_check,
+    sector_divergence,
 )
 from .ordinal import (
     OMEGA,
@@ -279,14 +279,9 @@ def check_sector_divergence() -> CheckResult:
     details = []
     floor_by_ring = {}
     for n in range(3, 9):
-        passes = []
-        certified = []
-        for z in _divergence_samples(s, n):
-            rep = sector_bound_check(s, z, 0.3, 12)
-            passes.append(rep.passed and rep.ring == n)
-            certified.append(rep.certified_lhs)
-        all_pass = all(passes)
-        floor_by_ring[n] = min(certified)
+        div = sector_divergence(s, _divergence_samples(s, n), 0.3, 12)
+        all_pass = all(div.passed) and all(ring == n for ring in div.rings)
+        floor_by_ring[n] = div.floor
         ok = ok and all_pass
         details.append(
             f"ring {n}: 20 samples pass={all_pass} "

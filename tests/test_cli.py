@@ -1,10 +1,13 @@
+import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 from fractions import Fraction as F
 from pathlib import Path
 
+import mpmath
 import pytest
 from click.testing import CliRunner
 
@@ -82,6 +85,10 @@ class TestPipelines:
         assert json.loads(sched.read_text())["variant"] == "limit"
 
 
+# sha256 of `rankzero build-zeros --alpha 3 --nu 1 --nmax 6 --out s.json`
+BUILD_ZEROS_3_1_6_SHA256 = "cc1e37d0ef5a3f7c6771b2c82d2326c3beaba0ec94bedf20764b340a863a254a"
+
+
 class TestManifests:
     def test_manifest_written_with_digests(self, runner, tmp_path):
         out = tmp_path / "set.json"
@@ -90,6 +97,20 @@ class TestManifests:
         assert manifest["command"] == "build-set"
         assert "set.json" in manifest["outputs"]
         assert len(manifest["outputs"]["set.json"]) == 64
+
+    def test_manifest_records_the_environment(self, runner, tmp_path):
+        out = tmp_path / "s.json"
+        run(runner, "--precision", "200", "build-zeros", "--alpha", "3", "--nu", "1",
+            "--nmax", "6", "--out", str(out))
+        manifest = json.loads((tmp_path / "s.json.manifest.json").read_text())
+        assert manifest["environment"] == {
+            "python": platform.python_version(),
+            "mpmath": mpmath.__version__,
+            "mpmath_backend": mpmath.libmp.BACKEND,
+        }
+        # the artifact keeps the bytes it had before manifests recorded this
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == manifest["outputs"]["s.json"] == BUILD_ZEROS_3_1_6_SHA256
 
     def test_identical_runs_are_byte_identical(self, runner, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -9,6 +10,7 @@ from rankzero import verification
 from rankzero.evaluator import (
     _GUARD,
     LogPolar,
+    _mpf_fraction,
     default_precision,
     family_eval,
     family_floor,
@@ -16,6 +18,7 @@ from rankzero.evaluator import (
     log_eval,
     precision_scope,
     sector_bound_check,
+    sector_divergence,
     small_product_constant,
     spherical_derivative,
 )
@@ -37,6 +40,20 @@ def make_schedule(zeros, n_rings=6):
 @pytest.fixture(scope="module")
 def sched():
     return build_row_schedule(3, 1, 12)
+
+
+@pytest.fixture
+def log_eval_calls(monkeypatch):
+    """The arguments of every log_eval call looked up through the evaluator
+    module, which is how its own functions call it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return log_eval(*args, **kwargs)
+
+    monkeypatch.setattr(evaluator, "log_eval", counted)
+    return calls
 
 
 class TestKernel:
@@ -245,14 +262,8 @@ class TestFloor:
         with pytest.raises(ValueError):
             family_floor(sched, 5, [], 12)
 
-    def test_criterion8_makes_few_product_evaluations(self, monkeypatch):
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return log_eval(*args, **kwargs)
-
-        monkeypatch.setattr(evaluator, "log_eval", counted)
+    def test_criterion8_makes_few_product_evaluations(self, log_eval_calls):
+        calls = log_eval_calls
         with precision_scope(200):
             assert verification.check_geometric_mean_immunity().passed
         # the unscreened criterion evaluates all 36 points for each of 5 k
@@ -338,6 +349,172 @@ class TestSectorBound:
         assert small_product_constant(200) is pair
         other = small_product_constant(120)
         assert other is not pair and other != pair
+
+
+def _exhaustive_divergence(schedule, points, alpha0, rows_used=None):
+    """Criterion 6 without screening: sector_bound_check at every point."""
+    return [sector_bound_check(schedule, z, alpha0, rows_used) for z in points]
+
+
+def _exact_samples(schedule, n):
+    """Criterion 6's samples of ring n as exact-tagged points, where floats
+    give up."""
+    lo, hi = schedule.radii.log_radius(n), schedule.radii.log_radius(n + 1)
+    return [LogPolar.from_exact(lo + (hi - lo) * F(i, 5), F(1, 8) + d)
+            for d in (F(1, 8), F(1, 4), F(3, 8), F(1, 2)) for i in range(1, 6)]
+
+
+def _clustered_schedule():
+    """Twenty zeros on ring 1 within 0.06 rad of turn 0 and one on each of
+    rings 2-4: more zeros near a ray than the construction puts there, so
+    the divergence bound fails beside them."""
+    zeros = [Zero(1, F(1), F(k, 2000)) for k in range(20)]
+    zeros += [Zero(n, F(log_r), F(0)) for n, log_r in ((2, 2), (3, 3), (4, 5))]
+    return make_schedule(zeros, 4)
+
+
+# (schedule, points, alpha0, rows_used): criterion 6's samples per ring;
+# those of ring 5 as exact-tagged points, so every flag falls back to
+# log_eval; ring 5's samples with exact-tagged ring-6 points, evaluated
+# first for their -inf bounds though their values are higher; two points
+# beside a cluster of zeros, where the bound fails and floats cannot decide
+# (the floor needs only the first), and one that passes
+DIVERGENCE_CASES = {
+    **{f"criterion-6-ring-{n}": (lambda s: s,
+                                 lambda s, n=n: verification._divergence_samples(s, n), 0.3, 12)
+       for n in range(3, 9)},
+    "exact-tagged": (lambda s: s, lambda s: _exact_samples(s, 5), 0.3, 12),
+    "mixed": (lambda s: s,
+              lambda s: verification._divergence_samples(s, 5) + _exact_samples(s, 6)[:5],
+              0.3, 12),
+    "clustered-zeros": (lambda s: _clustered_schedule(),
+                        lambda s: [LogPolar(mp.mpf("1.01"), mp.mpf("0.3666")),
+                                   LogPolar(mp.mpf("1.01"), mp.mpf("0.5")),
+                                   LogPolar(mp.mpf("1.5"), mp.pi)],
+                        0.3, 4),
+}
+
+
+@pytest.fixture(scope="module")
+def divergence_case(sched):
+    """(schedule, points, alpha0, rows, reference reports) per case of
+    DIVERGENCE_CASES, the exhaustive reports computed once per case."""
+    memo = {}
+
+    def case(name):
+        if name not in memo:
+            make, make_points, alpha0, rows = DIVERGENCE_CASES[name]
+            s = make(sched)
+            points = make_points(s)
+            memo[name] = s, points, alpha0, rows, _exhaustive_divergence(s, points, alpha0, rows)
+        return memo[name]
+
+    return case
+
+
+def _ray_at_source_piece():
+    """A ray on the last source piece of row (3, 2, 8), which hosts no zero."""
+    s = build_row_schedule(3, 2, 8)
+    turn = s.source_tree().members[-1].arc.center
+    return s, LogPolar(mp.mpf(4), 2 * mp.pi * _mpf_fraction(turn)), 0.01, 8
+
+
+# (schedule, point, alpha0, rows_used) that sector_bound_check rejects
+BAD_DIVERGENCE_INPUTS = {
+    "alpha0": lambda s: (s, LogPolar(mp.mpf(4), mp.pi), 0, 12),
+    "rows": lambda s: (s, LogPolar(mp.mpf(4), mp.pi), 0.3, 13),
+    "small-modulus": lambda s: (s, LogPolar(mp.mpf("0.5"), mp.pi), 0.3, 12),
+    "zero-ray": lambda s: (s, LogPolar(mp.mpf(4), 2 * mp.pi * _mpf_fraction(s.enumeration()[0])),
+                           0.3, 12),
+    "source-piece": lambda s: _ray_at_source_piece(),
+    "tail": lambda s: (s, LogPolar(mp.mpf(30), mp.pi), 0.3, 6),
+}
+
+
+class TestSectorDivergence:
+    @pytest.mark.parametrize("case", sorted(DIVERGENCE_CASES))
+    def test_screened_divergence_equals_exhaustive_divergence(self, divergence_case, case):
+        s, points, alpha0, rows, reports = divergence_case(case)
+        div = sector_divergence(s, points, alpha0, rows)
+        assert div.rings == tuple(r.ring for r in reports)
+        assert div.passed == tuple(r.passed for r in reports)
+        # mpf ==, at the guarded precision of sector_bound_check
+        assert div.floor == min(r.certified_lhs for r in reports)
+
+    @pytest.mark.parametrize("case", sorted(DIVERGENCE_CASES))
+    def test_divergence_bounds_are_below_every_certified_value(self, divergence_case, case):
+        s, points, alpha0, rows, reports = divergence_case(case)
+        finite = 0
+        for z, rep in zip(points, reports):
+            with mp.workprec(default_precision() + _GUARD):
+                bound = _floor_log_bound(s, 1, z, rows)
+            if z.exact is not None:
+                assert bound == -math.inf
+            if bound != -math.inf:
+                finite += 1
+                assert bound <= rep.certified_lhs
+        assert finite > 0 or case == "exact-tagged"
+
+    def test_undecided_points_fall_back_to_log_eval(self, divergence_case, log_eval_calls):
+        calls = log_eval_calls
+        exact, clustered = divergence_case("exact-tagged"), divergence_case("clustered-zeros")
+        calls.clear()  # the references' own calls
+        s, points, alpha0, rows, _ = exact
+        assert all(sector_divergence(s, points, alpha0, rows).passed)
+        assert len(calls) == len(points)  # each point once, for its flag or the floor
+        calls.clear()
+        s, points, alpha0, rows, _ = clustered
+        div = sector_divergence(s, points, alpha0, rows)
+        assert div.passed == (False, False, True)
+        # the floor evaluates the first point, the second one's flag needs it
+        assert [args[1] for args in calls] == points[:2]
+
+    @pytest.mark.parametrize("case", sorted(BAD_DIVERGENCE_INPUTS))
+    def test_rejects_what_sector_bound_check_rejects(self, sched, case):
+        s, bad, alpha0, rows = BAD_DIVERGENCE_INPUTS[case](sched)
+        with pytest.raises(ValueError) as single:
+            sector_bound_check(s, bad, alpha0, rows)
+        good = LogPolar(mp.mpf("4.5"), mp.mpf("-2.5"))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(single.value))}$"):
+            sector_divergence(s, [good, bad], alpha0, rows)
+
+    def test_empty_point_set_is_rejected(self, sched):
+        with pytest.raises(ValueError):
+            sector_divergence(sched, [], 0.3, 12)
+
+    def test_flag_concedes_the_tail(self):
+        s = _clustered_schedule()
+        z = LogPolar(mp.mpf("1.01"), mp.mpf("0.6"))
+        rep = sector_bound_check(s, z, 0.3, 4)
+        tail = rep.lhs - rep.certified_lhs
+        assert rep.ring == 1 and tail > 0
+        # alpha0 that puts log K_1 = 6 log sin(alpha0/2) + log k0 halfway
+        # between the certified value and the truncated product's
+        k0_low, _ = small_product_constant()
+        with mp.workprec(default_precision() + _GUARD):
+            alpha0 = 2 * mp.asin(mp.exp((rep.certified_lhs + tail / 2 - mp.log(k0_low)) / 6))
+        rep = sector_bound_check(s, z, alpha0, 4)
+        assert rep.certified_lhs < rep.rhs < rep.lhs
+        assert not rep.passed
+        assert sector_divergence(s, [z], alpha0, 4).passed == (False,)
+
+    def test_criterion6_makes_few_product_evaluations(self, log_eval_calls):
+        calls = log_eval_calls
+        with precision_scope(200):
+            assert verification.check_sector_divergence().passed
+        # the unscreened criterion evaluates all 20 points of each of 6 rings
+        assert len(calls) <= 12
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda s: family_floor(s, 5, _circle(-mp.log(2), 12), 12), id="family_floor"),
+    pytest.param(lambda s: sector_divergence(s, verification._divergence_samples(s, 4), 0.3, 12),
+                 id="sector_divergence"),
+])
+def test_crossed_floor_bound_raises(sched, monkeypatch, call):
+    monkeypatch.setattr(evaluator, "_floor_log_bound", lambda *args: 1e9)
+    with pytest.raises(ArithmeticError, match="screen bound"):
+        call(sched)
 
 
 def test_precision_scope_is_local(monkeypatch):

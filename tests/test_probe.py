@@ -47,9 +47,13 @@ def _center(turn, modulus):
 
 
 def _exhaustive_sweep(schedule, points, rule, n_range, rows_used=None):
-    """The sweep without screening: spherical_derivative at every mesh point."""
+    """The sweep without screening: spherical_derivative at every mesh point.
+
+    Returns the rows and, per row, (j, [(z, j * f#(j z)) per mesh point z]).
+    """
     rows = schedule.n_rings if rows_used is None else rows_used
     out = []
+    meshes = []
     with mp.workprec(default_precision() + 30):
         for n in n_range:
             j = dilation_factor(rule, schedule.radii, n)
@@ -61,12 +65,15 @@ def _exhaustive_sweep(schedule, points, rule, n_range, rows_used=None):
                     schedule.radii.log_radius(rows - 2)
                 )
                 best = mp.mpf(0)
+                values = []
                 for z in probe._mesh(center, radius, schedule, j):
                     sd = mp.mpf(j) * spherical_derivative(schedule, j, z, rows)
+                    values.append((z, sd))
                     if sd > best:
                         best = sd
                 out.append(SweepRow(n, i, best, bool(valid)))
-    return out
+                meshes.append((j, values))
+    return out, meshes
 
 
 def _zero_intervals(schedule, j, r, turn):
@@ -161,6 +168,23 @@ def radii():
 @pytest.fixture(scope="module")
 def sched():
     return build_row_schedule(3, 1, 12)
+
+
+@pytest.fixture(scope="module")
+def exhaustive_sweep(sched):
+    """_exhaustive_sweep of criterion 9's points over n = 5, 6 per case of
+    SWEEP_CASES, computed once per case: (schedule, rows, meshes)."""
+    memo = {}
+
+    def sweep(case):
+        if case not in memo:
+            make, rows_used = SWEEP_CASES[case]
+            s = make(sched)
+            memo[case] = (s, *_exhaustive_sweep(
+                s, _criterion9_points(sched), RatioPlus(HALF), range(5, 7), rows_used))
+        return memo[case]
+
+    return sweep
 
 
 class TestDilationFactors:
@@ -326,6 +350,13 @@ class TestCertificates:
         # criteria 7, 8 and 10 take 5,580 interval distances unscreened
         assert len(calls) <= 400
 
+    def test_crossed_distance_bound_raises(self, sched, monkeypatch):
+        monkeypatch.setattr(probe, "_distance_log_bounds",
+                            lambda schedule, *args: [1e9] * len(schedule.zeros))
+        with pytest.raises(ArithmeticError, match="screen bound"):
+            non_c0_certificate(sched, RatioPlus(HALF), sched.enumeration()[0], F(1, 1000),
+                               range(6, 7))
+
     def test_strict_mode_rejects_off_set(self, sched):
         rule = RatioPlus(F(1, 2))
         with pytest.raises(ValueError):
@@ -342,37 +373,33 @@ class TestSweep:
         assert not sweep_passes(rows, 5)
 
     @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
-    def test_screened_rows_equal_exhaustive_rows(self, sched, case):
-        make, rows_used = SWEEP_CASES[case]
-        s = make(sched)
-        args = (s, _criterion9_points(sched), RatioPlus(HALF), range(5, 7))
-        screened = condition_m_sweep(*args, rows_used)
-        reference = _exhaustive_sweep(*args, rows_used)
+    def test_screened_rows_equal_exhaustive_rows(self, sched, exhaustive_sweep, case):
+        s, reference, _ = exhaustive_sweep(case)
+        _, rows_used = SWEEP_CASES[case]
+        screened = condition_m_sweep(
+            s, _criterion9_points(sched), RatioPlus(HALF), range(5, 7), rows_used)
         assert [(r.n, r.point_index, r.valid) for r in screened] == [
             (r.n, r.point_index, r.valid) for r in reference
         ]
         assert all(a.max_spherical == b.max_spherical for a, b in zip(screened, reference))
 
     @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
-    def test_screen_bounds_every_mesh_value(self, sched, case):
-        make, rows_used = SWEEP_CASES[case]
-        s = make(sched)
+    def test_screen_bounds_every_mesh_value(self, exhaustive_sweep, case):
+        s, _, meshes = exhaustive_sweep(case)
+        _, rows_used = SWEEP_CASES[case]
         rows = s.n_rings if rows_used is None else rows_used
-        rule = RatioPlus(HALF)
         finite = 0
         with mp.workprec(default_precision() + 30):
-            for n in range(5, 7):
-                j = dilation_factor(rule, s.radii, n)
-                for turn, modulus in _criterion9_points(sched):
-                    for z in probe._mesh(_center(turn, modulus), mp.mpf(1) / n, s, j):
-                        bound = _spherical_log_bound(s, j, z, rows)
-                        if z.exact is not None or not s.zeros:
-                            assert bound == math.inf
-                        if bound == math.inf:
-                            continue
-                        finite += 1
-                        sd = spherical_derivative(s, j, z, rows)
-                        assert bound >= mp.log(mp.mpf(j) * sd)
+            for j, values in meshes:
+                for z, sd in values:  # sd is j * f#(j z)
+                    bound = _spherical_log_bound(s, j, z, rows)
+                    if z.exact is not None or not s.zeros:
+                        assert bound == math.inf
+                    if bound == math.inf:
+                        continue
+                    finite += 1
+                    assert bound >= mp.log(sd)
+        assert len(meshes) == 4
         assert finite > 0 or not s.zeros
 
     def test_criterion9_sweep_makes_few_full_precision_calls(self, sched, monkeypatch):
@@ -389,6 +416,11 @@ class TestSweep:
         assert len(rows) == 10
         # the exhaustive sweep makes 525 calls on these meshes
         assert len(calls) <= 60
+
+    def test_crossed_sweep_bound_raises(self, sched, monkeypatch):
+        monkeypatch.setattr(probe, "_spherical_log_bound", lambda *args: -1e9)
+        with pytest.raises(ArithmeticError, match="screen bound"):
+            condition_m_sweep(sched, _criterion9_points(sched), RatioPlus(HALF), range(5, 6))
 
     def test_clustered_point_blows_up(self, sched):
         c1 = sched.enumeration()[0]
