@@ -19,25 +19,18 @@ exceed the radius two rings below the truncation.
 No certified tail is claimed for the logarithmic derivative; its consumers
 only use self-consistency and monotone comparisons.
 
-Three searches screen their points with one float pass over the zeros
-(_float_log_sum), then evaluate at full precision only where it can decide
-the result; only full-precision values are reported:
-
-* condition-(M) sweeps bound the spherical derivative from above
-  (_spherical_log_bound) and stop once the best value beats the next bound;
-* family_floor bounds log|f_j| minus its tail from below
-  (_floor_log_bound) and stops once the least value is below the next bound;
-* sector_divergence takes the same lower bound at j = 1, passes every point
-  whose bound already clears the divergence bound, and finds the floor as
-  family_floor does.
-
-The fourth screen, the nearest-zero search of the probe layer, bounds
-distances to zeros in floats.  Every full-precision value a screen computes
-is checked against its float bound, and ArithmeticError is raised if the
-bound is crossed.  The candidates a screen skips are not evaluated, so
-skipping them rests on one assumption: float rounding stays far below the
-screen's slack (_SCREEN_SLACK, 1e-6 in log units, added to first-order
-rounding bounds).
+Four searches screen, then certify: a float pass bounds every candidate,
+and _screened evaluates at full precision only where that can decide the
+result, so only full-precision values are reported.  _screened visits the
+candidates in ascending order of a float lower bound, stops once the next
+bound exceeds the least value so far, and raises ArithmeticError if a
+value it computes crosses its bound.  The candidates it skips are never
+evaluated, so skipping them rests on one assumption: float rounding stays
+far below the screen's slack (_SCREEN_SLACK, 1e-6 in log units, added to
+first-order rounding bounds).  The four searches are family_floor and
+sector_divergence here (_floor_log_bound), and the nearest-zero search and
+the condition-(M) sweep of the probe layer (_distance_log_bounds and
+_spherical_log_bound).
 """
 
 from __future__ import annotations
@@ -241,11 +234,14 @@ def _rows(schedule: ZeroSchedule, rows_used: Optional[int]) -> int:
     return rows_used
 
 
-def _hit(schedule: ZeroSchedule, z: LogPolar, end: int) -> Optional[Zero]:
-    """The zero among schedule.zeros[:end] that z is exactly, if any."""
+def _hit(schedule: ZeroSchedule, z: LogPolar, end: int) -> Optional[int]:
+    """The index of the zero among schedule.zeros[:end] that z is exactly,
+    if any."""
     if z.exact is None:
         return None
-    return next((zero for zero in schedule.zeros[:end] if z.exact.hits(zero)), None)
+    return next(
+        (i for i, zero in enumerate(schedule.zeros[:end]) if z.exact.hits(zero)), None
+    )
 
 
 def _tail_hypothesis(schedule: ZeroSchedule, log_mag, rows: int) -> bool:
@@ -357,18 +353,17 @@ def log_derivative(
         return LogPolar.from_complex(total)
 
 
-def _derivative_at_zero(schedule: ZeroSchedule, hit: Zero, end: int):
-    """log |f'(b)| at a scheduled zero b: the product over the other zeros
-    among schedule.zeros[:end] of |1 - b/b'|, divided by |b|."""
-    mag = -_mpf_fraction(hit.log_r)
-    for zero in schedule.zeros[:end]:
-        if zero == hit:
+def _derivative_at_zero(schedule: ZeroSchedule, hit: int, end: int):
+    """log |f'(b)| at the scheduled zero b = schedule.zeros[hit]: the product
+    over the other zeros among schedule.zeros[:end] of |1 - b/b'|, divided
+    by |b|."""
+    table = _zero_constants(schedule)
+    b, (log_b, angle_b) = schedule.zeros[hit], table[hit]
+    mag = -log_b
+    for zero, (log_r, angle) in zip(schedule.zeros[:end], table):
+        if zero == b:
             continue
-        s = mp.mpc(
-            _mpf_fraction(hit.log_r - zero.log_r),
-            _norm_phase(2 * mp.pi * _mpf_fraction(hit.turn - zero.turn)),
-        )
-        m, _ = _log_one_minus_exp(s)
+        m, _ = _log_one_minus_exp(mp.mpc(log_b - log_r, _norm_phase(angle_b - angle)))
         mag += m
     return mag
 
@@ -407,7 +402,7 @@ def spherical_derivative(
         return mp.exp(log_fprime - log_denom)
 
 
-# -- float screen for sweeps ------------------------------------------------------
+# -- float screens ------------------------------------------------------------
 
 _EPS = 2.0**-53
 # added to every screen bound on top of its running rounding bounds, which
@@ -530,26 +525,28 @@ def _floor_log_bound(schedule: ZeroSchedule, j: int, z: LogPolar, rows: int) -> 
     return lf - err_lf - _SCREEN_SLACK - float(_tail_bound(schedule, log_w, rows))
 
 
-def _screen_check(holds: bool) -> None:
-    """Raise unless a value certified at full precision lies on the promised
-    side of its float screen bound."""
-    if not holds:
-        raise ArithmeticError("a float screen bound crossed its certified value")
+def _screened(bounds: Sequence[float], certify) -> dict:
+    """{k: certify(k)} for the indices k that can hold the least value,
+    given that every bounds[k] is a lower bound on certify(k).
 
-
-def _least_screened(bounds: Sequence[float], certify):
-    """The least certify(k) over the indices of bounds, given that every
-    bounds[k] is a lower bound on certify(k): certify runs in ascending
-    order of the bounds until the next bound exceeds the least value so far,
-    so every skipped value is above the minimum."""
-    best = None
+    certify runs in ascending order of the bounds (a stable sort, so -inf
+    bounds first and ties in index order) until the next bound is strictly
+    greater than the least value so far; every skipped value is then above
+    the minimum, and a bound equal to it is still evaluated.  The dict is in
+    evaluation order.  A value below its bound raises ArithmeticError.  That
+    the skipped candidates are above the minimum rests on the float rounding
+    in the bounds staying below _SCREEN_SLACK.
+    """
+    values = {}
+    least = math.inf
     for k in sorted(range(len(bounds)), key=bounds.__getitem__):
-        if best is not None and bounds[k] > best:
+        if bounds[k] > least:
             break
-        value = certify(k)
-        if best is None or value < best:
-            best = value
-    return best
+        values[k] = certify(k)
+        if not values[k] >= bounds[k]:
+            raise ArithmeticError("a float screen bound crossed its certified value")
+        least = min(least, values[k])
+    return values
 
 
 def family_floor(
@@ -561,13 +558,9 @@ def family_floor(
     difference taken at the caller's precision (-inf if some point misses
     the tail hypothesis or hits a zero).
 
-    Screen, then certify: a float pass bounds every point's value from
-    below (_floor_log_bound; -inf at exact-tagged points, outside the tail
-    hypothesis and wherever floats cannot decide), and family_eval runs in
-    ascending order of that bound until the next bound exceeds the least
-    value so far.  Every evaluated value is checked against its bound
-    (ArithmeticError if the bound is crossed); that a skipped point is above
-    the floor rests on float rounding staying below the screen's slack.
+    Screened (_screened) with _floor_log_bound, which is -inf at
+    exact-tagged points, outside the tail hypothesis and wherever floats
+    cannot decide.
     """
     if not points:
         raise ValueError("the floor needs at least one point")
@@ -577,11 +570,9 @@ def family_floor(
 
     def certify(k):
         res = family_eval(schedule, j, points[k], rows)
-        value = res.value.log_mag - res.tail_log_bound
-        _screen_check(value >= bounds[k])
-        return value
+        return res.value.log_mag - res.tail_log_bound
 
-    return _least_screened(bounds, certify)
+    return min(_screened(bounds, certify).values())
 
 
 # -- sector lower bound ---------------------------------------------------------
@@ -719,15 +710,12 @@ def sector_divergence(
     certified_lhs over the points.  Every point gets sector_bound_check's
     checks, with its ValueErrors, before anything is evaluated.
 
-    Screen, then certify: _floor_log_bound (with j = 1) bounds every
-    point's certified_lhs from below in floats.  A point whose bound is at
-    least log K_n passes without evaluation; log_eval runs at the others,
-    and for the floor in ascending order of the bound until the next bound
-    exceeds the least value so far, as in family_floor.  The flags and the
-    floor are the numbers sector_bound_check returns.  Every evaluated value
-    is checked against its bound (ArithmeticError if the bound is crossed);
-    the skipped ones rest on float rounding staying below the screen's
-    slack.
+    Screened (_screened) with _floor_log_bound at j = 1, which bounds every
+    certified_lhs from below: the screen finds the floor, and of the points
+    it skips, those whose bound is at least log K_n pass without evaluation
+    and the others are evaluated one by one through _screened, so each
+    value is checked against its bound.  The flags and the floor are the
+    numbers sector_bound_check returns.
     """
     if not points:
         raise ValueError("the floor needs at least one point")
@@ -738,18 +726,18 @@ def sector_divergence(
         rings = tuple(_sector_ring(schedule, z, alpha0, arcs, rows) for z in points)
         log_k = {n: _divergence_bound(n, alpha0) for n in set(rings)}
         bounds = [_floor_log_bound(schedule, 1, z, rows) for z in points]
-        certified = {}
 
         def certify(k):
-            if k not in certified:
-                res = log_eval(schedule, points[k], rows)
-                certified[k] = res.value.log_mag - res.tail_log_bound
-                _screen_check(certified[k] >= bounds[k])
-            return certified[k]
+            res = log_eval(schedule, points[k], rows)
+            return res.value.log_mag - res.tail_log_bound
 
-        floor = _least_screened(bounds, certify)
+        certified = _screened(bounds, certify)
+        floor = min(certified.values())
+        for k, n in enumerate(rings):
+            if k not in certified and bounds[k] < log_k[n]:
+                certified[k] = _screened([bounds[k]], lambda _: certify(k))[0]
         passed = tuple(
-            bool(bounds[k] >= log_k[n] or certify(k) >= log_k[n])
+            bool(bounds[k] >= log_k[n] or certified[k] >= log_k[n])
             for k, n in enumerate(rings)
         )
     return SectorDivergence(rings, passed, floor)

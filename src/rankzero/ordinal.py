@@ -66,18 +66,6 @@ class Ordinal:
     def is_limit(self) -> bool:
         return bool(self.terms) and not self.terms[-1][0].is_zero
 
-    @property
-    def is_finite(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and self.terms[0][0].is_zero)
-
-    def natural(self) -> int:
-        """The integer value of a finite ordinal."""
-        if not self.terms:
-            return 0
-        if not self.is_finite:
-            raise ValueError(f"{self} is not finite")
-        return self.terms[0][1]
-
     @staticmethod
     def from_int(n: int) -> "Ordinal":
         if n < 0:

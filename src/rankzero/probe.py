@@ -19,16 +19,11 @@ symbolic rank profile of the claimed set of convergence failures;
 those rank facts come straight from the tree descriptors and are
 independent of every floating-point computation here.
 
-The nearest-zero search and the condition-(M) sweep screen, then
-certify.  The search orders the zeros by a float lower bound on their log
-distance and computes interval distances only until the next bound
-exceeds the best one found; the sweep orders its mesh by a float upper
-bound on the spherical derivative and stops once the best value beats the
-next bound.  Either way the result is the one the exhaustive loop returns.
-Every distance or derivative they compute is checked against its float
-bound (ArithmeticError if the bound is crossed); skipping the others rests
-on float rounding in the screen staying far below its slack (1e-6 in log
-units, on top of first-order rounding bounds).
+The nearest-zero search and the condition-(M) sweep screen, then certify,
+through evaluator._screened: the search with a float lower bound on each
+zero's log distance, the sweep with a float upper bound on the log of the
+spherical derivative.  Either way the result is the one the exhaustive
+loop returns.
 """
 
 from __future__ import annotations
@@ -48,9 +43,10 @@ from .evaluator import (
     _float_constants,
     _mpf_fraction,
     _rows,
-    _screen_check,
+    _screened,
     _spherical_log_bound,
     _tail_hypothesis,
+    _zero_constants,
     default_precision,
     spherical_derivative,
 )
@@ -365,25 +361,20 @@ def _zero_distance(schedule: ZeroSchedule, j: int, r: Fraction,
     scheduled zeros b: the interval with the least upper end, the first
     such in schedule order.
 
-    Screen, then certify: interval distances run in ascending order of
-    _distance_log_bounds until the next bound exceeds the log of the least
-    upper end so far.  A skipped zero's distance, and so its upper end, is
-    then above that least upper end, so it can neither win nor tie.  A
-    bound above the upper end it bounds raises ArithmeticError.
+    Screened (evaluator._screened) on the log of the upper end with
+    _distance_log_bounds: a skipped zero's distance, and so its upper end,
+    is above the least upper end, so it can neither win nor tie.
     """
     point = _iv_fraction(r) * _cis(turn)
-    bounds = _distance_log_bounds(schedule, j, r, turn)
     found = {}
-    log_best = math.inf
-    for i in sorted(range(len(bounds)), key=bounds.__getitem__):
-        if bounds[i] > log_best:
-            break
+
+    def certify(i):
         zero = schedule.zeros[i]
         b = iv.exp(_iv_fraction(zero.log_r)) * _cis(zero.turn)
         found[i] = _cnorm(b / iv.mpf(j) - point)
-        log_high = float(mp.log(found[i].b))
-        _screen_check(bounds[i] <= log_high)
-        log_best = min(log_best, log_high)
+        return float(mp.log(found[i].b))
+
+    _screened(_distance_log_bounds(schedule, j, r, turn), certify)
     best = found[min(sorted(found), key=lambda i: found[i].b)]
     return best.a, best.b
 
@@ -416,16 +407,14 @@ def non_c0_certificate(
     produces a (failing) certificate, which is how off-set immunity is
     demonstrated.
 
-    The nearest zero is screened (_zero_distance): interval distances run
-    in ascending order of a float lower bound on the log distance and stop
-    once the next bound exceeds the log of the least upper end so far, so
-    the entries are those of an exhaustive search.  Each computed distance
-    is checked against its bound; the skipped zeros rest on float rounding
-    in the bound staying far below its 1e-6 slack.
+    The nearest zero is screened (_zero_distance), so the entries are
+    those of an exhaustive search.
     """
     delta = Fraction(delta)
     if delta <= 0:
         raise ValueError("delta must be positive")
+    if not schedule.zeros:
+        raise ValueError("the schedule has no zeros to certify clustering of")
     r = rule.r
     known = set()
     for angs in schedule.angles.values():
@@ -493,9 +482,8 @@ def _mesh(center, radius, schedule: ZeroSchedule, j: int):
         for m in range(8 * k):
             ang = 2 * mp.pi * m / (8 * k)
             pts.append(LogPolar.from_complex(center + rho * mp.exp(mp.mpc(0, 1) * ang)))
-    for z in schedule.zeros:
-        lm = _mpf_fraction(z.log_r) - mp.log(mp.mpf(j))
-        pre = mp.exp(mp.mpc(lm, 2 * mp.pi * _mpf_fraction(z.turn)))
+    for z, (log_r, angle) in zip(schedule.zeros, _zero_constants(schedule)):
+        pre = mp.exp(mp.mpc(log_r - mp.log(mp.mpf(j)), angle))
         if abs(pre - center) <= radius:
             pts.append(LogPolar.from_exact(z.log_r, z.turn, num=1, den=j))
     return pts
@@ -515,17 +503,11 @@ def condition_m_sweep(
     derivative of the n-th family member.  The Marty-style surrogate at
     level n holds when every point with index at most n exceeds n.
 
-    Screen, then certify: a float pass bounds log(j_n * f#(j_n z)) from
-    above at every mesh point (+inf at exact zero preimages and wherever
-    floats cannot decide), and the full-precision spherical_derivative runs
-    in descending order of that bound until the log of the best value
-    strictly exceeds the next bound.  Every skipped point is then below the
-    maximum, so the argmax is always evaluated and each row's maximum is
-    the same number an exhaustive sweep returns.  Every evaluated value is
-    checked against its bound (ArithmeticError if the bound is crossed);
-    the skipped points rest on float rounding in the screen staying far
-    below its stated slack (1e-6 in log units, on top of first-order
-    rounding bounds).
+    Screened (evaluator._screened) on -log(j_n * f#(j_n z)) with the
+    negated _spherical_log_bound, which is +inf at exact zero preimages and
+    wherever floats cannot decide: every skipped point is below the
+    maximum, so each row's maximum is the number an exhaustive sweep
+    returns.
     """
     rows = _rows(schedule, rows_used)
     out: List[SweepRow] = []
@@ -541,17 +523,14 @@ def condition_m_sweep(
                 top_log = mp.log(mp.mpf(j)) + mp.log(abs(center) + radius)
                 valid = _tail_hypothesis(schedule, top_log, rows)
                 mesh = _mesh(center, radius, schedule, j)
-                bounds = [_spherical_log_bound(schedule, j, z, rows) for z in mesh]
-                best, log_best = mp.mpf(0), mp.ninf
-                for k in sorted(range(len(mesh)), key=lambda k: -bounds[k]):
-                    if log_best > bounds[k]:
-                        break
-                    sd = mp.mpf(j) * spherical_derivative(schedule, j, mesh[k], rows)
-                    log_sd = mp.log(sd)
-                    _screen_check(log_sd <= bounds[k])
-                    if sd > best:
-                        best, log_best = sd, log_sd
-                out.append(SweepRow(n, i, best, bool(valid)))
+                sds = {}
+
+                def certify(k):
+                    sds[k] = mp.mpf(j) * spherical_derivative(schedule, j, mesh[k], rows)
+                    return -mp.log(sds[k])
+
+                _screened([-_spherical_log_bound(schedule, j, z, rows) for z in mesh], certify)
+                out.append(SweepRow(n, i, max(sds.values()), bool(valid)))
     return out
 
 

@@ -204,14 +204,21 @@ class TestFailures:
 
 @pytest.fixture(scope="module")
 def schedules(tmp_path_factory):
-    """A 10-ring row schedule and a 4-super-row sector schedule on disk."""
+    """A 10-ring row schedule, a 4-super-row sector schedule and a row
+    schedule without zeros on disk."""
     root = tmp_path_factory.mktemp("schedules")
-    paths = {"rows": root / "rows.json", "sectors": root / "sectors.json"}
+    paths = {"rows": root / "rows.json", "sectors": root / "sectors.json",
+             "no-zeros": root / "no-zeros.json"}
     runner = CliRunner()
     run(runner, "build-zeros", "--alpha", "3", "--nu", "1", "--nmax", "10",
         "--out", str(paths["rows"]))
     run(runner, "build-zeros", "--alpha", "2", "--nu", "inf", "--nmax", "4",
         "--out", str(paths["sectors"]))
+    paths["no-zeros"].write_text(json.dumps({
+        "variant": "rows", "alpha": "3", "nu": 1,
+        "log_radii": ["1", "2", "3", "5", "8"],
+        "zeros": [], "angles": {"0": []}, "sources": {"0": {"kind": "empty"}},
+    }))
     return paths
 
 
@@ -235,6 +242,8 @@ class TestBadArguments:
         ("rows", ["eval", "--grid", "ring:n=3,samples=0"], "samples must be >= 1"),
         ("rows", ["eval", "--grid", "ring:n=3,samples=-5"], "samples must be >= 1"),
         ("rows", ["eval", "--grid", "annulus:n=3,samples=0"], "samples must be >= 1"),
+        ("no-zeros", ["probe", "--rule", "geometric-mean:L=1", "--k", "1..2"],
+         "schedule has no zeros"),
     ])
     def test_usage_error(self, runner, tmp_path, schedules, layout, args, message):
         out = tmp_path / "o"

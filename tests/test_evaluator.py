@@ -22,7 +22,7 @@ from rankzero.evaluator import (
     small_product_constant,
     spherical_derivative,
 )
-from rankzero.evaluator import _floor_log_bound, _log_one_minus_exp, _tail_bound
+from rankzero.evaluator import _floor_log_bound, _log_one_minus_exp, _screened, _tail_bound
 from rankzero.ordinal import as_ordinal
 from rankzero.pointset import Leaf
 from rankzero.probe import GeometricMean, RatioPlus, dilation_factor
@@ -515,6 +515,41 @@ def test_crossed_floor_bound_raises(sched, monkeypatch, call):
     monkeypatch.setattr(evaluator, "_floor_log_bound", lambda *args: 1e9)
     with pytest.raises(ArithmeticError, match="screen bound"):
         call(sched)
+
+
+class TestScreened:
+    def screen(self, bounds, values):
+        seen = []
+
+        def certify(k):
+            seen.append(k)
+            return values[k]
+
+        return _screened(bounds, certify), seen
+
+    def test_order_ties_and_stop(self):
+        bounds = [3.0, -math.inf, 2.0, 2.0, 4.0, 2.5]
+        values = [3.5, 2.0, 2.0, 2.2, 4.0, 2.5]
+        found, seen = self.screen(bounds, values)
+        # -inf first, equal bounds in index order, a bound equal to the least
+        # value still evaluated, then a stop at the first greater bound
+        assert seen == [1, 2, 3]
+        assert list(found) == seen
+        assert found == {1: 2.0, 2: 2.0, 3: 2.2}
+
+    def test_stops_only_on_a_strictly_greater_bound(self):
+        assert self.screen([1.0, 1.0], [1.0, 5.0])[1] == [0, 1]
+        assert self.screen([1.0, math.nextafter(1.0, 2.0)], [1.0, 5.0])[1] == [0]
+
+    def test_mpf_values_and_infinite_values(self):
+        found, seen = self.screen([0.5, -math.inf, 0.25], [mp.mpf(1), mp.inf, mp.mpf("0.3")])
+        # an infinite least value stops nothing; 0.3 then stops at 0.5
+        assert seen == [1, 2]
+        assert min(found.values()) == mp.mpf("0.3")
+
+    def test_crossed_bound_raises(self):
+        with pytest.raises(ArithmeticError, match="screen bound"):
+            self.screen([-math.inf, 1.0], [2.0, 0.5])
 
 
 def test_precision_scope_is_local(monkeypatch):
