@@ -105,8 +105,7 @@ def _fraction(text: str) -> Fraction:
 
 @click.group()
 @click.option("--precision", type=int, default=None,
-              help="Working precision in bits for this command "
-                   "(default RANKZERO_BITS, else 200).")
+              help="Working precision in bits for this command (default 200).")
 @click.pass_context
 def main(ctx: click.Context, precision: Optional[int]) -> None:
     """Transfinite rank sets, zero schedules and dilation-family probes."""

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -67,21 +66,14 @@ __all__ = [
     "small_product_constant",
 ]
 
-_ENV_BITS = "RANKZERO_BITS"
 _GUARD = 30
-_SCOPED_BITS: ContextVar[Optional[int]] = ContextVar("rankzero_bits", default=None)
+_SCOPED_BITS: ContextVar[int] = ContextVar("rankzero_bits", default=200)
 
 
 def default_precision() -> int:
-    """Working precision in bits: the innermost precision_scope, else the
-    RANKZERO_BITS variable, else 200; never below 64."""
-    bits = _SCOPED_BITS.get()
-    if bits is None:
-        try:
-            bits = int(os.environ.get(_ENV_BITS, "200"))
-        except ValueError:
-            bits = 200
-    return max(64, bits)
+    """Working precision in bits: the innermost precision_scope, else 200;
+    never below 64."""
+    return max(64, _SCOPED_BITS.get())
 
 
 @contextmanager

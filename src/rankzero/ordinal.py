@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import FrozenSet, List, Optional, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
 __all__ = [
     "Ordinal",
@@ -238,6 +238,12 @@ def _bounded_below(a: Ordinal, budget: int) -> FrozenSet[Ordinal]:
     return frozenset(v for v in out if _size(v) <= budget)
 
 
+# Per bound: the enumeration through the last budget tried, the set of all
+# ordinals it holds, and the next budget.  Each budget only appends, so one
+# stored prefix answers every count.
+_PREFIXES: Dict[Ordinal, Tuple[List[Ordinal], FrozenSet[Ordinal], int]] = {}
+
+
 def enumerate_below(a: OrdinalLike, count: int) -> List[Ordinal]:
     """First `count` entries of the fixed enumeration of {b : b < a}.
 
@@ -248,14 +254,13 @@ def enumerate_below(a: OrdinalLike, count: int) -> List[Ordinal]:
     a = as_ordinal(a)
     if count < 1:
         raise ValueError("count must be >= 1")
-    out: List[Ordinal] = []
-    prev: FrozenSet[Ordinal] = frozenset()
-    budget = 1
+    out, prev, budget = _PREFIXES.get(a) or ([], frozenset(), 1)
     while len(out) < count and budget <= count + 2:
         cur = _bounded_below(a, budget)
         out.extend(sorted(cur - prev))
         prev = cur
         budget += 1
+    _PREFIXES[a] = (out, prev, budget)
     return out[:count]
 
 

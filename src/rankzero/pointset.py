@@ -22,8 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import count
+from itertools import combinations, count
 from math import inf
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -40,6 +39,7 @@ from .ordinal import (
     ordinal_sub_left,
     parse_ordinal,
     predecessor,
+    successor,
 )
 
 __all__ = [
@@ -122,23 +122,11 @@ class Leaf:
 
 
 @dataclass(frozen=True)
-class ConstRanks:
-    value: Ordinal
-
-
-@dataclass(frozen=True)
-class EnumRanks:
-    limit: Ordinal
-
-
-RankSeq = Union[ConstRanks, EnumRanks]
-
-
-@dataclass(frozen=True)
 class ApexKids:
-    """Child n is a fresh collapse-rank tree on the n-th sub-arc."""
+    """Child n is a fresh collapse-rank tree on the n-th sub-arc, of rank
+    rank - 1, or of the n-th ordinal below rank when rank is a limit."""
 
-    ranks: RankSeq
+    rank: Ordinal
 
 
 @dataclass(frozen=True)
@@ -162,14 +150,14 @@ KidsSpec = Union[ApexKids, DerivedKids, PickedKids]
 
 @dataclass(frozen=True)
 class Cluster:
-    limit: Fraction
     arc: Arc
     kids: KidsSpec
     rank: Ordinal
     with_apex: bool = False
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "limit", _norm_turn(Fraction(self.limit)))
+    @property
+    def limit(self) -> Fraction:
+        return self.arc.center
 
 
 @dataclass(frozen=True)
@@ -181,18 +169,6 @@ class Forest:
 
 RankTree = Union[Leaf, Cluster, Forest]
 Card = Union[int, float]  # float only for inf
-
-
-@lru_cache(maxsize=None)
-def _enum_prefix(limit: Ordinal, k: int) -> Tuple[Ordinal, ...]:
-    return tuple(enumerate_below(limit, k))
-
-
-def _rank_at(ranks: RankSeq, n: int) -> Ordinal:
-    """Collapse rank of child n (1-based)."""
-    if isinstance(ranks, ConstRanks):
-        return ranks.value
-    return _enum_prefix(ranks.limit, n)[n - 1]
 
 
 def rank_of(tree: RankTree) -> Ordinal:
@@ -209,12 +185,7 @@ def _apex_tree(rho: Ordinal, arc: Arc) -> Union[Leaf, Cluster]:
     at stage rho and empties at stage rho + 1."""
     if rho.is_zero:
         return Leaf(arc.center)
-    p = predecessor(rho)
-    if p is not None:
-        kids: KidsSpec = ApexKids(ConstRanks(p))
-    else:
-        kids = ApexKids(EnumRanks(rho))
-    return Cluster(arc.center, arc, kids, rho, False)
+    return Cluster(arc, ApexKids(rho), rho, False)
 
 
 def _children(cluster: Cluster) -> Iterator[Tuple[int, Union[Leaf, Cluster]]]:
@@ -224,8 +195,10 @@ def _children(cluster: Cluster) -> Iterator[Tuple[int, Union[Leaf, Cluster]]]:
 
 def _spec_children(arc: Arc, spec: KidsSpec) -> Iterator[Tuple[int, Union[Leaf, Cluster]]]:
     if isinstance(spec, ApexKids):
+        p = predecessor(spec.rank)
         for n in count(1):
-            yield n, _apex_tree(_rank_at(spec.ranks, n), _child_arc(arc, n))
+            rank = p if p is not None else enumerate_below(spec.rank, n)[n - 1]
+            yield n, _apex_tree(rank, _child_arc(arc, n))
     elif isinstance(spec, DerivedKids):
         for n, child in _spec_children(arc, spec.base):
             if compare(rank_of(child), spec.beta) >= 0:
@@ -240,7 +213,7 @@ def _spec_children(arc: Arc, spec: KidsSpec) -> Iterator[Tuple[int, Union[Leaf, 
                     yield n, _rank_select(child, p)
         else:
             for m in count(1):
-                goal = _enum_prefix(alpha, m)[m - 1]
+                goal = enumerate_below(alpha, m)[m - 1]
                 for n, child in stream:
                     if compare(rank_of(child), goal) >= 0:
                         yield n, _rank_select(child, goal)
@@ -357,13 +330,7 @@ def derive(e: Optional[RankTree], beta: OrdinalLike) -> Optional[RankTree]:
         return None
     if c == 0:
         return Leaf(e.limit)
-    return Cluster(
-        e.limit,
-        e.arc,
-        _derived_kids(e.kids, beta),
-        ordinal_sub_left(beta, e.rank),
-        True,
-    )
+    return Cluster(e.arc, _derived_kids(e.kids, beta), ordinal_sub_left(beta, e.rank), True)
 
 
 def derive_once(e: Optional[RankTree]) -> Optional[RankTree]:
@@ -470,7 +437,7 @@ def _refine(e: RankTree, alpha: Ordinal, target: Fraction) -> RankTree:
     if target == e.limit:
         if alpha.is_zero:
             return Leaf(e.limit)
-        return Cluster(e.limit, e.arc, PickedKids(e.kids, alpha), alpha, e.with_apex)
+        return Cluster(e.arc, PickedKids(e.kids, alpha), alpha, e.with_apex)
     child = _child_containing(e, target)
     if child is not None and member(derive(child, alpha), target):
         return _refine(child, alpha, target)
@@ -593,10 +560,11 @@ def _arc_from_json(obj: dict) -> Arc:
 
 def _kids_to_json(kids: KidsSpec) -> dict:
     if isinstance(kids, ApexKids):
-        if isinstance(kids.ranks, ConstRanks):
-            ranks = {"kind": "const", "value": format_ordinal(kids.ranks.value)}
+        p = predecessor(kids.rank)
+        if p is not None:
+            ranks = {"kind": "const", "value": format_ordinal(p)}
         else:
-            ranks = {"kind": "enum", "limit": format_ordinal(kids.ranks.limit)}
+            ranks = {"kind": "enum", "limit": format_ordinal(kids.rank)}
         return {"kind": "apex", "ranks": ranks}
     if isinstance(kids, DerivedKids):
         return {"kind": "derived", "base": _kids_to_json(kids.base),
@@ -610,8 +578,11 @@ def _kids_from_json(obj: dict) -> KidsSpec:
     if kind == "apex":
         r = obj["ranks"]
         if r["kind"] == "const":
-            return ApexKids(ConstRanks(parse_ordinal(r["value"])))
-        return ApexKids(EnumRanks(parse_ordinal(r["limit"])))
+            return ApexKids(successor(parse_ordinal(r["value"])))
+        limit = parse_ordinal(r["limit"])
+        if not limit.is_limit:
+            raise ValueError(f"enum kids need a limit ordinal, not {limit}")
+        return ApexKids(limit)
     if kind == "derived":
         return DerivedKids(_kids_from_json(obj["base"]), parse_ordinal(obj["beta"]))
     if kind == "picked":
@@ -634,9 +605,7 @@ def tree_to_json(e: Optional[RankTree]) -> dict:
         "nu": 1,
         "arc": _arc_to_json(e.arc),
     }
-    pristine = _apex_tree(e.rank, e.arc)
-    if not (isinstance(pristine, Cluster) and pristine.kids == e.kids
-            and not e.with_apex and pristine.limit == e.limit):
+    if _apex_tree(e.rank, e.arc) != e:
         obj["kids"] = _kids_to_json(e.kids)
         obj["with_apex"] = e.with_apex
     return obj
@@ -649,21 +618,20 @@ def tree_from_json(obj: dict) -> Optional[RankTree]:
     if kind == "leaf":
         return Leaf(Fraction(obj["angle"]))
     if kind == "forest":
-        members = [tree_from_json(m) for m in obj["members"]]
-        return _forest(members)
+        tree = _forest([tree_from_json(m) for m in obj["members"]])
+        pieces = _pieces(tree) if tree is not None else ()
+        for a, b in combinations(pieces, 2):
+            (ca, ha), (cb, hb) = _hull(a), _hull(b)
+            if turn_distance(ca, cb) <= ha + hb:
+                raise ValueError("forest members must lie on strongly disjoint arcs")
+        return tree
     if kind == "cluster":
         arc = _arc_from_json(obj["arc"])
         rank = parse_ordinal(obj["ordinal"])
+        if Fraction(obj["limit"]) != arc.center:
+            raise ValueError("cluster limit does not match its arc center")
         if "kids" not in obj:
-            tree = _apex_tree(rank, arc)
-            if isinstance(tree, Cluster) and tree.limit != Fraction(obj["limit"]):
-                raise ValueError("cluster limit does not match its arc center")
-            return tree
-        return Cluster(
-            Fraction(obj["limit"]),
-            arc,
-            _kids_from_json(obj["kids"]),
-            rank,
-            bool(obj.get("with_apex", False)),
-        )
+            return _apex_tree(rank, arc)
+        return Cluster(arc, _kids_from_json(obj["kids"]), rank,
+                       bool(obj.get("with_apex", False)))
     raise ValueError(f"unknown tree kind {kind!r}")

@@ -123,9 +123,6 @@ class GeometricMean:
         if self.L <= 0:
             raise ValueError("geometric-mean needs L > 0")
 
-    def radius_index(self, k: int) -> int:
-        return k
-
     def k_cap(self, schedule: ZeroSchedule) -> int:
         return schedule.n_rings
 
@@ -180,8 +177,8 @@ class Sector:
 # Every rule has r (the target radius of its certificates; geometric-mean
 # rules certify at 1/2), sector (0 outside the sector layout), pins_rings
 # (whether j_k * r lands just above a ring radius, pinning that ring's zeros
-# onto radius r), radius_index(k), k_cap(schedule), describe() and
-# factor(radii, k).
+# onto radius r), k_cap(schedule), describe() and factor(radii, k).  The
+# rules that pin rings also have radius_index(k), the pinned ring.
 DilationRule = Union[RatioPlus, GeometricMean, Sector]
 
 

@@ -274,24 +274,29 @@ def _enumerate_angles(tree: RankTree, needed: int, label: str) -> Tuple[Fraction
     )
 
 
+def _layout(variant: str, alpha: Ordinal, nu: Optional[int],
+            rings: List[Tuple[int, int]], trees: Dict[int, RankTree],
+            needed: int) -> ZeroSchedule:
+    """Ring i carries the first `count` angles of sector t's set, where
+    rings[i - 1] = (t, count); sector 0 is the row layout's one set, and
+    its zeros carry no sector."""
+    radii = build_radii(max(3, len(rings)))
+    angles = {t: _enumerate_angles(tree, needed, f"sector {t}" if t else "row layout")
+              for t, tree in trees.items()}
+    zeros = tuple(
+        Zero(ring, radii.log_radius(ring), turn, t or None)
+        for ring, (t, count) in enumerate(rings, start=1)
+        for turn in angles[t][:count]
+    )
+    return ZeroSchedule(variant, alpha, nu, radii, zeros, angles, trees)
+
+
 def _sector_layout(variant: str, alpha: Ordinal, n_rows: int, make_tree) -> ZeroSchedule:
     """Super-row n holds rings n(n-1)/2 + t for t = 1..n; ring (n, t)
     carries the first n angles of sector t's set make_tree(t)."""
-    radii = build_radii(max(3, triangular(n_rows)))
-    sources: Dict[int, Optional[RankTree]] = {}
-    angles: Dict[int, Tuple[Fraction, ...]] = {}
-    for t in range(1, n_rows + 1):
-        tree = make_tree(t)
-        sources[t] = tree
-        angles[t] = _enumerate_angles(tree, n_rows, f"sector {t}")
-    zeros: List[Zero] = []
-    for n in range(1, n_rows + 1):
-        for t in range(1, n + 1):
-            ring = triangular(n - 1) + t
-            avail = angles[t]
-            for i in range(min(n, len(avail))):
-                zeros.append(Zero(ring, radii.log_radius(ring), avail[i], sector=t))
-    return ZeroSchedule(variant, alpha, None, radii, tuple(zeros), angles, sources)
+    rings = [(t, n) for n in range(1, n_rows + 1) for t in range(1, n + 1)]
+    trees = {t: make_tree(t) for t in range(1, n_rows + 1)}
+    return _layout(variant, alpha, None, rings, trees, n_rows)
 
 
 def build_sector_schedule(alpha: OrdinalLike, n_rows: int) -> ZeroSchedule:
@@ -332,21 +337,17 @@ def build_row_schedule(alpha: OrdinalLike, nu: int, n_max: int,
     zero of ring n is radius a_n times the l-th angle."""
     alpha = as_ordinal(alpha)
     tree = build_rank_set(alpha, nu, host or standard_arc())
-    radii = build_radii(max(3, n_max))
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    angles = _enumerate_angles(tree, n_max, "row layout")
-    if len(angles) < n_max:
+    rings = [(0, n) for n in range(1, n_max + 1)]
+    s = _layout("rows", alpha, nu, rings, {0: tree}, n_max)
+    got = len(s.enumeration())
+    if got < n_max:
         raise ValueError(
             f"row layout needs {n_max} distinct angles but the set materializes "
-            f"to {len(angles)}"
+            f"to {got}"
         )
-    zeros = tuple(
-        Zero(n, radii.log_radius(n), angles[m])
-        for n in range(1, n_max + 1)
-        for m in range(n)
-    )
-    return ZeroSchedule("rows", alpha, nu, radii, zeros, {0: angles}, {0: tree})
+    return s
 
 
 # -- convergence exponent ------------------------------------------------------

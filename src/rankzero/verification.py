@@ -59,6 +59,7 @@ from .schedule import (
     build_sector_schedule,
     convergence_exponent_check,
     growth_threshold_index,
+    standard_arc,
     validate_radii,
 )
 
@@ -71,10 +72,6 @@ class CheckResult:
     name: str
     passed: bool
     details: List[str]
-
-
-def _frac(p: int, q: int) -> Fraction:
-    return Fraction(p, q)
 
 
 def _nstr(x, digits: int = 12) -> str:
@@ -90,7 +87,7 @@ _ALPHAS = ["1", "2", "3", "4", "w", "w+1", "w+2", "w*2", "w^2", "w^2+w"]
 def check_rank_construction() -> CheckResult:
     details: List[str] = []
     ok = True
-    host = Arc(_frac(1, 8), _frac(1, 96))
+    host = standard_arc()
     for alpha_text in _ALPHAS:
         alpha = parse_ordinal(alpha_text)
         p = predecessor(alpha)
@@ -168,7 +165,7 @@ def check_union_law() -> CheckResult:
 
 
 def check_singleton_refine() -> CheckResult:
-    host = Arc(_frac(1, 8), _frac(1, 96))
+    host = standard_arc()
     cases = []
     for alpha_text, nu in [("1", 1), ("2", 1), ("2", 2), ("3", 1), ("3", 2),
                            ("4", 1), ("4", 3), ("w", 1), ("w+1", 1), ("w+1", 2),
@@ -258,8 +255,8 @@ def _divergence_samples(schedule, n: int) -> List[LogPolar]:
     lo = schedule.radii.log_radius(n)
     hi = schedule.radii.log_radius(n + 1)
     pts = []
-    host_center = _frac(1, 8)
-    for d in (_frac(1, 8), _frac(1, 4), _frac(3, 8), _frac(1, 2)):
+    host_center = Fraction(1, 8)
+    for d in (Fraction(1, 8), Fraction(1, 4), Fraction(3, 8), Fraction(1, 2)):
         turn = host_center + d
         for i in range(1, 6):
             frac = Fraction(i, 5)
@@ -303,10 +300,10 @@ def check_zero_clustering() -> CheckResult:
     c = s.enumeration()
     ok = True
     details = []
-    for r in (_frac(3, 10), _frac(7, 10)):
+    for r in (Fraction(3, 10), Fraction(7, 10)):
         rule = RatioPlus(r)
         for m in range(5):
-            cert = non_c0_certificate(s, rule, c[m], _frac(1, 1000), range(6, 11))
+            cert = non_c0_certificate(s, rule, c[m], Fraction(1, 1000), range(6, 11))
             rational_ok = all(
                 e.rational_bound is not None and e.rational_bound == Fraction(r, e.j)
                 for e in cert.entries
@@ -332,12 +329,12 @@ def check_geometric_mean_immunity() -> CheckResult:
     c = s.enumeration()
     rule = GeometricMean(Fraction(1))
     details = []
-    cl = classify(rule, s.radii, range(4, 9), eta0=_frac(1, 2))
+    cl = classify(rule, s.radii, range(4, 9), eta0=Fraction(1, 2))
     neither = cl.branch == "neither"
     details.append(f"classification: {cl.branch}")
     cert_fail = True
     for m in range(5):
-        cert = non_c0_certificate(s, rule, c[m], _frac(1, 1000), range(4, 9))
+        cert = non_c0_certificate(s, rule, c[m], Fraction(1, 1000), range(4, 9))
         cert_fail = cert_fail and not cert.passed
     details.append(f"all clustering certificates fail: {cert_fail}")
     circle = [LogPolar(-mp.log(mp.mpf(2)), 2 * mp.pi * i / 36 - mp.pi) for i in range(36)]
@@ -360,10 +357,10 @@ def check_geometric_mean_immunity() -> CheckResult:
 def check_condition_m() -> CheckResult:
     s = build_row_schedule(3, 1, 12)
     c1 = s.enumeration()[0]
-    rule = RatioPlus(_frac(1, 2))
+    rule = RatioPlus(Fraction(1, 2))
     rows = condition_m_sweep(
         s,
-        [(c1, _frac(1, 2)), (c1 + _frac(1, 2), _frac(1, 2))],
+        [(c1, Fraction(1, 2)), (c1 + Fraction(1, 2), Fraction(1, 2))],
         rule,
         range(5, 10),
     )
@@ -398,7 +395,7 @@ def check_sector_layouts() -> CheckResult:
         ok = ok and purity
         details.append(f"{label} layout: one sector per ring through ring 12: {purity}")
     for t in (1, 2):
-        rule = Sector(_frac(1, 2), t)
+        rule = Sector(Fraction(1, 2), t)
         rep = order_report(ss, rule, depth=2, k_range=range(max(2, t), 6))
         certs_ok = not rep.inconclusive
         profile = rep.rank_conclusion.as_dict()

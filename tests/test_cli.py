@@ -13,6 +13,7 @@ from click.testing import CliRunner
 
 import rankzero
 from rankzero.cli import main
+from rankzero.evaluator import default_precision
 
 
 @pytest.fixture()
@@ -180,6 +181,16 @@ class TestFailures:
         ("probe", '{"variant": "rows", "alpha": "3", "nu": 1, "log_radii": ["1/0"]}'),
         ("derive", '{"kind": "leaf"}'),
         ("derive", "\x00\xff"),
+        # one point listed twice: the members' hulls are not disjoint
+        ("derive", '{"kind": "forest", "members": [{"kind": "leaf", "angle": "1/8"}, '
+                   '{"kind": "leaf", "angle": "1/8"}]}'),
+        # child ranks enumerate the ordinals below a limit, and 3 is none
+        ("derive", '{"kind": "cluster", "limit": "1/8", "ordinal": "3", "nu": 1, '
+                   '"arc": {"center": "1/8", "half_width": "1/96"}, "kids": {"kind": '
+                   '"apex", "ranks": {"kind": "enum", "limit": "3"}}, "with_apex": false}'),
+        ("derive", '{"kind": "cluster", "limit": "1/7", "ordinal": "2", "nu": 1, '
+                   '"arc": {"center": "1/8", "half_width": "1/96"}, "kids": {"kind": '
+                   '"apex", "ranks": {"kind": "const", "value": "1"}}, "with_apex": false}'),
     ])
     def test_malformed_input_is_a_usage_error(self, runner, tmp_path, command, content):
         bad = tmp_path / "bad.json"
@@ -306,8 +317,7 @@ class TestExitCodes:
 
 
 class TestPrecision:
-    def test_precision_applies_to_one_invocation(self, runner, tmp_path, monkeypatch):
-        monkeypatch.delenv("RANKZERO_BITS", raising=False)
+    def test_precision_applies_to_one_invocation(self, runner, tmp_path):
         environ = dict(os.environ)
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         run(runner, "--precision", "64", "build-set", "--alpha", "2", "--out", str(a))
@@ -317,3 +327,10 @@ class TestPrecision:
         assert first["precision_bits"] == 64
         assert second["precision_bits"] == 200
         assert dict(os.environ) == environ
+
+    def test_environment_does_not_set_precision(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setenv("RANKZERO_BITS", "80")
+        assert default_precision() == 200
+        run(runner, "build-set", "--alpha", "2", "--out", str(tmp_path / "a.json"))
+        manifest = json.loads((tmp_path / "a.json.manifest.json").read_text())
+        assert manifest["precision_bits"] == 200

@@ -552,8 +552,7 @@ class TestScreened:
             self.screen([-math.inf, 1.0], [2.0, 0.5])
 
 
-def test_precision_scope_is_local(monkeypatch):
-    monkeypatch.delenv("RANKZERO_BITS", raising=False)
+def test_precision_scope_is_local():
     assert default_precision() == 200
     with precision_scope(80):
         assert default_precision() == 80

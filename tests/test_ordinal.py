@@ -1,3 +1,4 @@
+import random
 from functools import reduce
 
 import pytest
@@ -17,6 +18,7 @@ from rankzero.ordinal import (
     parse_ordinal,
     predecessor,
 )
+from rankzero.ordinal import _PREFIXES, _bounded_below  # the memo under test
 
 
 def o(text: str) -> Ordinal:
@@ -156,6 +158,31 @@ class TestEnumerateBelow:
 
     def test_deterministic(self):
         assert enumerate_below(o("w^2"), 25) == enumerate_below(o("w^2"), 25)
+
+    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+    def test_memo_matches_one_pass_per_count(self, order):
+        """The stored prefix answers every count as a fresh budget loop does,
+        whatever order the counts are asked in."""
+
+        def fresh(a, count):
+            out, prev, budget = [], frozenset(), 1
+            while len(out) < count and budget <= count + 2:
+                cur = _bounded_below(a, budget)
+                out.extend(sorted(cur - prev))
+                prev = cur
+                budget += 1
+            return out[:count]
+
+        counts = list(range(1, 31))
+        if order == "descending":
+            counts.reverse()
+        elif order == "shuffled":
+            random.Random(8).shuffle(counts)
+        _PREFIXES.clear()
+        for text in ("1", "5", "w", "w+3", "w*2", "w^2", "w^w", "w^(w+1)", "w^2*3+w"):
+            a = o(text)
+            for c in counts:
+                assert enumerate_below(a, c) == fresh(a, c), (text, c)
 
 
 class TestArithmetic:

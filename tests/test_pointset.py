@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction as F
@@ -377,3 +378,50 @@ class TestJson:
         tree = build_rank_set(o("w"), 1, HOST)
         again = build_rank_set(o("w"), 1, HOST)
         assert canonical_json(tree_to_json(tree)) == canonical_json(tree_to_json(again))
+
+
+def _child_center(n):
+    """Limit angle of HOST's n-th sub-arc."""
+    return F(1, 8) - F(1, 96) / 2**n
+
+
+# Built over an apex of successor rank (children of one rank, "const") and of
+# limit rank (children enumerating the ordinals below it, "enum").
+_CONST, _ENUM = build_rank_set(o("w+3"), 1, HOST), build_rank_set(o("w*2"), 1, HOST)
+_PINNED_TREES = {
+    "const": (_CONST, "512790ea2f0d869b8dfaf4be5358b276e00dab8f357fe451d3f5d766345692ac"),
+    "const-d1": (derive(_CONST, 1),
+                 "217b822c8dc8a07cf163afb86afdd1f2e539938f2d1f56f9a3e4c0b2a51d8048"),
+    "const-dw": (derive(_CONST, o("w")),
+                 "32bb3d30a288cf9b043610b44caf8e89727625f6dfd0f23b1994b7a71dba1be1"),
+    "const-d1-d2": (derive(derive(_CONST, 1), 2),
+                    "231213fcd391aa3c630b4433564b7075c1246cb622a08f1166336dd0ec08541d"),
+    "const-r-w+1": (singleton_refine(_CONST, o("w+1"), F(1, 8)),
+                    "8c4cddf310fd60dae814c11657f8df6a61ce7471801197a0cf63954c6750988d"),
+    "const-r-w": (singleton_refine(_CONST, o("w"), F(1, 8)),
+                  "c6a8946c7790717ad8353d3ee27a28882058f802e155e80ffb319d7772a88efb"),
+    "const-r-child2": (singleton_refine(_CONST, 1, _child_center(2)),
+                       "c6b5658a641299048c145e71d89028493009314b912a60b0139a9c52196220a1"),
+    "enum": (_ENUM, "a0c59d43ebb60ef9c82648a480cf1748c12562a84b003744d22c11fdadbce94a"),
+    "enum-d1": (derive(_ENUM, 1),
+                "809868e32f942528e4f63d2d7e107a1a50142c8076432de0d76a5b603f9f27a3"),
+    "enum-dw+1": (derive(_ENUM, o("w+1")),
+                  "da39e6fec8d647a5b366065e73c20c64c572754d229b672818fe3f6a3d3d0518"),
+    "enum-r-w": (singleton_refine(_ENUM, o("w"), F(1, 8)),
+                 "c6065226a73ec02d536fe7c66d85c37b2fb8dc7d613a09f5187a1ed10fe9ba15"),
+    "enum-r-w+1": (singleton_refine(_ENUM, o("w+1"), F(1, 8)),
+                   "73d3bf36aa6bdd24b7b9249927ca0057d9d68237628a2c4f6e06e57e9d6aaa3a"),
+    # child 5 of the w*2 apex has rank w, the fifth ordinal below w*2
+    "enum-r-child5": (singleton_refine(_ENUM, 1, _child_center(5)),
+                      "6f4b83dc545fbf8aa30f6b4709a89cf04cf3c3e0aa36f2ca726777f886f5179b"),
+    "enum-r-child5-d1": (derive(singleton_refine(_ENUM, 1, _child_center(5)), 1),
+                         "02aacbdb687cb2578d2b1f21ce00725c53cb591f25eec82916f9bbcfb6967316"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_TREES))
+def test_tree_bytes_are_pinned(name):
+    tree, digest = _PINNED_TREES[name]
+    blob = canonical_json(tree_to_json(tree))
+    assert hashlib.sha256(blob).hexdigest() == digest
+    assert tree_from_json(json.loads(blob)) == tree
