@@ -132,16 +132,15 @@ class LogPolar:
         return LogPolar(mp.ninf, mp.mpf(0))
 
     @staticmethod
-    def from_exact(log_rat: Fraction, turn: Fraction, num: int = 1, den: int = 1) -> "LogPolar":
+    def from_exact(log_rat: Fraction, turn: Fraction, den: int = 1) -> "LogPolar":
+        """e^log_rat / den at the exact turn angle."""
         log_rat, turn = Fraction(log_rat), Fraction(turn) % 1
-        if num < 1 or den < 1:
-            raise ValueError("num and den must be positive")
-        g = gcd(num, den)
-        num, den = num // g, den // g
+        if den < 1:
+            raise ValueError("den must be positive")
         with mp.workprec(default_precision() + _GUARD):
-            lm = _mpf_fraction(log_rat) + mp.log(num) - mp.log(den)
+            lm = _mpf_fraction(log_rat) - mp.log(den)
             ph = _norm_phase(2 * mp.pi * _mpf_fraction(turn))
-        return LogPolar(lm, ph, ExactScale(log_rat, num, den, turn))
+        return LogPolar(lm, ph, ExactScale(log_rat, 1, den, turn))
 
     @staticmethod
     def from_complex(value) -> "LogPolar":
@@ -212,7 +211,6 @@ class EvalResult:
     """Truncated product value with a certified bound on the dropped tail."""
 
     value: LogPolar
-    rows_used: int
     tail_log_bound: object
     valid: bool
 
@@ -292,6 +290,22 @@ def _tail_bound(schedule: ZeroSchedule, log_mag, rows_used: int):
         return mp.mpf(total.b)
 
 
+def _log_product(table, log_mag, phase):
+    """(sum of log|1 - z/b|, sum of arg(1 - z/b)) over the zeros b of table,
+    pairs (log|b|, arg b) as _zero_constants gives them, at
+    z = e^(log_mag + i phase), summed in table order; (-inf, 0) as soon as
+    a factor vanishes."""
+    mag = mp.mpf(0)
+    ph = mp.mpf(0)
+    for log_r, angle in table:
+        m, p = _log_one_minus_exp(mp.mpc(log_mag - log_r, _norm_phase(phase - angle)))
+        if m == mp.ninf:
+            return mp.ninf, mp.mpf(0)
+        mag += m
+        ph += p
+    return mag, ph
+
+
 def log_eval(schedule: ZeroSchedule, z: LogPolar, rows_used: Optional[int] = None) -> EvalResult:
     """Product of (1 - z/b) over the zeros b of the first rows_used rings.
 
@@ -303,21 +317,15 @@ def log_eval(schedule: ZeroSchedule, z: LogPolar, rows_used: Optional[int] = Non
     end = schedule.through(rows)
     with mp.workprec(default_precision() + _GUARD):
         if z.is_zero:
-            return EvalResult(LogPolar(mp.mpf(0), mp.mpf(0)), rows, mp.mpf(0), True)
+            return EvalResult(LogPolar(mp.mpf(0), mp.mpf(0)), mp.mpf(0), True)
         if _hit(schedule, z, end) is not None:
-            return EvalResult(LogPolar(mp.ninf, mp.mpf(0)), rows, mp.mpf(0), True)
-        mag = mp.mpf(0)
-        ph = mp.mpf(0)
-        for log_r, angle in _zero_constants(schedule)[:end]:
-            s = mp.mpc(z.log_mag - log_r, _norm_phase(z.phase - angle))
-            m, p = _log_one_minus_exp(s)
-            if m == mp.ninf:
-                return EvalResult(LogPolar(mp.ninf, mp.mpf(0)), rows, mp.mpf(0), True)
-            mag += m
-            ph += p
+            return EvalResult(LogPolar.origin(), mp.mpf(0), True)
+        mag, ph = _log_product(_zero_constants(schedule)[:end], z.log_mag, z.phase)
+        if mag == mp.ninf:
+            return EvalResult(LogPolar.origin(), mp.mpf(0), True)
         valid = _tail_hypothesis(schedule, z.log_mag, rows)
         tail = _tail_bound(schedule, z.log_mag, rows) if valid else mp.inf
-        return EvalResult(LogPolar(mag, _norm_phase(ph)), rows, tail, valid)
+        return EvalResult(LogPolar(mag, _norm_phase(ph)), tail, valid)
 
 
 def family_eval(
@@ -347,17 +355,12 @@ def log_derivative(
 
 def _derivative_at_zero(schedule: ZeroSchedule, hit: int, end: int):
     """log |f'(b)| at the scheduled zero b = schedule.zeros[hit]: the product
-    over the other zeros among schedule.zeros[:end] of |1 - b/b'|, divided
-    by |b|."""
-    table = _zero_constants(schedule)
-    b, (log_b, angle_b) = schedule.zeros[hit], table[hit]
-    mag = -log_b
-    for zero, (log_r, angle) in zip(schedule.zeros[:end], table):
-        if zero == b:
-            continue
-        m, _ = _log_one_minus_exp(mp.mpc(log_b - log_r, _norm_phase(angle_b - angle)))
-        mag += m
-    return mag
+    over every other entry of schedule.zeros[:end] of |1 - b/b'|, divided
+    by |b|; -inf when b is listed twice, a double zero."""
+    table = _zero_constants(schedule)[:end]
+    log_b, angle_b = table[hit]
+    mag, _ = _log_product(table[:hit] + table[hit + 1:], log_b, angle_b)
+    return mag - log_b
 
 
 def spherical_derivative(
@@ -373,8 +376,6 @@ def spherical_derivative(
     end = schedule.through(rows)
     with mp.workprec(default_precision() + _GUARD):
         w = z.scaled_by_int(j) if j != 1 else z
-        if w.is_zero:
-            w = LogPolar.origin()
         hit = _hit(schedule, w, end)
         if hit is not None:
             return mp.exp(_derivative_at_zero(schedule, hit, end))
@@ -570,10 +571,10 @@ def family_floor(
 # -- sector lower bound ---------------------------------------------------------
 
 
-def small_product_constant(prec: Optional[int] = None):
+def small_product_constant():
     """Certified (lower, upper) bounds of prod(1 - 2^-j) over j >= 1 (about
-    0.288788), computed once per precision."""
-    return _small_product_bounds(prec or default_precision())
+    0.288788) at the working precision, computed once per precision."""
+    return _small_product_bounds(default_precision())
 
 
 @lru_cache(maxsize=None)

@@ -188,12 +188,8 @@ def _apex_tree(rho: Ordinal, arc: Arc) -> Union[Leaf, Cluster]:
     return Cluster(arc, ApexKids(rho), rho, False)
 
 
-def _children(cluster: Cluster) -> Iterator[Tuple[int, Union[Leaf, Cluster]]]:
-    """Effective children as (base sub-arc index, subtree), lazily."""
-    yield from _spec_children(cluster.arc, cluster.kids)
-
-
 def _spec_children(arc: Arc, spec: KidsSpec) -> Iterator[Tuple[int, Union[Leaf, Cluster]]]:
+    """Effective children as (base sub-arc index, subtree), lazily."""
     if isinstance(spec, ApexKids):
         p = predecessor(spec.rank)
         for n in count(1):
@@ -227,7 +223,7 @@ def _rank_select(tree: Union[Leaf, Cluster], goal: Ordinal) -> Union[Leaf, Clust
     if compare(goal, rank_of(tree)) == 0:
         return tree
     assert isinstance(tree, Cluster)
-    for _, child in _children(tree):
+    for _, child in _spec_children(tree.arc, tree.kids):
         if compare(rank_of(child), goal) >= 0:
             return _rank_select(child, goal)
     raise AssertionError("unreachable: child ranks are cofinal")  # pragma: no cover
@@ -402,7 +398,7 @@ def _child_containing(cluster: Cluster, angle: Fraction) -> Optional[Union[Leaf,
         if abs(delta - off) <= hw:
             break
     # the effective child on sub-arc n, unless pruning removed it
-    for i, child in _children(cluster):
+    for i, child in _spec_children(cluster.arc, cluster.kids):
         if i == n:
             return child
         if i > n:
@@ -477,7 +473,7 @@ def _gather(e: Optional[RankTree], depth: int, per_level: int, out: set) -> None
     if depth == 0:
         return
     taken = 0
-    for _, child in _children(e):
+    for _, child in _spec_children(e.arc, e.kids):
         _gather(child, depth - 1, per_level, out)
         taken += 1
         if taken >= per_level:
@@ -546,12 +542,8 @@ def canonical_json(obj) -> bytes:
     return json.dumps(obj, sort_keys=True, indent=1).encode("ascii")
 
 
-def _frac_str(f: Fraction) -> str:
-    return str(Fraction(f))
-
-
 def _arc_to_json(arc: Arc) -> dict:
-    return {"center": _frac_str(arc.center), "half_width": _frac_str(arc.half_width)}
+    return {"center": str(arc.center), "half_width": str(arc.half_width)}
 
 
 def _arc_from_json(obj: dict) -> Arc:
@@ -590,17 +582,33 @@ def _kids_from_json(obj: dict) -> KidsSpec:
     raise ValueError(f"unknown kids kind {kind!r}")
 
 
+def _spec_rank(spec: KidsSpec) -> Ordinal:
+    """The collapse rank of a cluster with these kids: rank for apex kids,
+    the base rank less beta for derived kids (beta below the base rank) and
+    alpha for picked kids (alpha positive and at most the base rank)."""
+    if isinstance(spec, ApexKids):
+        return spec.rank
+    base = _spec_rank(spec.base)
+    if isinstance(spec, DerivedKids):
+        if not spec.beta < base:
+            raise ValueError(f"derived kids prune {spec.beta} stages of rank {base}")
+        return ordinal_sub_left(spec.beta, base)
+    if not ZERO < spec.alpha <= base:
+        raise ValueError(f"picked kids of rank {spec.alpha} outside 1..{base}")
+    return spec.alpha
+
+
 def tree_to_json(e: Optional[RankTree]) -> dict:
     """Descriptor serialization; the loader replays it exactly."""
     if e is None:
         return {"kind": "empty"}
     if isinstance(e, Leaf):
-        return {"kind": "leaf", "angle": _frac_str(e.angle)}
+        return {"kind": "leaf", "angle": str(e.angle)}
     if isinstance(e, Forest):
         return {"kind": "forest", "members": [tree_to_json(m) for m in e.members]}
     obj = {
         "kind": "cluster",
-        "limit": _frac_str(e.limit),
+        "limit": str(e.limit),
         "ordinal": format_ordinal(e.rank),
         "nu": 1,
         "arc": _arc_to_json(e.arc),
@@ -632,6 +640,9 @@ def tree_from_json(obj: dict) -> Optional[RankTree]:
             raise ValueError("cluster limit does not match its arc center")
         if "kids" not in obj:
             return _apex_tree(rank, arc)
-        return Cluster(arc, _kids_from_json(obj["kids"]), rank,
-                       bool(obj.get("with_apex", False)))
+        kids = _kids_from_json(obj["kids"])
+        implied = _spec_rank(kids)
+        if implied != rank:
+            raise ValueError(f"cluster ordinal {rank} is not the rank {implied} its kids imply")
+        return Cluster(arc, kids, rank, bool(obj.get("with_apex", False)))
     raise ValueError(f"unknown tree kind {kind!r}")

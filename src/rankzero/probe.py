@@ -67,7 +67,6 @@ __all__ = [
     "classify",
     "non_c0_certificate",
     "condition_m_sweep",
-    "sweep_passes",
     "order_report",
     "InconclusiveProbe",
 ]
@@ -244,32 +243,25 @@ class Classification:
     trail: Tuple[Tuple[int, float, float], ...]  # (k, lower gap, upper gap)
 
 
-def classify(
-    rule: DilationRule,
-    radii: RadiiSequence,
-    k_range: Sequence[int],
-    eta0: Optional[Fraction] = None,
-) -> Classification:
-    """Which side of the radius ladder j_k * eta0 collapses onto.
+def classify(rule: DilationRule, radii: RadiiSequence,
+             k_range: Sequence[int]) -> Classification:
+    """Which side of the radius ladder j_k * r collapses onto, with r the
+    rule's certificate radius rule.r.
 
-    The lower gap is log(j_k * eta0) - log a_n with n the largest index
-    whose radius does not exceed j_k * eta0; the upper gap is the distance
+    The lower gap is log(j_k * r) - log a_n with n the largest index
+    whose radius does not exceed j_k * r; the upper gap is the distance
     to the next radius.  One gap shrinking to zero monotonically marks the
     branch; anything else is neither (both gaps diverge for the
     geometric-mean rule).
     """
-    if eta0 is None:
-        eta0 = rule.r
-    eta0 = Fraction(eta0)
-    if eta0 <= 0:
-        raise ValueError("eta0 must be positive")
+    r = rule.r
     xs = []
     # the lower gap shrinks like 1/j, so resolving it takes precision past
     # the bit length of j itself
     for k, j in dilation_factors(rule, radii, k_range):
         with mp.workprec(max(default_precision(), j.bit_length() + 120)):
-            log_eta = mp.log(mp.mpf(eta0.numerator)) - mp.log(mp.mpf(eta0.denominator))
-            xs.append(mp.log(mp.mpf(j)) + log_eta)
+            log_r = mp.log(mp.mpf(r.numerator)) - mp.log(mp.mpf(r.denominator))
+            xs.append(mp.log(mp.mpf(j)) + log_r)
     return _branch(radii, k_range, xs)
 
 
@@ -413,12 +405,9 @@ def non_c0_certificate(
     if not schedule.zeros:
         raise ValueError("the schedule has no zeros to certify clustering of")
     r = rule.r
-    known = set()
-    for angs in schedule.angles.values():
-        known.update(angs)
     if target_turn is not None:
         target_turn = Fraction(target_turn) % 1
-        if strict and target_turn not in known:
+        if strict and not any(target_turn in angs for angs in schedule.angles.values()):
             raise ValueError(
                 f"target turn {target_turn} is not an enumerated source angle"
             )
@@ -428,8 +417,8 @@ def non_c0_certificate(
         # with the bit length of j
         with _iv_prec(max(default_precision() + _GUARD, j.bit_length() + 160)):
             if target_turn is None:
-                lo_lr = min(z.log_r for z in schedule.zeros)
-                d = iv.exp(_iv_fraction(lo_lr)) / iv.mpf(j)
+                # rings ascend, so the first zero is a smallest one
+                d = iv.exp(_iv_fraction(schedule.zeros[0].log_r)) / iv.mpf(j)
                 dl, dh = mp.mpf(d.a), mp.mpf(d.b)
                 bound = None
             else:
@@ -479,10 +468,11 @@ def _mesh(center, radius, schedule: ZeroSchedule, j: int):
         for m in range(8 * k):
             ang = 2 * mp.pi * m / (8 * k)
             pts.append(LogPolar.from_complex(center + rho * mp.exp(mp.mpc(0, 1) * ang)))
+    log_j = mp.log(mp.mpf(j))
     for z, (log_r, angle) in zip(schedule.zeros, _zero_constants(schedule)):
-        pre = mp.exp(mp.mpc(log_r - mp.log(mp.mpf(j)), angle))
+        pre = mp.exp(mp.mpc(log_r - log_j, angle))
         if abs(pre - center) <= radius:
-            pts.append(LogPolar.from_exact(z.log_r, z.turn, num=1, den=j))
+            pts.append(LogPolar.from_exact(z.log_r, z.turn, den=j))
     return pts
 
 
@@ -529,12 +519,6 @@ def condition_m_sweep(
                 _screened([-_spherical_log_bound(schedule, j, z, rows) for z in mesh], certify)
                 out.append(SweepRow(n, i, max(sds.values()), bool(valid)))
     return out
-
-
-def sweep_passes(rows: List[SweepRow], n: int) -> bool:
-    """The level-n surrogate: every sampled point with index <= n beat n."""
-    relevant = [r for r in rows if r.n == n and r.point_index <= n]
-    return bool(relevant) and all(r.max_spherical > n for r in relevant)
 
 
 # -- order report ----------------------------------------------------------------
@@ -586,7 +570,6 @@ def order_report(
     rule: DilationRule,
     depth: int = 3,
     k_range: Optional[Sequence[int]] = None,
-    delta: Fraction = Fraction(1, 100),
 ) -> ProbeReport:
     """Assemble certificates plus the exact symbolic rank profile of the
     claimed set of convergence failures.
@@ -594,8 +577,9 @@ def order_report(
     Ratio-plus rules claim the origin together with r times the closure of
     the source set; sector rules restrict to their sector; geometric-mean
     rules claim the origin alone.  Certificates cover the origin and the
-    first `depth` enumerated angles; any failure marks the report
-    inconclusive and lists the failing targets.
+    first `depth` enumerated angles at delta = 1/100, so a certificate
+    passes when its last distance is below r/100; any failure marks the
+    report inconclusive and lists the failing targets.
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, not {depth}")
@@ -612,6 +596,7 @@ def order_report(
         raise ValueError("no dilation index to probe: the schedule is too small "
                          "for the depth, or the k range is empty")
 
+    delta = Fraction(1, 100)
     certs: List[Certificate] = [
         non_c0_certificate(schedule, rule, None, delta, k_range)
     ]

@@ -156,10 +156,10 @@ def _iv_prec(bits: int):
         iv.prec = saved
 
 
-def growth_threshold_index(radii: RadiiSequence, prec: int = 200) -> int:
+def growth_threshold_index(radii: RadiiSequence) -> int:
     """Smallest index from which a_n >= 1/(1 - (1 - 2^-(n+1))^(1/(n+1)))
-    holds through n_max, certified by interval arithmetic."""
-    with _iv_prec(prec):
+    holds through n_max, certified by interval arithmetic at 200 bits."""
+    with _iv_prec(200):
         holds: List[bool] = []
         for n in range(1, radii.n_max + 1):
             one = iv.mpf(1)
@@ -330,13 +330,12 @@ def build_limit_schedule(alpha: OrdinalLike, n_rows: int) -> ZeroSchedule:
     )
 
 
-def build_row_schedule(alpha: OrdinalLike, nu: int, n_max: int,
-                       host: Optional[Arc] = None) -> ZeroSchedule:
-    """Row layout of E(alpha, nu) on `host` (default: the standard arc):
-    ring n carries the first n enumerated angles at radius a_n, so the l-th
-    zero of ring n is radius a_n times the l-th angle."""
+def build_row_schedule(alpha: OrdinalLike, nu: int, n_max: int) -> ZeroSchedule:
+    """Row layout of E(alpha, nu) on the standard arc: ring n carries the
+    first n enumerated angles at radius a_n, so the l-th zero of ring n is
+    radius a_n times the l-th angle."""
     alpha = as_ordinal(alpha)
-    tree = build_rank_set(alpha, nu, host or standard_arc())
+    tree = build_rank_set(alpha, nu, standard_arc())
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     rings = [(0, n) for n in range(1, n_max + 1)]
@@ -363,26 +362,25 @@ class ConvergenceReport:
     tail bound to zero, which would no longer be an upper bound.
     """
 
-    exponent: Fraction
-    n_terms: int
     partial_low: object
     partial_high: object
     tail_bound: object
 
 
 def convergence_exponent_check(
-    radii: RadiiSequence, exponent: Fraction, n_terms: int, prec: int = 200
+    radii: RadiiSequence, exponent: Fraction, n_terms: int
 ) -> ConvergenceReport:
-    """Bound sum(n / a_n^exponent).  The partial sum is a certified interval;
-    the tail uses a_m >= a_anchor * 2^(m - anchor), valid because every
-    ratio step of a validated ladder is at least e^(7/10) > 2."""
+    """Bound sum(n / a_n^exponent) at 200 bits.  The partial sum is a
+    certified interval; the tail uses a_m >= a_anchor * 2^(m - anchor),
+    valid because every ratio step of a validated ladder is at least
+    e^(7/10) > 2."""
     exponent = Fraction(exponent)
     if exponent <= 0:
         raise ValueError("exponent must be positive")
     if n_terms < 0:
         raise ValueError("n_terms must be >= 0")
     validate_radii(radii)
-    with _iv_prec(prec):
+    with _iv_prec(200):
         expo = _iv_fraction(exponent)
         total = iv.mpf(0)
         for n in range(1, n_terms + 1):
@@ -397,7 +395,7 @@ def convergence_exponent_check(
         if n_terms == 0:
             # no computed terms: the bound covers the full series from n = 1
             tail = tail + iv.mpf(1) * iv.exp(-expo * log_anchor)
-        return ConvergenceReport(exponent, n_terms, total.a, total.b, tail.b)
+        return ConvergenceReport(total.a, total.b, tail.b)
 
 
 # -- JSON ----------------------------------------------------------------------

@@ -329,7 +329,7 @@ def check_geometric_mean_immunity() -> CheckResult:
     c = s.enumeration()
     rule = GeometricMean(Fraction(1))
     details = []
-    cl = classify(rule, s.radii, range(4, 9), eta0=Fraction(1, 2))
+    cl = classify(rule, s.radii, range(4, 9))
     neither = cl.branch == "neither"
     details.append(f"classification: {cl.branch}")
     cert_fail = True

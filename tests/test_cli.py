@@ -191,6 +191,20 @@ class TestFailures:
         ("derive", '{"kind": "cluster", "limit": "1/7", "ordinal": "2", "nu": 1, '
                    '"arc": {"center": "1/8", "half_width": "1/96"}, "kids": {"kind": '
                    '"apex", "ranks": {"kind": "const", "value": "1"}}, "with_apex": false}'),
+        # every child has rank w, so the cluster has rank w+1, not 1
+        ("derive", '{"kind": "cluster", "limit": "1/8", "ordinal": "1", "nu": 1, '
+                   '"arc": {"center": "1/8", "half_width": "1/96"}, "kids": {"kind": '
+                   '"apex", "ranks": {"kind": "const", "value": "w"}}, "with_apex": false}'),
+        # pruning 3 stages of a rank-3 base leaves no cluster
+        ("derive", '{"kind": "cluster", "limit": "1/8", "ordinal": "0", "nu": 1, '
+                   '"arc": {"center": "1/8", "half_width": "1/96"}, "kids": {"kind": '
+                   '"derived", "beta": "3", "base": {"kind": "apex", "ranks": {"kind": '
+                   '"const", "value": "2"}}}, "with_apex": true}'),
+        # a picked rank of 0 would be a single point, not a cluster
+        ("derive", '{"kind": "cluster", "limit": "1/8", "ordinal": "0", "nu": 1, '
+                   '"arc": {"center": "1/8", "half_width": "1/96"}, "kids": {"kind": '
+                   '"picked", "alpha": "0", "base": {"kind": "apex", "ranks": {"kind": '
+                   '"const", "value": "2"}}}, "with_apex": false}'),
     ])
     def test_malformed_input_is_a_usage_error(self, runner, tmp_path, command, content):
         bad = tmp_path / "bad.json"

@@ -167,7 +167,7 @@ class TestFamily:
     def test_zero_fidelity_through_dilation(self, sched):
         c1 = sched.enumeration()[0]
         j = 5962
-        z = LogPolar.from_exact(F(8), c1, num=1, den=j)  # a_5 c_1 / j
+        z = LogPolar.from_exact(F(8), c1, den=j)  # a_5 c_1 / j
         assert family_eval(sched, j, z, 12).value.is_zero
 
     def test_rejects_bad_factor(self, sched):
@@ -215,7 +215,7 @@ def _circle(log_mag, count=36):
 
 
 def _zero_preimages(schedule, j, ring):
-    return [LogPolar.from_exact(z.log_r, z.turn, num=1, den=j)
+    return [LogPolar.from_exact(z.log_r, z.turn, den=j)
             for z in schedule.zeros_in_ring(ring)]
 
 
@@ -293,6 +293,14 @@ class TestSpherical:
             expect = abs(prod) / abs(b0)
         assert abs(got - expect) / expect < mp.mpf("1e-40")
 
+    def test_doubled_zero_has_zero_derivative(self):
+        # listed twice, b = a_2 e^(2 pi i / 8) is a double zero: f'(b) = 0
+        zeros = [Zero(2, F(2), F(1, 8)), Zero(3, F(3), F(3, 8))]
+        b = LogPolar.from_exact(F(2), F(1, 8))
+        doubled = make_schedule(zeros[:1] * 2 + zeros[1:], n_rings=4)
+        assert spherical_derivative(doubled, 1, b, 3) == 0
+        assert spherical_derivative(make_schedule(zeros, n_rings=4), 1, b, 3) > 0
+
     def test_near_zero_dominates_far_on_sparse_schedule(self):
         s = make_schedule([Zero(3, F(3), F(0))])
         near = spherical_derivative(s, 1, LogPolar(mp.mpf(3) + mp.log(mp.mpf("1.001")), mp.mpf(0)), 3)
@@ -334,7 +342,8 @@ class TestSectorBound:
         assert abs(lo - mp.mpf("0.288788095086602")) < mp.mpf("1e-12")
 
     def test_small_product_constant_encloses_double_precision_product(self):
-        lo, hi = small_product_constant(200)
+        with precision_scope(200):
+            lo, hi = small_product_constant()
         with mp.workprec(2 * 230):
             terms = 470
             prod = mp.mpf(1)
@@ -345,9 +354,11 @@ class TestSectorBound:
             assert hi >= prod
 
     def test_small_product_constant_is_memoized_per_precision(self):
-        pair = small_product_constant(200)
-        assert small_product_constant(200) is pair
-        other = small_product_constant(120)
+        with precision_scope(200):
+            pair = small_product_constant()
+            assert small_product_constant() is pair
+        with precision_scope(120):
+            other = small_product_constant()
         assert other is not pair and other != pair
 
 

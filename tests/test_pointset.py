@@ -24,7 +24,7 @@ from rankzero.pointset import (
     tree_to_json,
     union_disjoint,
 )
-from rankzero.pointset import _children  # structural invariants need the stream
+from rankzero.pointset import _spec_children  # structural invariants need the stream
 
 
 def o(text):
@@ -80,7 +80,7 @@ class TestBuild:
     def test_child_arcs_disjoint_and_shrinking(self):
         tree = build_rank_set(3, 1, HOST)
         kids = []
-        for n, child in _children(tree):
+        for n, child in _spec_children(tree.arc, tree.kids):
             kids.append(child)
             if n >= 6:
                 break
@@ -98,12 +98,12 @@ class TestBuild:
     def test_collapse_rank_recursion(self):
         # constant child ranks: one more than the children
         t4 = build_rank_set(4, 1, HOST)
-        child_ranks = [rank_of(c) for _, (_, c) in zip(range(3), _children(t4))]
+        child_ranks = [rank_of(c) for _, (_, c) in zip(range(3), _spec_children(t4.arc, t4.kids))]
         assert all(r == o("2") for r in child_ranks)
         assert rank_of(t4) == o("3")
         # enumerated child ranks: supremum, not attained
         tw = build_rank_set(OMEGA, 1, HOST)
-        seen = [rank_of(c) for _, (_, c) in zip(range(6), _children(tw))]
+        seen = [rank_of(c) for _, (_, c) in zip(range(6), _spec_children(tw.arc, tw.kids))]
         assert rank_of(tw) == OMEGA
         assert max(seen) < OMEGA
         assert len(set(seen)) == len(seen)

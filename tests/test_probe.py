@@ -28,7 +28,6 @@ from rankzero.probe import (
     dilation_factors,
     non_c0_certificate,
     order_report,
-    sweep_passes,
 )
 from rankzero.schedule import (
     build_limit_schedule,
@@ -255,7 +254,7 @@ class TestClassify:
         assert all(a >= b for a, b in zip(lows, lows[1:]))
 
     def test_geometric_mean_is_neither(self, radii):
-        cl = classify(GeometricMean(F(1)), radii, range(4, 9), eta0=F(1, 2))
+        cl = classify(GeometricMean(F(1)), radii, range(4, 9))
         assert cl.branch == "neither"
 
     def test_exact_coincidence_gives_zero_gaps(self, radii):
@@ -265,10 +264,6 @@ class TestClassify:
         cl = probe._branch(radii, range(1, 6), xs)
         assert cl.branch == "toward-lower"
         assert all(g == 0 for _, g, _ in cl.trail)
-
-    def test_rejects_bad_eta(self, radii):
-        with pytest.raises(ValueError):
-            classify(RatioPlus(F(1, 2)), radii, range(4, 6), eta0=F(0))
 
 
 class TestCertificates:
@@ -287,7 +282,7 @@ class TestCertificates:
     def test_certificate_coherence_with_branch(self, sched):
         # a passing certificate away from the origin needs a collapsing branch
         rule = GeometricMean(F(1))
-        assert classify(rule, sched.radii, range(4, 9), eta0=F(1, 2)).branch == "neither"
+        assert classify(rule, sched.radii, range(4, 9)).branch == "neither"
         for m in range(3):
             cert = non_c0_certificate(
                 sched, rule, sched.enumeration()[m], F(1, 1000), range(4, 9)
@@ -370,7 +365,6 @@ class TestSweep:
             empty, [(F(0), F(1, 2))], RatioPlus(F(1, 2)), range(5, 7)
         )
         assert all(r.max_spherical == 0 for r in rows)
-        assert not sweep_passes(rows, 5)
 
     @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
     def test_screened_rows_equal_exhaustive_rows(self, sched, exhaustive_sweep, case):
@@ -430,7 +424,6 @@ class TestSweep:
         maxima = [r.max_spherical for r in rows]
         assert maxima[0] < maxima[1] < maxima[2]
         assert all(r.max_spherical > r.n for r in rows)
-        assert all(sweep_passes(rows, n) for n in range(5, 8))
 
 
 class TestOrderReport:
