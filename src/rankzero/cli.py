@@ -88,8 +88,10 @@ def _load(path: str, parse):
     data = Path(path).read_bytes()
     try:
         obj = parse(json.loads(data))
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        # ValueError covers JSONDecodeError and bytes that are not UTF-8
+    except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
+        # ValueError covers JSONDecodeError and bytes that are not UTF-8;
+        # ArithmeticError a rational with denominator 0 and a JSON number
+        # past the float range, which reads as inf
         raise click.UsageError(
             f"cannot load {path}: {type(exc).__name__}: {exc}"
         ) from exc
@@ -104,8 +106,9 @@ def _fraction(text: str) -> Fraction:
 
 
 @click.group()
-@click.option("--precision", type=int, default=None,
-              help="Working precision in bits for this command (default 200).")
+@click.option("--precision", type=click.IntRange(min=64), default=None,
+              help="Working precision in bits for this command, at least 64 "
+                   "(default 200).")
 @click.pass_context
 def main(ctx: click.Context, precision: Optional[int]) -> None:
     """Transfinite rank sets, zero schedules and dilation-family probes."""

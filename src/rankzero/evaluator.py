@@ -28,9 +28,9 @@ value it computes crosses its bound.  The candidates it skips are never
 evaluated, so skipping them rests on one assumption: float rounding stays
 far below the screen's slack (_SCREEN_SLACK, 1e-6 in log units, added to
 first-order rounding bounds).  The four searches are family_floor and
-sector_divergence here (_floor_log_bound), and the nearest-zero search and
-the condition-(M) sweep of the probe layer (_distance_log_bounds and
-_spherical_log_bound).
+sector_divergence (bounded by _floor_log_bound), and the probe layer's
+nearest-zero search (_distance_log_bounds) and condition-(M) sweep
+(_spherical_log_bound); all four bounds live in this module.
 """
 
 from __future__ import annotations
@@ -39,11 +39,10 @@ import cmath
 import math
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from mpmath import iv, mp
 
@@ -94,22 +93,16 @@ def _mpf_fraction(f: Fraction):
 
 @dataclass(frozen=True)
 class ExactScale:
-    """Exact modulus e^log_rat * num / den with an exact turn angle; lets a
+    """Exact modulus e^log_rat * scale with an exact turn angle; lets a
     dilated sample land on a scheduled zero and be recognized exactly."""
 
     log_rat: Fraction
-    num: int
-    den: int
+    scale: Fraction
     turn: Fraction
-
-    def scaled(self, j: int) -> "ExactScale":
-        num, den = self.num * j, self.den
-        g = gcd(num, den)
-        return ExactScale(self.log_rat, num // g, den // g, self.turn)
 
     def hits(self, zero: Zero) -> bool:
         return (
-            self.num == self.den
+            self.scale == 1
             and self.log_rat == zero.log_r
             and (self.turn - zero.turn) % 1 == 0
         )
@@ -140,7 +133,7 @@ class LogPolar:
         with mp.workprec(default_precision() + _GUARD):
             lm = _mpf_fraction(log_rat) - mp.log(den)
             ph = _norm_phase(2 * mp.pi * _mpf_fraction(turn))
-        return LogPolar(lm, ph, ExactScale(log_rat, 1, den, turn))
+        return LogPolar(lm, ph, ExactScale(log_rat, Fraction(1, den), turn))
 
     @staticmethod
     def from_complex(value) -> "LogPolar":
@@ -164,7 +157,8 @@ class LogPolar:
         if self.is_zero:
             return self
         lm = self.log_mag + mp.log(mp.mpf(j))
-        return LogPolar(lm, self.phase, self.exact.scaled(j) if self.exact else None)
+        exact = replace(self.exact, scale=self.exact.scale * j) if self.exact else None
+        return LogPolar(lm, self.phase, exact)
 
 
 def _norm_phase(x):
@@ -213,6 +207,12 @@ class EvalResult:
     value: LogPolar
     tail_log_bound: object
     valid: bool
+
+    @property
+    def floor(self):
+        """log|f_truncated| minus the tail bound, at the precision of the
+        reader: a lower bound on log|f| up to the rounding of the main sum."""
+        return self.value.log_mag - self.tail_log_bound
 
 
 def _rows(schedule: ZeroSchedule, rows_used: Optional[int]) -> int:
@@ -518,6 +518,35 @@ def _floor_log_bound(schedule: ZeroSchedule, j: int, z: LogPolar, rows: int) -> 
     return lf - err_lf - _SCREEN_SLACK - float(_tail_bound(schedule, log_w, rows))
 
 
+def _distance_log_bounds(schedule: ZeroSchedule, j: int, r: Fraction,
+                         turn: Fraction) -> List[float]:
+    """Float lower bound on log|b/j - r e^(2 pi i turn)| per scheduled zero b.
+
+    With |b/j| and r the two moduli and delta the angle between them,
+    |b/j - p|^2 is the square of the modulus gap ||b/j| - r| plus the
+    square of the angular part 2 sqrt(|b/j| r) |sin(delta/2)|, so the
+    distance is at least the larger part.  Each part is bounded below from
+    float logs with first-order rounding bounds (-inf where rounding could
+    close it, as on the ring the rule pins), and the larger one is lowered
+    by _SCREEN_SLACK on top.
+    """
+    log_j = math.log(j)
+    log_num, log_den = math.log(r.numerator), math.log(r.denominator)
+    v = log_num - log_den  # log r
+    theta = 2 * math.pi * float(turn)
+    out = []
+    for log_r, angle in _float_constants(schedule):
+        u = log_r - log_j  # log |b/j|
+        e = 8 * _EPS * (abs(log_r) + log_j + log_num + log_den + 1)  # rounding of u and v
+        gap = abs(u - v) * (1 - _EPS) - e
+        lg = max(u, v) - e + math.log(-math.expm1(-gap)) if gap > 0 else -math.inf
+        sin = abs(math.sin((angle - theta) / 2)) - 8 * _EPS * (abs(angle) + abs(theta) + 1)
+        la = math.log(2) + (u + v - e) / 2 + math.log(sin) if sin > 0 else -math.inf
+        bound = max(lg, la)
+        out.append(bound - 8 * _EPS * (abs(bound) + 1) - _SCREEN_SLACK)
+    return out
+
+
 def _screened(bounds: Sequence[float], certify) -> dict:
     """{k: certify(k)} for the indices k that can hold the least value,
     given that every bounds[k] is a lower bound on certify(k).
@@ -547,7 +576,7 @@ def family_floor(
     rows_used: Optional[int] = None,
 ):
     """Certified floor of log|f_j| on the points: the least
-    log_mag - tail_log_bound of family_eval(schedule, j, z, rows_used), the
+    EvalResult.floor of family_eval(schedule, j, z, rows_used), the
     difference taken at the caller's precision (-inf if some point misses
     the tail hypothesis or hits a zero).
 
@@ -562,8 +591,7 @@ def family_floor(
         bounds = [_floor_log_bound(schedule, j, z, rows) for z in points]
 
     def certify(k):
-        res = family_eval(schedule, j, points[k], rows)
-        return res.value.log_mag - res.tail_log_bound
+        return family_eval(schedule, j, points[k], rows).floor
 
     return min(_screened(bounds, certify).values())
 
@@ -686,10 +714,9 @@ def sector_bound_check(
         alpha0 = _checked_alpha0(alpha0)
         n = _sector_ring(schedule, z, alpha0, _ray_arcs(schedule), rows)
         res = log_eval(schedule, z, rows)
-        lhs = res.value.log_mag
-        certified = lhs - res.tail_log_bound
+        certified = res.floor
         rhs = _divergence_bound(n, alpha0)
-        return SectorBoundReport(n, lhs, certified, rhs, bool(certified >= rhs))
+        return SectorBoundReport(n, res.value.log_mag, certified, rhs, bool(certified >= rhs))
 
 
 def sector_divergence(
@@ -721,8 +748,7 @@ def sector_divergence(
         bounds = [_floor_log_bound(schedule, 1, z, rows) for z in points]
 
         def certify(k):
-            res = log_eval(schedule, points[k], rows)
-            return res.value.log_mag - res.tail_log_bound
+            return log_eval(schedule, points[k], rows).floor
 
         certified = _screened(bounds, certify)
         floor = min(certified.values())

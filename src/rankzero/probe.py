@@ -28,19 +28,17 @@ loop returns.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import ClassVar, List, Optional, Sequence, Tuple, Union
 
 from mpmath import iv, mp
 
 from .evaluator import (
-    _EPS,
     _GUARD,
-    _SCREEN_SLACK,
     LogPolar,
-    _float_constants,
+    _distance_log_bounds,
     _mpf_fraction,
     _rows,
     _screened,
@@ -215,9 +213,17 @@ def _floor_over_r(log_radius: Fraction, r: Fraction) -> int:
 
 
 def dilation_factor(rule: DilationRule, radii: RadiiSequence, k: int) -> int:
-    """Exact j_k for the rule (arbitrary-precision integer)."""
+    """Exact j_k for the rule (arbitrary-precision integer), computed once
+    per rule, ladder and k."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    return _dilation_factor(rule, radii, k)
+
+
+@lru_cache(maxsize=None)
+def _dilation_factor(rule: DilationRule, radii: RadiiSequence, k: int) -> int:
+    # exact, so independent of the working precision _certified_floor
+    # starts from
     return rule.factor(radii, k)
 
 
@@ -313,35 +319,6 @@ class Certificate:
     entries: Tuple[CertificateEntry, ...]
     passed: bool
     reason: str
-
-
-def _distance_log_bounds(schedule: ZeroSchedule, j: int, r: Fraction,
-                         turn: Fraction) -> List[float]:
-    """Float lower bound on log|b/j - r e^(2 pi i turn)| per scheduled zero b.
-
-    With |b/j| and r the two moduli and delta the angle between them,
-    |b/j - p|^2 is the square of the modulus gap ||b/j| - r| plus the
-    square of the angular part 2 sqrt(|b/j| r) |sin(delta/2)|, so the
-    distance is at least the larger part.  Each part is bounded below from
-    float logs with first-order rounding bounds (-inf where rounding could
-    close it, as on the ring the rule pins), and the larger one is lowered
-    by _SCREEN_SLACK on top.
-    """
-    log_j = math.log(j)
-    log_num, log_den = math.log(r.numerator), math.log(r.denominator)
-    v = log_num - log_den  # log r
-    theta = 2 * math.pi * float(turn)
-    out = []
-    for log_r, angle in _float_constants(schedule):
-        u = log_r - log_j  # log |b/j|
-        e = 8 * _EPS * (abs(log_r) + log_j + log_num + log_den + 1)  # rounding of u and v
-        gap = abs(u - v) * (1 - _EPS) - e
-        lg = max(u, v) - e + math.log(-math.expm1(-gap)) if gap > 0 else -math.inf
-        sin = abs(math.sin((angle - theta) / 2)) - 8 * _EPS * (abs(angle) + abs(theta) + 1)
-        la = math.log(2) + (u + v - e) / 2 + math.log(sin) if sin > 0 else -math.inf
-        bound = max(lg, la)
-        out.append(bound - 8 * _EPS * (abs(bound) + 1) - _SCREEN_SLACK)
-    return out
 
 
 def _zero_distance(schedule: ZeroSchedule, j: int, r: Fraction,
@@ -579,7 +556,8 @@ def order_report(
     rules claim the origin alone.  Certificates cover the origin and the
     first `depth` enumerated angles at delta = 1/100, so a certificate
     passes when its last distance is below r/100; any failure marks the
-    report inconclusive and lists the failing targets.
+    report inconclusive and lists the failing targets.  The k range runs
+    up to rule.k_cap(schedule), by default over its last five indices.
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, not {depth}")
@@ -588,13 +566,19 @@ def order_report(
     if rule.pins_rings and tree is None:
         raise ValueError(f"{rule.describe()} claims sector {sector}, "
                          "which has no source set in this schedule")
+    cap = rule.k_cap(schedule)
     if k_range is None:
-        hi = rule.k_cap(schedule)
-        lo = max(depth + 1, hi - 4, sector)  # sector rules need k >= t
-        k_range = range(lo, hi + 1)
+        lo = max(depth + 1, cap - 4, sector)  # sector rules need k >= t
+        k_range = range(lo, cap + 1)
     if not k_range:
         raise ValueError("no dilation index to probe: the schedule is too small "
                          "for the depth, or the k range is empty")
+    # past the cap j_k needs the radii continued beyond the ladder, whose
+    # bit lengths grow like Fibonacci numbers; a schedule without zeros is
+    # refused by the certificates instead
+    if schedule.zeros and max(k_range) > cap:
+        raise ValueError(f"k = {max(k_range)} is past the last index this schedule "
+                         f"supports for {rule.describe()}: k <= {cap}")
 
     delta = Fraction(1, 100)
     certs: List[Certificate] = [

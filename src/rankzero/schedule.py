@@ -213,9 +213,24 @@ class ZeroSchedule:
 
     def __post_init__(self) -> None:
         """The evaluator relies on these for built and loaded schedules alike:
-        rings ascend within 1..n_max (so truncations are prefixes) and each
-        zero sits exactly on its ring's radius of a validated ladder."""
+        rings ascend within 1..n_max (so truncations are prefixes), each
+        zero sits exactly on its ring's radius of a validated ladder at a
+        turn in [0, 1), and it comes from a sector with a source set (the
+        row layout's zeros carry no sector and come from set 0).  Variant,
+        alpha and nu agree as the builders set them."""
+        successor_rank = predecessor(self.alpha) is not None
+        fits = {
+            "rows": type(self.nu) is int and self.nu >= 1 and successor_rank,
+            "sectors": self.nu is None and successor_rank,
+            "limit": self.nu is None and self.alpha.is_limit,
+        }
+        if not fits.get(self.variant, False):
+            raise ValueError(f"variant {self.variant!r} does not fit alpha "
+                             f"{format_ordinal(self.alpha)} and nu {self.nu!r}")
+        if self.angles.keys() != self.sources.keys():
+            raise ValueError("angles and sources must list the same sectors")
         validate_radii(self.radii)
+        rows = self.variant == "rows"
         prev = 1
         for i, zero in enumerate(self.zeros, start=1):
             if not prev <= zero.ring <= self.radii.n_max:
@@ -224,6 +239,11 @@ class ZeroSchedule:
             if zero.log_r != self.radii.log_radius(zero.ring):
                 raise ValueError(f"zero {i}: log_r {zero.log_r} is not the log "
                                  f"radius of ring {zero.ring}")
+            if not 0 <= zero.turn < 1:
+                raise ValueError(f"zero {i}: turn {zero.turn} outside [0, 1)")
+            if (zero.sector is None) != rows or (zero.sector or 0) not in self.sources:
+                raise ValueError(f"zero {i}: sector {zero.sector} is not a sector "
+                                 f"of this {self.variant} schedule")
             prev = zero.ring
 
     def __len__(self) -> int:
@@ -427,6 +447,8 @@ def schedule_from_json(obj: dict) -> ZeroSchedule:
         Zero(z["row"], Fraction(z["log_r"]), Fraction(z["turn"]), z["sector"])
         for z in obj["zeros"]
     )
+    if not (isinstance(obj["angles"], dict) and isinstance(obj["sources"], dict)):
+        raise ValueError("angles and sources must be objects keyed by sector")
     angles = {
         int(k): tuple(Fraction(a) for a in v) for k, v in obj["angles"].items()
     }

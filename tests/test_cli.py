@@ -1,19 +1,26 @@
+import copy
 import hashlib
 import json
+import math
+import operator
 import os
 import platform
 import subprocess
 import sys
 from fractions import Fraction as F
+from functools import reduce
 from pathlib import Path
 
 import mpmath
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 import rankzero
 from rankzero.cli import main
 from rankzero.evaluator import default_precision
+from rankzero.probe import InconclusiveProbe
+from rankzero.schedule import build_row_schedule, schedule_to_json
 
 
 @pytest.fixture()
@@ -134,7 +141,24 @@ class TestVerify:
         assert payload["all_passed"]
 
 
+def _one_zero_schedule(turn="1/8", sector=None, **fields):
+    """A hand-written one-zero row schedule as JSON, with the zero's turn
+    and sector and any top-level fields replaced."""
+    zero = {"row": 1, "log_r": "1", "turn": turn, "sector": sector}
+    return json.dumps({
+        "variant": "rows", "alpha": "3", "nu": 1, "log_radii": ["1", "2", "3"],
+        "zeros": [zero], "angles": {"0": ["1/8"]},
+        "sources": {"0": {"kind": "leaf", "angle": "1/8"}}, **fields,
+    })
+
+
 class TestFailures:
+    def test_one_zero_schedule_loads(self, runner, tmp_path):
+        # the malformed cases below each break one field of this schedule
+        good = tmp_path / "good.json"
+        good.write_text(_one_zero_schedule())
+        run(runner, "eval", "--schedule", str(good), "--out", str(tmp_path / "x.csv"))
+
     def test_usage_error_from_bad_ordinal(self, runner, tmp_path):
         result = runner.invoke(
             main, ["build-set", "--alpha", "x", "--out", str(tmp_path / "o.json")]
@@ -205,6 +229,27 @@ class TestFailures:
                    '"arc": {"center": "1/8", "half_width": "1/96"}, "kids": {"kind": '
                    '"picked", "alpha": "0", "base": {"kind": "apex", "ranks": {"kind": '
                    '"const", "value": "2"}}}, "with_apex": false}'),
+        # a turn of 10^400, whose residue mod 1 a float or 230 bits loses
+        ("eval", _one_zero_schedule(turn="1e400")),
+        ("probe", _one_zero_schedule(turn="1e400")),
+        ("eval", _one_zero_schedule(turn="-1/8")),
+        # a JSON number past the float range, 1e400 or Infinity, reads as inf
+        ("eval", _one_zero_schedule(turn=math.inf)),
+        ("probe", _one_zero_schedule(log_radii=["1", "2", "Infinity"]).replace(
+            '"Infinity"', "1e400")),
+        ("eval", _one_zero_schedule(angles="x")),
+        ("eval", _one_zero_schedule(sources=[])),
+        ("eval", _one_zero_schedule(sources=None)),
+        ("eval", _one_zero_schedule(angles={"0": ["1/8"], "1": []})),
+        # variant, alpha, nu and the zeros' sectors disagree
+        ("eval", _one_zero_schedule(nu="x")),
+        ("probe", _one_zero_schedule(nu=0)),
+        ("eval", _one_zero_schedule(variant=5)),
+        ("eval", _one_zero_schedule(alpha="w")),
+        ("eval", _one_zero_schedule(sector=7)),
+        ("probe", _one_zero_schedule(sector=7)),
+        ("eval", _one_zero_schedule(variant="sectors")),
+        ("eval", _one_zero_schedule(variant="limit", nu=None)),
     ])
     def test_malformed_input_is_a_usage_error(self, runner, tmp_path, command, content):
         bad = tmp_path / "bad.json"
@@ -269,6 +314,10 @@ class TestBadArguments:
         ("rows", ["eval", "--grid", "annulus:n=3,samples=0"], "samples must be >= 1"),
         ("no-zeros", ["probe", "--rule", "geometric-mean:L=1", "--k", "1..2"],
          "schedule has no zeros"),
+        # past the last ring j_k needs radii whose bit lengths grow like
+        # Fibonacci numbers: ring 40 alone takes about 2.4e8 bits
+        ("rows", ["probe", "--rule", "ratio-plus:r=1/2", "--k", "5..40"], "k <= 10"),
+        ("sectors", ["probe", "--rule", "sector:r=1/2,t=2", "--k", "2..5"], "k <= 4"),
     ])
     def test_usage_error(self, runner, tmp_path, schedules, layout, args, message):
         out = tmp_path / "o"
@@ -278,6 +327,15 @@ class TestBadArguments:
         )
         assert result.exit_code == 2, result.output
         assert message in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bits", ["-5", "0", "63"])
+    def test_precision_below_64_is_a_usage_error(self, runner, tmp_path, schedules, bits):
+        out = tmp_path / "o"
+        result = runner.invoke(main, ["--precision", bits, "eval", "--schedule",
+                                      str(schedules["rows"]), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "--precision" in result.output
         assert not out.exists()
 
     def test_usage_error_through_entry(self, tmp_path, schedules):
@@ -348,3 +406,61 @@ class TestPrecision:
         run(runner, "build-set", "--alpha", "2", "--out", str(tmp_path / "a.json"))
         manifest = json.loads((tmp_path / "a.json.manifest.json").read_text())
         assert manifest["precision_bits"] == 200
+
+
+def _json_paths(obj, path=()):
+    """Every path of keys and indices into a JSON value, the empty path for
+    the value itself included."""
+    yield path
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return
+    for key, value in items:
+        yield from _json_paths(value, path + (key,))
+
+
+def _with_field(obj, path, value):
+    """A copy of the JSON value obj with the field at path replaced."""
+    if not path:
+        return value
+    obj = copy.deepcopy(obj)
+    reduce(operator.getitem, path[:-1], obj)[path[-1]] = value
+    return obj
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(10**18, 10**400)
+    | st.floats() | st.text(max_size=6)
+    | st.sampled_from(["1e400", "-1e400", "1/0", "-1/8", "9/8", "w", "0", "1", "10",
+                       math.inf, -math.inf]),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=4), kids,
+                                                              max_size=3),
+    max_leaves=6,
+)
+
+
+@pytest.fixture(scope="module")
+def four_ring_schedule():
+    return schedule_to_json(build_row_schedule(3, 1, 4))
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_corrupt_schedule_field_exits_cleanly(four_ring_schedule, data):
+    """eval and probe on a schedule with one field replaced by any JSON
+    value succeed, refuse it as a usage error or report an inconclusive
+    probe; nothing else escapes."""
+    path = data.draw(st.sampled_from(list(_json_paths(four_ring_schedule))), label="path")
+    value = data.draw(json_values, label="value")
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        Path("s.json").write_text(json.dumps(_with_field(four_ring_schedule, path, value)))
+        for command, *rest in (["eval", "--grid", "ring:n=2,samples=4"],
+                               ["probe", "--rule", "ratio-plus:r=1/2", "--depth", "1"]):
+            result = runner.invoke(main, [command, "--schedule", "s.json", *rest,
+                                          "--out", "o"])
+            assert result.exit_code in (0, 2) or isinstance(
+                result.exception, InconclusiveProbe), (command, result.exception)

@@ -2,11 +2,20 @@ import hashlib
 import json
 import random
 from fractions import Fraction as F
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rankzero.ordinal import OMEGA, Ordinal, fundamental_sequence, parse_ordinal
+from rankzero.ordinal import (
+    OMEGA,
+    ZERO,
+    Ordinal,
+    fundamental_sequence,
+    ordinal_add,
+    parse_ordinal,
+    predecessor,
+)
 from rankzero.pointset import (
     Arc,
     Leaf,
@@ -172,6 +181,18 @@ class TestDerive:
 small_alphas = st.sampled_from(["1", "2", "3", "4", "w", "w+1", "w*2"]).map(parse_ordinal)
 
 
+def ordinals_up_to(top: str):
+    """Ordinals at most top, as sums of up to three terms w^e * c with e in
+    0..3, w, w+1 and c in 1..3."""
+    exponents = [o(e) for e in ("0", "1", "2", "3", "w", "w+1")]
+    top = o(top)
+    return st.lists(
+        st.tuples(st.sampled_from(exponents), st.integers(1, 3)), max_size=3
+    ).map(
+        lambda pairs: reduce(ordinal_add, (Ordinal.omega_power(e, c) for e, c in pairs), ZERO)
+    ).filter(lambda a: a <= top)
+
+
 class TestProperties:
     @given(small_alphas, st.integers(1, 3), st.integers(1, 4))
     @settings(max_examples=40, deadline=None)
@@ -187,6 +208,15 @@ class TestProperties:
         earlier = derive(tree, k)
         for angle in materialize(later, 2, 2):
             assert member(earlier, angle)
+
+    @given(ordinals_up_to("w^(w+1)*2+3").filter(lambda a: not a.is_zero),
+           st.integers(1, 3), ordinals_up_to("w^(w+1)"), ordinals_up_to("w^(w+1)"))
+    @settings(max_examples=150, deadline=None)
+    def test_stages_compose_by_ordinal_sum(self, alpha, nu, a, b):
+        if predecessor(alpha) is None:
+            nu = 1
+        tree = build_rank_set(alpha, nu, HOST)
+        assert derive(derive(tree, a), b) == derive(tree, ordinal_add(a, b))
 
     @given(small_alphas, st.integers(1, 2))
     @settings(max_examples=30, deadline=None)

@@ -1,3 +1,4 @@
+import inspect
 import math
 from fractions import Fraction as F
 
@@ -234,6 +235,26 @@ class TestDilationFactors:
     def test_rejects_k_below_one(self, radii):
         with pytest.raises(ValueError):
             dilation_factor(RatioPlus(F(1, 2)), radii, 0)
+
+    @pytest.mark.parametrize("check, most", [
+        (verification.check_zero_clustering, 10),  # 50 when each use recomputes
+        (verification.check_geometric_mean_immunity, 5),  # 35 likewise
+    ])
+    def test_criteria_compute_each_factor_once(self, monkeypatch, check, most):
+        # tracing wraps plain functions only, so the memo sits behind one
+        assert inspect.isfunction(probe.dilation_factor)
+        floors = []
+        certified_floor = probe._certified_floor
+
+        def counted(*args):
+            floors.append(args)
+            return certified_floor(*args)
+
+        monkeypatch.setattr(probe, "_certified_floor", counted)
+        probe._dilation_factor.cache_clear()
+        with precision_scope(200):
+            assert check().passed
+        assert len(floors) <= most
 
     def test_strictly_increasing_enforced(self, radii):
         class Listed:
