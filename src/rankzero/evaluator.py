@@ -19,6 +19,10 @@ exceed the radius two rings below the truncation.
 No certified tail is claimed for the logarithmic derivative; its consumers
 only use self-consistency and monotone comparisons.
 
+Only log_eval and family_eval truncate, to their rows_used argument; every
+other entry point reads all the rings of the schedule it is given, so a
+caller that wants fewer rings passes a shorter schedule.
+
 Four searches screen, then certify: a float pass bounds every candidate,
 and _screened evaluates at full precision only where that can decide the
 result, so only full-precision values are reported.  _screened visits the
@@ -336,54 +340,47 @@ def family_eval(
         return log_eval(schedule, z.scaled_by_int(j), rows_used)
 
 
-def log_derivative(
-    schedule: ZeroSchedule, z: LogPolar, rows_used: Optional[int] = None
-) -> LogPolar:
-    """Truncated logarithmic derivative: sum of 1/(z - b) over included
+def log_derivative(schedule: ZeroSchedule, z: LogPolar) -> LogPolar:
+    """Truncated logarithmic derivative: sum of 1/(z - b) over the scheduled
     zeros.  Carries no certified tail; use it only for self-consistency and
     monotone comparisons."""
-    end = schedule.through(_rows(schedule, rows_used))
     with mp.workprec(default_precision() + _GUARD):
-        if _hit(schedule, z, end) is not None:
+        if _hit(schedule, z, len(schedule)) is not None:
             raise ValueError("logarithmic derivative has a pole at a scheduled zero")
         zc = z.to_complex()
         total = mp.mpc(0)
-        for log_r, angle in _zero_constants(schedule)[:end]:
+        for log_r, angle in _zero_constants(schedule):
             total += 1 / (zc - mp.exp(mp.mpc(log_r, angle)))
         return LogPolar.from_complex(total)
 
 
-def _derivative_at_zero(schedule: ZeroSchedule, hit: int, end: int):
+def _derivative_at_zero(schedule: ZeroSchedule, hit: int):
     """log |f'(b)| at the scheduled zero b = schedule.zeros[hit]: the product
-    over every other entry of schedule.zeros[:end] of |1 - b/b'|, divided
-    by |b|; -inf when b is listed twice, a double zero."""
-    table = _zero_constants(schedule)[:end]
+    over every other entry of schedule.zeros of |1 - b/b'|, divided by |b|;
+    -inf when b is listed twice, a double zero."""
+    table = _zero_constants(schedule)
     log_b, angle_b = table[hit]
     mag, _ = _log_product(table[:hit] + table[hit + 1:], log_b, angle_b)
     return mag - log_b
 
 
-def spherical_derivative(
-    schedule: ZeroSchedule, j: int, z: LogPolar, rows_used: Optional[int] = None
-) -> object:
+def spherical_derivative(schedule: ZeroSchedule, j: int, z: LogPolar) -> object:
     """|f'(w)| / (1 + |f(w)|^2) at w = j*z, in overflow-safe log arithmetic.
 
     At a scheduled zero this is |f'(w)| exactly.  The dilation chain factor
     j belongs to the family member, not to this quantity; sweeps that need
     the family's derivative multiply by j themselves.
     """
-    rows = _rows(schedule, rows_used)
-    end = schedule.through(rows)
     with mp.workprec(default_precision() + _GUARD):
         w = z.scaled_by_int(j) if j != 1 else z
-        hit = _hit(schedule, w, end)
+        hit = _hit(schedule, w, len(schedule))
         if hit is not None:
-            return mp.exp(_derivative_at_zero(schedule, hit, end))
-        fv = log_eval(schedule, w, rows)
+            return mp.exp(_derivative_at_zero(schedule, hit))
+        fv = log_eval(schedule, w)
         if fv.value.is_zero:  # numeric zero without exact tag
             return mp.inf
         lf = fv.value.log_mag
-        ld = log_derivative(schedule, w, rows)
+        ld = log_derivative(schedule, w)
         if ld.is_zero:
             return mp.mpf(0)
         log_fprime = ld.log_mag + lf
@@ -423,11 +420,11 @@ def _log_sigmoid_peak(x: float) -> float:
     return x - math.log1p(math.exp(2 * x))
 
 
-def _float_log_sum(schedule: ZeroSchedule, j: int, z: LogPolar, rows: int):
-    """Floats (lf, err_lf, S, err_S) at w = j z over the zeros of the first
-    rows rings: lf approximates log|f(w)| and S the sum of e^s / (e^s - 1)
-    with s = log w - log b per zero b; err_lf and err_S are first-order
-    bounds on their rounding.
+def _float_log_sum(schedule: ZeroSchedule, j: int, z: LogPolar):
+    """Floats (lf, err_lf, S, err_S) at w = j z over the scheduled zeros:
+    lf approximates log|f(w)| and S the sum of e^s / (e^s - 1) with
+    s = log w - log b per zero b; err_lf and err_S are first-order bounds
+    on their rounding.
 
     Each factor uses the three branches of _log_one_minus_exp in floats (the
     expm1 form for e^s - 1 in the middle one).  None where floats cannot
@@ -440,7 +437,7 @@ def _float_log_sum(schedule: ZeroSchedule, j: int, z: LogPolar, rows: int):
     log_j = math.log(j)
     x = log_z + log_j
     y = float(z.phase)
-    table = _float_constants(schedule)[:schedule.through(rows)]
+    table = _float_constants(schedule)
     lf = err_lf = abs_lf = 0.0
     total = 0j
     err_total = abs_total = 0.0
@@ -479,8 +476,8 @@ def _float_log_sum(schedule: ZeroSchedule, j: int, z: LogPolar, rows: int):
     return lf, err_lf, total, err_total
 
 
-def _spherical_log_bound(schedule: ZeroSchedule, j: int, z: LogPolar, rows: int) -> float:
-    """Float upper bound U on log(j * spherical_derivative(schedule, j, z, rows)).
+def _spherical_log_bound(schedule: ZeroSchedule, j: int, z: LogPolar) -> float:
+    """Float upper bound U on log(j * spherical_derivative(schedule, j, z)).
 
     With w = j z and S as in _float_log_sum, f'/f(w) = S / w, so the
     logarithm of j f#(w) is -log|z| + log|S| + log|f| - log(1 + |f|^2); U
@@ -489,7 +486,7 @@ def _spherical_log_bound(schedule: ZeroSchedule, j: int, z: LogPolar, rows: int)
     U is +inf where _float_log_sum gives up and where S cancels below its
     error bound, which includes the empty product.
     """
-    terms = _float_log_sum(schedule, j, z, rows)
+    terms = _float_log_sum(schedule, j, z)
     if terms is None:
         return math.inf
     lf, err_lf, total, err_total = terms
@@ -500,7 +497,7 @@ def _spherical_log_bound(schedule: ZeroSchedule, j: int, z: LogPolar, rows: int)
     return -float(z.log_mag) + math.log(abs(total) + err_total) + peak + _SCREEN_SLACK
 
 
-def _floor_log_bound(schedule: ZeroSchedule, j: int, z: LogPolar, rows: int) -> float:
+def _floor_log_bound(schedule: ZeroSchedule, j: int, z: LogPolar) -> float:
     """Float lower bound on log|f(j z)| minus _tail_bound at j z: the float
     log|f| less its rounding bound and _SCREEN_SLACK, less the tail.
 
@@ -508,10 +505,11 @@ def _floor_log_bound(schedule: ZeroSchedule, j: int, z: LogPolar, rows: int) -> 
     Runs at the working precision of log_eval, so the tail is the one
     log_eval reports.
     """
-    terms = _float_log_sum(schedule, j, z, rows)
+    terms = _float_log_sum(schedule, j, z)
     if terms is None:
         return -math.inf
     log_w = z.scaled_by_int(j).log_mag
+    rows = schedule.n_rings
     if not _tail_hypothesis(schedule, log_w, rows):
         return -math.inf
     lf, err_lf, _, _ = terms
@@ -571,14 +569,11 @@ def _screened(bounds: Sequence[float], certify) -> dict:
     return values
 
 
-def family_floor(
-    schedule: ZeroSchedule, j: int, points: Sequence[LogPolar],
-    rows_used: Optional[int] = None,
-):
+def family_floor(schedule: ZeroSchedule, j: int, points: Sequence[LogPolar]):
     """Certified floor of log|f_j| on the points: the least
-    EvalResult.floor of family_eval(schedule, j, z, rows_used), the
-    difference taken at the caller's precision (-inf if some point misses
-    the tail hypothesis or hits a zero).
+    EvalResult.floor of family_eval(schedule, j, z), the difference taken
+    at the caller's precision (-inf if some point misses the tail
+    hypothesis or hits a zero).
 
     Screened (_screened) with _floor_log_bound, which is -inf at
     exact-tagged points, outside the tail hypothesis and wherever floats
@@ -586,12 +581,11 @@ def family_floor(
     """
     if not points:
         raise ValueError("the floor needs at least one point")
-    rows = _rows(schedule, rows_used)
     with mp.workprec(default_precision() + _GUARD):
-        bounds = [_floor_log_bound(schedule, j, z, rows) for z in points]
+        bounds = [_floor_log_bound(schedule, j, z) for z in points]
 
     def certify(k):
-        return family_eval(schedule, j, points[k], rows).floor
+        return family_eval(schedule, j, points[k]).floor
 
     return min(_screened(bounds, certify).values())
 
@@ -655,11 +649,11 @@ def _ray_arcs(schedule: ZeroSchedule) -> list:
     return arcs
 
 
-def _sector_ring(schedule: ZeroSchedule, z: LogPolar, alpha0, arcs, rows: int) -> int:
+def _sector_ring(schedule: ZeroSchedule, z: LogPolar, alpha0, arcs) -> int:
     """The ring index n with a_n < |z| <= a_{n+1}, once z is checked:
     ValueError unless |z| exceeds the first radius, the ray of z keeps
-    alpha0 away from every arc of _ray_arcs, and the truncation to rows
-    rings meets the tail hypothesis at z."""
+    alpha0 away from every arc of _ray_arcs, and the schedule meets the
+    tail hypothesis at z."""
     if z.is_zero or z.log_mag <= _mpf_fraction(schedule.radii.log_radius(1)):
         raise ValueError("modulus must exceed the first radius")
     n = 1
@@ -670,8 +664,9 @@ def _sector_ring(schedule: ZeroSchedule, z: LogPolar, alpha0, arcs, rows: int) -
     for center, half_width, message in arcs:
         if two_pi * (_turn_gap(turn, center) - half_width) < alpha0:
             raise ValueError(message)
-    if not _tail_hypothesis(schedule, z.log_mag, rows):
-        raise ValueError("tail hypothesis fails: raise rows_used")
+    if not _tail_hypothesis(schedule, z.log_mag, schedule.n_rings):
+        raise ValueError("tail hypothesis fails: the schedule has too few rings "
+                         "for this modulus")
     return n
 
 
@@ -693,12 +688,7 @@ def _checked_alpha0(alpha0):
     return alpha0
 
 
-def sector_bound_check(
-    schedule: ZeroSchedule,
-    z: LogPolar,
-    alpha0,
-    rows_used: Optional[int] = None,
-) -> SectorBoundReport:
+def sector_bound_check(schedule: ZeroSchedule, z: LogPolar, alpha0) -> SectorBoundReport:
     """Check the off-ray divergence bound at z.
 
     With n the ring index satisfying a_n < |z| <= a_{n+1} and the ray of z
@@ -709,21 +699,17 @@ def sector_bound_check(
     truncation tail bound, which is a lower bound on log|f(z)| up to the
     rounding of the main sum, is at least log K_n.
     """
-    rows = _rows(schedule, rows_used)
     with mp.workprec(default_precision() + _GUARD):
         alpha0 = _checked_alpha0(alpha0)
-        n = _sector_ring(schedule, z, alpha0, _ray_arcs(schedule), rows)
-        res = log_eval(schedule, z, rows)
+        n = _sector_ring(schedule, z, alpha0, _ray_arcs(schedule))
+        res = log_eval(schedule, z)
         certified = res.floor
         rhs = _divergence_bound(n, alpha0)
         return SectorBoundReport(n, res.value.log_mag, certified, rhs, bool(certified >= rhs))
 
 
 def sector_divergence(
-    schedule: ZeroSchedule,
-    points: Sequence[LogPolar],
-    alpha0,
-    rows_used: Optional[int] = None,
+    schedule: ZeroSchedule, points: Sequence[LogPolar], alpha0
 ) -> SectorDivergence:
     """sector_bound_check at every point, reduced to what a divergence claim
     reports: each point's ring and pass flag, and the floor, the least
@@ -739,16 +725,15 @@ def sector_divergence(
     """
     if not points:
         raise ValueError("the floor needs at least one point")
-    rows = _rows(schedule, rows_used)
     with mp.workprec(default_precision() + _GUARD):
         alpha0 = _checked_alpha0(alpha0)
         arcs = _ray_arcs(schedule)
-        rings = tuple(_sector_ring(schedule, z, alpha0, arcs, rows) for z in points)
+        rings = tuple(_sector_ring(schedule, z, alpha0, arcs) for z in points)
         log_k = {n: _divergence_bound(n, alpha0) for n in set(rings)}
-        bounds = [_floor_log_bound(schedule, 1, z, rows) for z in points]
+        bounds = [_floor_log_bound(schedule, 1, z) for z in points]
 
         def certify(k):
-            return log_eval(schedule, points[k], rows).floor
+            return log_eval(schedule, points[k]).floor
 
         certified = _screened(bounds, certify)
         floor = min(certified.values())

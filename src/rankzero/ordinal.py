@@ -2,9 +2,8 @@
 
 Every value is a finite sum w^e1*c1 + ... + w^ek*ck with ordinal exponents
 e1 > e2 > ... > ek and positive integer coefficients.  Values are immutable,
-hashable and totally ordered.  Limit ordinals carry fundamental sequences in
-the Wainer convention, and the set of ordinals below a given bound has a
-fixed dovetailed enumeration (ordered by description size, ties broken by
+hashable and totally ordered.  The set of ordinals below a given bound has
+a fixed dovetailed enumeration (ordered by description size, ties broken by
 ordinal order) so that every construction seeded by it is reproducible.
 
 Text syntax, round-tripped exactly by parse_ordinal/format_ordinal:
@@ -30,7 +29,6 @@ __all__ = [
     "successor",
     "ordinal_add",
     "ordinal_sub_left",
-    "fundamental_sequence",
     "enumerate_below",
     "parse_ordinal",
     "format_ordinal",
@@ -169,29 +167,6 @@ def ordinal_sub_left(a: Ordinal, b: Ordinal) -> Ordinal:
         return Ordinal(((eb, cb - ca),) + b.terms[i + 1:])
     # a's term is dominated; the leading term of the suffix absorbs a's tail
     return Ordinal(b.terms[i:])
-
-
-def fundamental_sequence(a: Ordinal, n: int) -> Ordinal:
-    """The n-th member (n >= 1) of the Wainer sequence converging to a.
-
-    Conventions: fs(w, n) = n, fs(w^(e+1), n) = w^e * n, and for a limit
-    exponent fs(w^l, n) = w^fs(l, n); additive tails recurse on the last
-    term.  Strictly increasing in n with supremum a.
-    """
-    if n < 1:
-        raise ValueError("fundamental sequence index must be >= 1")
-    if not a.is_limit:
-        raise ValueError(f"{a} is not a limit ordinal")
-    exp, coeff = a.terms[-1]
-    prefix = a.terms[:-1] if coeff == 1 else a.terms[:-1] + ((exp, coeff - 1),)
-    pe = predecessor(exp)
-    if pe is not None:
-        step = Ordinal(((pe, n),)) if not pe.is_zero else Ordinal.from_int(n)
-    else:
-        step = Ordinal.omega_power(fundamental_sequence(exp, n))
-    if not prefix:
-        return step
-    return ordinal_add(Ordinal(prefix), step)
 
 
 # -- enumeration of the ordinals below a bound ------------------------------

@@ -40,7 +40,6 @@ from .evaluator import (
     LogPolar,
     _distance_log_bounds,
     _mpf_fraction,
-    _rows,
     _screened,
     _spherical_log_bound,
     _tail_hypothesis,
@@ -214,10 +213,15 @@ def _floor_over_r(log_radius: Fraction, r: Fraction) -> int:
 
 def dilation_factor(rule: DilationRule, radii: RadiiSequence, k: int) -> int:
     """Exact j_k for the rule (arbitrary-precision integer), computed once
-    per rule, ladder and k."""
+    per rule, ladder and k.  ValueError unless j_k >= 1: f(0 z) is not a
+    member of the family {f(nz) : n >= 1}."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return _dilation_factor(rule, radii, k)
+    j = _dilation_factor(rule, radii, k)
+    if j < 1:
+        raise ValueError(f"{rule.describe()} gives j_{k} = {j}; "
+                         "dilation factors must be >= 1")
+    return j
 
 
 @lru_cache(maxsize=None)
@@ -246,7 +250,7 @@ def dilation_factors(rule: DilationRule, radii: RadiiSequence,
 @dataclass(frozen=True)
 class Classification:
     branch: str  # "toward-lower" | "toward-upper" | "neither"
-    trail: Tuple[Tuple[int, float, float], ...]  # (k, lower gap, upper gap)
+    trail: Tuple[Tuple[int, Optional[float], float], ...]  # (k, lower gap, upper gap)
 
 
 def classify(rule: DilationRule, radii: RadiiSequence,
@@ -256,8 +260,9 @@ def classify(rule: DilationRule, radii: RadiiSequence,
 
     The lower gap is log(j_k * r) - log a_n with n the largest index
     whose radius does not exceed j_k * r; the upper gap is the distance
-    to the next radius.  One gap shrinking to zero monotonically marks the
-    branch; anything else is neither (both gaps diverge for the
+    to the next radius.  Below a_1 there is no lower gap (None) and the
+    upper gap runs to a_1.  One gap shrinking to zero monotonically marks
+    the branch; anything else is neither (both gaps diverge for the
     geometric-mean rule).
     """
     r = rule.r
@@ -277,15 +282,15 @@ def _branch(radii: RadiiSequence, k_range: Sequence[int], xs: List) -> Classific
     trail = []
     lows, highs = [], []
     for k, x in zip(k_range, xs):
-        n = 1
+        n = 0  # the largest index with a_n <= x, 0 below a_1
         while _mpf_fraction(radii.log_radius(n + 1)) <= x:
             n += 1
         with mp.workprec(mp.prec + 2 * _magnitude_bits(radii.log_radius(n + 1))):
-            gl = x - _mpf_fraction(radii.log_radius(n))
+            gl = x - _mpf_fraction(radii.log_radius(n)) if n else None
             gu = _mpf_fraction(radii.log_radius(n + 1)) - x
         lows.append(gl)
         highs.append(gu)
-        trail.append((k, float(gl), float(gu)))
+        trail.append((k, None if gl is None else float(gl), float(gu)))
     branch = "neither"
     if _shrinks(lows):
         branch = "toward-lower"
@@ -295,7 +300,7 @@ def _branch(radii: RadiiSequence, k_range: Sequence[int], xs: List) -> Classific
 
 
 def _shrinks(gaps: List) -> bool:
-    if any(g < 0 for g in gaps):
+    if any(g is None or g < 0 for g in gaps):
         return False
     nonincreasing = all(b <= a for a, b in zip(gaps, gaps[1:]))
     return nonincreasing and (gaps[-1] == 0 or gaps[-1] < gaps[0])
@@ -458,7 +463,6 @@ def condition_m_sweep(
     points: Sequence[Tuple[Fraction, Fraction]],
     rule: DilationRule,
     n_range: Sequence[int],
-    rows_used: Optional[int] = None,
 ) -> List[SweepRow]:
     """Sample the dilated family's spherical derivative on closed disks of
     radius 1/n around each point (given as (turn, modulus) pairs).
@@ -473,7 +477,6 @@ def condition_m_sweep(
     maximum, so each row's maximum is the number an exhaustive sweep
     returns.
     """
-    rows = _rows(schedule, rows_used)
     out: List[SweepRow] = []
     with mp.workprec(default_precision() + _GUARD):
         for n in n_range:
@@ -485,15 +488,15 @@ def condition_m_sweep(
                     mp.mpc(0, 2 * mp.pi * _mpf_fraction(turn))
                 )
                 top_log = mp.log(mp.mpf(j)) + mp.log(abs(center) + radius)
-                valid = _tail_hypothesis(schedule, top_log, rows)
+                valid = _tail_hypothesis(schedule, top_log, schedule.n_rings)
                 mesh = _mesh(center, radius, schedule, j)
                 sds = {}
 
                 def certify(k):
-                    sds[k] = mp.mpf(j) * spherical_derivative(schedule, j, mesh[k], rows)
+                    sds[k] = mp.mpf(j) * spherical_derivative(schedule, j, mesh[k])
                     return -mp.log(sds[k])
 
-                _screened([-_spherical_log_bound(schedule, j, z, rows) for z in mesh], certify)
+                _screened([-_spherical_log_bound(schedule, j, z) for z in mesh], certify)
                 out.append(SweepRow(n, i, max(sds.values()), bool(valid)))
     return out
 

@@ -276,7 +276,7 @@ def check_sector_divergence() -> CheckResult:
     details = []
     floor_by_ring = {}
     for n in range(3, 9):
-        div = sector_divergence(s, _divergence_samples(s, n), 0.3, 12)
+        div = sector_divergence(s, _divergence_samples(s, n), 0.3)
         all_pass = all(div.passed) and all(ring == n for ring in div.rings)
         floor_by_ring[n] = div.floor
         ok = ok and all_pass
@@ -338,7 +338,7 @@ def check_geometric_mean_immunity() -> CheckResult:
         cert_fail = cert_fail and not cert.passed
     details.append(f"all clustering certificates fail: {cert_fail}")
     circle = [LogPolar(-mp.log(mp.mpf(2)), 2 * mp.pi * i / 36 - mp.pi) for i in range(36)]
-    floors = [family_floor(s, dilation_factor(rule, s.radii, k), circle, 12)
+    floors = [family_floor(s, dilation_factor(rule, s.radii, k), circle)
               for k in range(4, 9)]
     growing = all(a < b for a, b in zip(floors, floors[1:]))
     above = all(f > k for f, k in zip(floors, range(4, 9)))

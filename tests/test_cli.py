@@ -67,6 +67,19 @@ class TestPipelines:
         assert lines[0] == "log_r,turn,log_mag,phase,tail_bound,valid"
         assert len(lines) == 65
 
+    def test_build_zeros_then_eval_on_an_annulus(self, runner, tmp_path):
+        sched = tmp_path / "s.json"
+        csv = tmp_path / "field.csv"
+        run(runner, "build-zeros", "--alpha", "3", "--nu", "1", "--nmax", "6",
+            "--out", str(sched))
+        run(runner, "eval", "--schedule", str(sched), "--grid", "annulus:n=3,samples=4",
+            "--out", str(csv))
+        lines = csv.read_text().strip().splitlines()[1:]
+        radii = build_row_schedule(3, 1, 6).radii
+        assert len(lines) == 4
+        assert all(radii.log_radius(3) < F(line.split(",")[0]) <= radii.log_radius(4)
+                   for line in lines)
+
     def test_probe_report(self, runner, tmp_path):
         sched = tmp_path / "s.json"
         rep = tmp_path / "report.json"
@@ -318,6 +331,8 @@ class TestBadArguments:
         # Fibonacci numbers: ring 40 alone takes about 2.4e8 bits
         ("rows", ["probe", "--rule", "ratio-plus:r=1/2", "--k", "5..40"], "k <= 10"),
         ("sectors", ["probe", "--rule", "sector:r=1/2,t=2", "--k", "2..5"], "k <= 4"),
+        # floor(e^(3/2) / 10) = 0, and f(0 z) is no member of {f(nz) : n >= 1}
+        ("rows", ["probe", "--rule", "geometric-mean:L=1/10", "--k", "1..3"], "j_1 = 0"),
     ])
     def test_usage_error(self, runner, tmp_path, schedules, layout, args, message):
         out = tmp_path / "o"
@@ -327,6 +342,14 @@ class TestBadArguments:
         )
         assert result.exit_code == 2, result.output
         assert message in result.output
+        assert not out.exists()
+
+    def test_bad_rational_is_a_usage_error(self, runner, tmp_path):
+        out = tmp_path / "set.json"
+        result = runner.invoke(main, ["build-set", "--alpha", "2", "--arc-center", "1/0",
+                                      "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "bad rational '1/0'" in result.output
         assert not out.exists()
 
     @pytest.mark.parametrize("bits", ["-5", "0", "63"])

@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -35,6 +36,11 @@ def make_schedule(zeros, n_rings=6):
         "rows", as_ordinal(1), 1, radii, tuple(zeros),
         {0: tuple(sorted({z.turn for z in zeros}))}, {0: None},
     )
+
+
+def truncated(schedule, rows):
+    """The schedule cut to the zeros of its first rows rings."""
+    return replace(schedule, zeros=schedule.zeros[:schedule.through(rows)])
 
 
 @pytest.fixture(scope="module")
@@ -148,11 +154,6 @@ class TestLogEval:
 @pytest.mark.parametrize("rows", [-1, 13])
 @pytest.mark.parametrize("call", [
     pytest.param(lambda s, z, rows: log_eval(s, z, rows), id="log_eval"),
-    pytest.param(lambda s, z, rows: log_derivative(s, z, rows), id="log_derivative"),
-    pytest.param(lambda s, z, rows: spherical_derivative(s, 1, z, rows),
-                 id="spherical_derivative"),
-    pytest.param(lambda s, z, rows: sector_bound_check(s, z, 0.3, rows),
-                 id="sector_bound_check"),
 ])
 def test_rows_used_outside_the_schedule_is_rejected(sched, call, rows):
     with pytest.raises(ValueError, match=f"rows_used {rows} outside 0..12"):
@@ -180,32 +181,32 @@ class TestLogDerivative:
         s = make_schedule([Zero(1, F(1), F(0))])
         with mp.workprec(300):
             z = LogPolar(mp.mpf("0.5"), mp.mpf("1.0"))
-            got = log_derivative(s, z, 1).to_complex()
+            got = log_derivative(s, z).to_complex()
             expect = 1 / (z.to_complex() - mp.exp(mp.mpc(1, 0)))
             assert abs(got - expect) < mp.mpf("1e-50")
 
     def test_antipodal_pair_cancels_at_origin(self):
         s = make_schedule([Zero(1, F(1), F(0)), Zero(1, F(1), F(1, 2))])
-        got = log_derivative(s, LogPolar.origin(), 1)
+        got = log_derivative(s, LogPolar.origin())
         assert got.is_zero or got.log_mag < -100
 
     def test_pole_at_zero_rejected(self, sched):
         z = LogPolar.from_exact(F(1), sched.enumeration()[0])
         with pytest.raises(ValueError):
-            log_derivative(sched, z, 12)
+            log_derivative(sched, z)
 
     def test_truncation_stability(self, sched):
         z = LogPolar(mp.mpf(7), mp.mpf("2.0"))
-        d8 = log_derivative(sched, z, 8).to_complex()
-        d12 = log_derivative(sched, z, 12).to_complex()
+        d8 = log_derivative(truncated(sched, 8), z).to_complex()
+        d12 = log_derivative(sched, z).to_complex()
         assert abs(d8 - d12) / abs(d12) < mp.mpf("1e-6")
 
 
-def _exhaustive_floor(schedule, j, points, rows_used=None):
+def _exhaustive_floor(schedule, j, points):
     """The floor without screening: family_eval at every point."""
     values = []
     for z in points:
-        res = family_eval(schedule, j, z, rows_used)
+        res = family_eval(schedule, j, z)
         values.append(res.value.log_mag - res.tail_log_bound)
     return min(values)
 
@@ -219,48 +220,50 @@ def _zero_preimages(schedule, j, ring):
             for z in schedule.zeros_in_ring(ring)]
 
 
-# (rule, k, points, rows_used): criterion 8's circle |z| = 1/2; a ratio-plus
+# (schedule, rule, k, points): criterion 8's circle |z| = 1/2; a ratio-plus
 # circle next to the ring it pins, alone and with that ring's exact zero
-# preimages; a truncation whose tail hypothesis fails on the outer of two
-# circles; exact preimages alone
+# preimages; the first 10 rings, whose tail hypothesis fails on the outer
+# of two circles; exact preimages alone
 FLOOR_CASES = {
-    **{f"criterion-8-k{k}": (GeometricMean(F(1)), k, lambda s, j: _circle(-mp.log(2)), 12)
+    **{f"criterion-8-k{k}": (lambda s: s, GeometricMean(F(1)), k,
+                             lambda s, j: _circle(-mp.log(2)))
        for k in range(4, 9)},
-    "pinned-ring": (RatioPlus(F(1, 2)), 6, lambda s, j: _circle(-mp.log(2), 12), 12),
-    "pinned-ring-preimages": (RatioPlus(F(1, 2)), 6,
-                              lambda s, j: _circle(-mp.log(2), 12) + _zero_preimages(s, j, 6),
-                              12),
-    "two-circles-rows-10": (RatioPlus(F(1, 2)), 5,
-                            lambda s, j: _circle(mp.mpf(20), 12) + _circle(mp.mpf(30), 12), 10),
-    "preimages-only": (RatioPlus(F(1, 2)), 7, lambda s, j: _zero_preimages(s, j, 3), 12),
+    "pinned-ring": (lambda s: s, RatioPlus(F(1, 2)), 6, lambda s, j: _circle(-mp.log(2), 12)),
+    "pinned-ring-preimages": (lambda s: s, RatioPlus(F(1, 2)), 6,
+                              lambda s, j: _circle(-mp.log(2), 12) + _zero_preimages(s, j, 6)),
+    "two-circles-rows-10": (lambda s: truncated(s, 10), RatioPlus(F(1, 2)), 5,
+                            lambda s, j: _circle(mp.mpf(20), 12) + _circle(mp.mpf(30), 12)),
+    "preimages-only": (lambda s: s, RatioPlus(F(1, 2)), 7, lambda s, j: _zero_preimages(s, j, 3)),
 }
 
 
 class TestFloor:
     @pytest.mark.parametrize("case", sorted(FLOOR_CASES))
     def test_screened_floor_equals_exhaustive_floor(self, sched, case):
-        rule, k, make_points, rows = FLOOR_CASES[case]
-        j = dilation_factor(rule, sched.radii, k)
-        points = make_points(sched, j)
+        make, rule, k, make_points = FLOOR_CASES[case]
+        s = make(sched)
+        j = dilation_factor(rule, s.radii, k)
+        points = make_points(s, j)
         # mpf ==, at the caller's precision
-        assert family_floor(sched, j, points, rows) == _exhaustive_floor(sched, j, points, rows)
+        assert family_floor(s, j, points) == _exhaustive_floor(s, j, points)
 
     @pytest.mark.parametrize("case", sorted(FLOOR_CASES))
     def test_floor_bounds_are_below_every_certified_value(self, sched, case):
-        rule, k, make_points, rows = FLOOR_CASES[case]
-        j = dilation_factor(rule, sched.radii, k)
-        for z in make_points(sched, j):
+        make, rule, k, make_points = FLOOR_CASES[case]
+        s = make(sched)
+        j = dilation_factor(rule, s.radii, k)
+        for z in make_points(s, j):
             with mp.workprec(default_precision() + _GUARD):
-                bound = _floor_log_bound(sched, j, z, rows)
+                bound = _floor_log_bound(s, j, z)
             if z.exact is not None:
                 assert bound == -math.inf
             if bound != -math.inf:
-                res = family_eval(sched, j, z, rows)
+                res = family_eval(s, j, z)
                 assert bound <= res.value.log_mag - res.tail_log_bound
 
     def test_empty_point_set_is_rejected(self, sched):
         with pytest.raises(ValueError):
-            family_floor(sched, 5, [], 12)
+            family_floor(sched, 5, [])
 
     def test_criterion8_makes_few_product_evaluations(self, log_eval_calls):
         calls = log_eval_calls
@@ -273,12 +276,12 @@ class TestFloor:
 class TestSpherical:
     def test_empty_schedule_is_flat(self):
         s = make_schedule([])
-        assert spherical_derivative(s, 1, LogPolar(mp.mpf(1), mp.mpf(0)), 0) == 0
+        assert spherical_derivative(s, 1, LogPolar(mp.mpf(1), mp.mpf(0))) == 0
 
     def test_value_at_simple_zero_is_derivative_modulus(self, sched):
         c1 = sched.enumeration()[0]
         z = LogPolar.from_exact(F(1), c1)
-        got = spherical_derivative(sched, 1, z, 12)
+        got = spherical_derivative(sched, 1, z)
         # brute force: product over the other zeros, divided by |b|
         with mp.workprec(300):
             b0 = mp.exp(mp.mpc(1, 0)) * mp.exp(mp.mpc(0, 2) * mp.pi * mp.mpf(c1.numerator) / c1.denominator)
@@ -298,31 +301,31 @@ class TestSpherical:
         zeros = [Zero(2, F(2), F(1, 8)), Zero(3, F(3), F(3, 8))]
         b = LogPolar.from_exact(F(2), F(1, 8))
         doubled = make_schedule(zeros[:1] * 2 + zeros[1:], n_rings=4)
-        assert spherical_derivative(doubled, 1, b, 3) == 0
-        assert spherical_derivative(make_schedule(zeros, n_rings=4), 1, b, 3) > 0
+        assert spherical_derivative(doubled, 1, b) == 0
+        assert spherical_derivative(make_schedule(zeros, n_rings=4), 1, b) > 0
 
     def test_near_zero_dominates_far_on_sparse_schedule(self):
         s = make_schedule([Zero(3, F(3), F(0))])
-        near = spherical_derivative(s, 1, LogPolar(mp.mpf(3) + mp.log(mp.mpf("1.001")), mp.mpf(0)), 3)
-        far = spherical_derivative(s, 1, LogPolar(mp.mpf(3) + mp.log(mp.mpf("1.5")), mp.mpf(0)), 3)
+        near = spherical_derivative(s, 1, LogPolar(mp.mpf(3) + mp.log(mp.mpf("1.001")), mp.mpf(0)))
+        far = spherical_derivative(s, 1, LogPolar(mp.mpf(3) + mp.log(mp.mpf("1.5")), mp.mpf(0)))
         assert near > far
 
 
 class TestSectorBound:
     def test_passes_off_ray(self, sched):
-        rep = sector_bound_check(sched, LogPolar(mp.mpf(4), mp.pi), 0.3, 12)
+        rep = sector_bound_check(sched, LogPolar(mp.mpf(4), mp.pi), 0.3)
         assert rep.ring == 3
         assert rep.passed
 
     def test_rejects_small_modulus(self, sched):
         with pytest.raises(ValueError):
-            sector_bound_check(sched, LogPolar(mp.mpf("0.5"), mp.pi), 0.3, 12)
+            sector_bound_check(sched, LogPolar(mp.mpf("0.5"), mp.pi), 0.3)
 
     def test_rejects_on_ray(self, sched):
         c1 = sched.enumeration()[0]
         z = LogPolar(mp.mpf(4), 2 * mp.pi * mp.mpf(c1.numerator) / c1.denominator)
         with pytest.raises(ValueError, match="ray"):
-            sector_bound_check(sched, z, 0.3, 12)
+            sector_bound_check(sched, z, 0.3)
 
     @pytest.mark.parametrize("alpha, nu, n_max", [(3, 2, 8), (1, 3, 2)])
     def test_rejects_ray_at_source_piece_without_zeros(self, alpha, nu, n_max):
@@ -334,7 +337,7 @@ class TestSectorBound:
         assert all(z.turn < turn for z in s.zeros)
         z = LogPolar(mp.mpf(4), 2 * mp.pi * mp.mpf(turn.numerator) / turn.denominator)
         with pytest.raises(ValueError, match="zero arc"):
-            sector_bound_check(s, z, 0.01, n_max)
+            sector_bound_check(s, z, 0.01)
 
     def test_small_product_constant(self):
         lo, hi = small_product_constant()
@@ -362,9 +365,9 @@ class TestSectorBound:
         assert other is not pair and other != pair
 
 
-def _exhaustive_divergence(schedule, points, alpha0, rows_used=None):
+def _exhaustive_divergence(schedule, points, alpha0):
     """Criterion 6 without screening: sector_bound_check at every point."""
-    return [sector_bound_check(schedule, z, alpha0, rows_used) for z in points]
+    return [sector_bound_check(schedule, z, alpha0) for z in points]
 
 
 def _exact_samples(schedule, n):
@@ -384,7 +387,7 @@ def _clustered_schedule():
     return make_schedule(zeros, 4)
 
 
-# (schedule, points, alpha0, rows_used): criterion 6's samples per ring;
+# (schedule, points, alpha0): criterion 6's samples per ring;
 # those of ring 5 as exact-tagged points, so every flag falls back to
 # log_eval; ring 5's samples with exact-tagged ring-6 points, evaluated
 # first for their -inf bounds though their values are higher; two points
@@ -392,32 +395,32 @@ def _clustered_schedule():
 # (the floor needs only the first), and one that passes
 DIVERGENCE_CASES = {
     **{f"criterion-6-ring-{n}": (lambda s: s,
-                                 lambda s, n=n: verification._divergence_samples(s, n), 0.3, 12)
+                                 lambda s, n=n: verification._divergence_samples(s, n), 0.3)
        for n in range(3, 9)},
-    "exact-tagged": (lambda s: s, lambda s: _exact_samples(s, 5), 0.3, 12),
+    "exact-tagged": (lambda s: s, lambda s: _exact_samples(s, 5), 0.3),
     "mixed": (lambda s: s,
               lambda s: verification._divergence_samples(s, 5) + _exact_samples(s, 6)[:5],
-              0.3, 12),
+              0.3),
     "clustered-zeros": (lambda s: _clustered_schedule(),
                         lambda s: [LogPolar(mp.mpf("1.01"), mp.mpf("0.3666")),
                                    LogPolar(mp.mpf("1.01"), mp.mpf("0.5")),
                                    LogPolar(mp.mpf("1.5"), mp.pi)],
-                        0.3, 4),
+                        0.3),
 }
 
 
 @pytest.fixture(scope="module")
 def divergence_case(sched):
-    """(schedule, points, alpha0, rows, reference reports) per case of
+    """(schedule, points, alpha0, reference reports) per case of
     DIVERGENCE_CASES, the exhaustive reports computed once per case."""
     memo = {}
 
     def case(name):
         if name not in memo:
-            make, make_points, alpha0, rows = DIVERGENCE_CASES[name]
+            make, make_points, alpha0 = DIVERGENCE_CASES[name]
             s = make(sched)
             points = make_points(s)
-            memo[name] = s, points, alpha0, rows, _exhaustive_divergence(s, points, alpha0, rows)
+            memo[name] = s, points, alpha0, _exhaustive_divergence(s, points, alpha0)
         return memo[name]
 
     return case
@@ -427,26 +430,25 @@ def _ray_at_source_piece():
     """A ray on the last source piece of row (3, 2, 8), which hosts no zero."""
     s = build_row_schedule(3, 2, 8)
     turn = s.source_tree().members[-1].arc.center
-    return s, LogPolar(mp.mpf(4), 2 * mp.pi * _mpf_fraction(turn)), 0.01, 8
+    return s, LogPolar(mp.mpf(4), 2 * mp.pi * _mpf_fraction(turn)), 0.01
 
 
-# (schedule, point, alpha0, rows_used) that sector_bound_check rejects
+# (schedule, point, alpha0) that sector_bound_check rejects
 BAD_DIVERGENCE_INPUTS = {
-    "alpha0": lambda s: (s, LogPolar(mp.mpf(4), mp.pi), 0, 12),
-    "rows": lambda s: (s, LogPolar(mp.mpf(4), mp.pi), 0.3, 13),
-    "small-modulus": lambda s: (s, LogPolar(mp.mpf("0.5"), mp.pi), 0.3, 12),
+    "alpha0": lambda s: (s, LogPolar(mp.mpf(4), mp.pi), 0),
+    "small-modulus": lambda s: (s, LogPolar(mp.mpf("0.5"), mp.pi), 0.3),
     "zero-ray": lambda s: (s, LogPolar(mp.mpf(4), 2 * mp.pi * _mpf_fraction(s.enumeration()[0])),
-                           0.3, 12),
+                           0.3),
     "source-piece": lambda s: _ray_at_source_piece(),
-    "tail": lambda s: (s, LogPolar(mp.mpf(30), mp.pi), 0.3, 6),
+    "tail": lambda s: (truncated(s, 6), LogPolar(mp.mpf(30), mp.pi), 0.3),
 }
 
 
 class TestSectorDivergence:
     @pytest.mark.parametrize("case", sorted(DIVERGENCE_CASES))
     def test_screened_divergence_equals_exhaustive_divergence(self, divergence_case, case):
-        s, points, alpha0, rows, reports = divergence_case(case)
-        div = sector_divergence(s, points, alpha0, rows)
+        s, points, alpha0, reports = divergence_case(case)
+        div = sector_divergence(s, points, alpha0)
         assert div.rings == tuple(r.ring for r in reports)
         assert div.passed == tuple(r.passed for r in reports)
         # mpf ==, at the guarded precision of sector_bound_check
@@ -454,11 +456,11 @@ class TestSectorDivergence:
 
     @pytest.mark.parametrize("case", sorted(DIVERGENCE_CASES))
     def test_divergence_bounds_are_below_every_certified_value(self, divergence_case, case):
-        s, points, alpha0, rows, reports = divergence_case(case)
+        s, points, alpha0, reports = divergence_case(case)
         finite = 0
         for z, rep in zip(points, reports):
             with mp.workprec(default_precision() + _GUARD):
-                bound = _floor_log_bound(s, 1, z, rows)
+                bound = _floor_log_bound(s, 1, z)
             if z.exact is not None:
                 assert bound == -math.inf
             if bound != -math.inf:
@@ -470,33 +472,33 @@ class TestSectorDivergence:
         calls = log_eval_calls
         exact, clustered = divergence_case("exact-tagged"), divergence_case("clustered-zeros")
         calls.clear()  # the references' own calls
-        s, points, alpha0, rows, _ = exact
-        assert all(sector_divergence(s, points, alpha0, rows).passed)
+        s, points, alpha0, _ = exact
+        assert all(sector_divergence(s, points, alpha0).passed)
         assert len(calls) == len(points)  # each point once, for its flag or the floor
         calls.clear()
-        s, points, alpha0, rows, _ = clustered
-        div = sector_divergence(s, points, alpha0, rows)
+        s, points, alpha0, _ = clustered
+        div = sector_divergence(s, points, alpha0)
         assert div.passed == (False, False, True)
         # the floor evaluates the first point, the second one's flag needs it
         assert [args[1] for args in calls] == points[:2]
 
     @pytest.mark.parametrize("case", sorted(BAD_DIVERGENCE_INPUTS))
     def test_rejects_what_sector_bound_check_rejects(self, sched, case):
-        s, bad, alpha0, rows = BAD_DIVERGENCE_INPUTS[case](sched)
+        s, bad, alpha0 = BAD_DIVERGENCE_INPUTS[case](sched)
         with pytest.raises(ValueError) as single:
-            sector_bound_check(s, bad, alpha0, rows)
+            sector_bound_check(s, bad, alpha0)
         good = LogPolar(mp.mpf("4.5"), mp.mpf("-2.5"))
         with pytest.raises(ValueError, match=f"^{re.escape(str(single.value))}$"):
-            sector_divergence(s, [good, bad], alpha0, rows)
+            sector_divergence(s, [good, bad], alpha0)
 
     def test_empty_point_set_is_rejected(self, sched):
         with pytest.raises(ValueError):
-            sector_divergence(sched, [], 0.3, 12)
+            sector_divergence(sched, [], 0.3)
 
     def test_flag_concedes_the_tail(self):
         s = _clustered_schedule()
         z = LogPolar(mp.mpf("1.01"), mp.mpf("0.6"))
-        rep = sector_bound_check(s, z, 0.3, 4)
+        rep = sector_bound_check(s, z, 0.3)
         tail = rep.lhs - rep.certified_lhs
         assert rep.ring == 1 and tail > 0
         # alpha0 that puts log K_1 = 6 log sin(alpha0/2) + log k0 halfway
@@ -504,10 +506,10 @@ class TestSectorDivergence:
         k0_low, _ = small_product_constant()
         with mp.workprec(default_precision() + _GUARD):
             alpha0 = 2 * mp.asin(mp.exp((rep.certified_lhs + tail / 2 - mp.log(k0_low)) / 6))
-        rep = sector_bound_check(s, z, alpha0, 4)
+        rep = sector_bound_check(s, z, alpha0)
         assert rep.certified_lhs < rep.rhs < rep.lhs
         assert not rep.passed
-        assert sector_divergence(s, [z], alpha0, 4).passed == (False,)
+        assert sector_divergence(s, [z], alpha0).passed == (False,)
 
     def test_criterion6_makes_few_product_evaluations(self, log_eval_calls):
         calls = log_eval_calls
@@ -518,8 +520,8 @@ class TestSectorDivergence:
 
 
 @pytest.mark.parametrize("call", [
-    pytest.param(lambda s: family_floor(s, 5, _circle(-mp.log(2), 12), 12), id="family_floor"),
-    pytest.param(lambda s: sector_divergence(s, verification._divergence_samples(s, 4), 0.3, 12),
+    pytest.param(lambda s: family_floor(s, 5, _circle(-mp.log(2), 12)), id="family_floor"),
+    pytest.param(lambda s: sector_divergence(s, verification._divergence_samples(s, 4), 0.3),
                  id="sector_divergence"),
 ])
 def test_crossed_floor_bound_raises(sched, monkeypatch, call):

@@ -12,7 +12,6 @@ from rankzero.ordinal import (
     compare,
     enumerate_below,
     format_ordinal,
-    fundamental_sequence,
     ordinal_add,
     ordinal_sub_left,
     parse_ordinal,
@@ -89,42 +88,6 @@ class TestPredecessor:
         # nothing sits strictly between p and a
         for x in enumerate_below(a, 25):
             assert compare(x, p) <= 0
-
-
-class TestFundamentalSequence:
-    def test_omega(self):
-        for n in (1, 2, 7):
-            assert fundamental_sequence(OMEGA, n) == Ordinal.from_int(n)
-
-    def test_omega_squared(self):
-        assert fundamental_sequence(o("w^2"), 3) == o("w*3")
-
-    def test_omega_to_omega(self):
-        assert fundamental_sequence(o("w^w"), 2) == o("w^2")
-
-    def test_tail_recursion(self):
-        assert fundamental_sequence(o("w^2+w"), 5) == o("w^2+5")
-
-    def test_successor_rejected(self):
-        with pytest.raises(ValueError):
-            fundamental_sequence(o("w+1"), 2)
-
-    @given(ordinals, st.integers(1, 4))
-    @settings(max_examples=60)
-    def test_increasing_below(self, a, n):
-        if not a.is_limit:
-            return
-        fn = fundamental_sequence(a, n)
-        fn1 = fundamental_sequence(a, n + 1)
-        assert compare(fn, fn1) == -1
-        assert compare(fn1, a) == -1
-
-    def test_cofinal_spot_check(self):
-        a = o("w^2")
-        for b in enumerate_below(a, 12):
-            assert any(
-                compare(fundamental_sequence(a, n), b) >= 0 for n in range(1, 12)
-            )
 
 
 class TestEnumerateBelow:

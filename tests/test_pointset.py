@@ -3,6 +3,7 @@ import json
 import random
 from fractions import Fraction as F
 from functools import reduce
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +12,7 @@ from rankzero.ordinal import (
     OMEGA,
     ZERO,
     Ordinal,
-    fundamental_sequence,
+    enumerate_below,
     ordinal_add,
     parse_ordinal,
     predecessor,
@@ -19,6 +20,7 @@ from rankzero.ordinal import (
 from rankzero.pointset import (
     Arc,
     Leaf,
+    PickedKids,
     build_rank_set,
     cardinality,
     derive,
@@ -34,6 +36,7 @@ from rankzero.pointset import (
     union_disjoint,
 )
 from rankzero.pointset import _spec_children  # structural invariants need the stream
+from rankzero.schedule import standard_arc
 
 
 def o(text):
@@ -165,11 +168,11 @@ class TestDerive:
         at_limit = derive(tree, OMEGA)
         assert at_limit == Leaf(apex)
         for n in range(1, 5):
-            stage = fundamental_sequence(OMEGA, n)
+            stage = Ordinal.from_int(n)
             assert member(derive(tree, stage), apex)
         # a point of finite rank is eventually eliminated along the chain
         finite_point = materialize(derive(tree, 1), 1, 4)[0]
-        assert not member(derive(tree, fundamental_sequence(OMEGA, 9)), finite_point)
+        assert not member(derive(tree, Ordinal.from_int(9)), finite_point)
 
     def test_survivor_set_contains_limits(self):
         tree = build_rank_set(2, 1, HOST)
@@ -334,6 +337,16 @@ class TestRefine:
         assert derive(refined, 3) == Leaf(F(1, 8))
         assert rank_of(refined) == Ordinal.from_int(3)
         # still a subset of the original
+        for angle in materialize(refined, 2, 3):
+            assert member(tree, angle)
+
+    def test_refine_at_a_limit_rank_picks_one_child_per_rank(self):
+        tree = build_rank_set(o("w*2"), 1, standard_arc())
+        refined = singleton_refine(tree, OMEGA, tree.limit)
+        assert isinstance(refined.kids, PickedKids) and refined.kids.alpha == OMEGA
+        kids = islice(_spec_children(refined.arc, refined.kids), 5)
+        assert [rank_of(child) for _, child in kids] == enumerate_below(OMEGA, 5)
+        assert derive(refined, OMEGA) == Leaf(tree.limit)
         for angle in materialize(refined, 2, 3):
             assert member(tree, angle)
 

@@ -1,5 +1,6 @@
 import inspect
 import math
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -46,12 +47,12 @@ def _center(turn, modulus):
     return _mpf_fraction(modulus) * mp.exp(mp.mpc(0, 2 * mp.pi * _mpf_fraction(turn)))
 
 
-def _exhaustive_sweep(schedule, points, rule, n_range, rows_used=None):
+def _exhaustive_sweep(schedule, points, rule, n_range):
     """The sweep without screening: spherical_derivative at every mesh point.
 
     Returns the rows and, per row, (j, [(z, j * f#(j z)) per mesh point z]).
     """
-    rows = schedule.n_rings if rows_used is None else rows_used
+    rows = schedule.n_rings
     out = []
     meshes = []
     with mp.workprec(default_precision() + 30):
@@ -67,7 +68,7 @@ def _exhaustive_sweep(schedule, points, rule, n_range, rows_used=None):
                 best = mp.mpf(0)
                 values = []
                 for z in probe._mesh(center, radius, schedule, j):
-                    sd = mp.mpf(j) * spherical_derivative(schedule, j, z, rows)
+                    sd = mp.mpf(j) * spherical_derivative(schedule, j, z)
                     values.append((z, sd))
                     if sd > best:
                         best = sd
@@ -151,12 +152,12 @@ def _empty(schedule):
     )
 
 
-# criterion 9's schedule and points, a truncation below its ring count, and
-# the empty schedule
+# criterion 9's schedule and points, its first 10 rings, and the empty
+# schedule
 SWEEP_CASES = {
-    "criterion-9": (lambda s: s, None),
-    "rows-10": (lambda s: s, 10),
-    "empty": (_empty, None),
+    "criterion-9": lambda s: s,
+    "rows-10": lambda s: replace(s, zeros=s.zeros[:s.through(10)]),
+    "empty": _empty,
 }
 
 
@@ -178,10 +179,9 @@ def exhaustive_sweep(sched):
 
     def sweep(case):
         if case not in memo:
-            make, rows_used = SWEEP_CASES[case]
-            s = make(sched)
+            s = SWEEP_CASES[case](sched)
             memo[case] = (s, *_exhaustive_sweep(
-                s, _criterion9_points(sched), RatioPlus(HALF), range(5, 7), rows_used))
+                s, _criterion9_points(sched), RatioPlus(HALF), range(5, 7)))
         return memo[case]
 
     return sweep
@@ -277,6 +277,20 @@ class TestClassify:
     def test_geometric_mean_is_neither(self, radii):
         cl = classify(GeometricMean(F(1)), radii, range(4, 9))
         assert cl.branch == "neither"
+
+    def test_factors_below_the_first_radius_measure_up_to_it(self, radii):
+        # j_1 r and j_2 r lie below a_1 = e: their upper gaps run to a_1,
+        # not to a_2, and the four do not shrink
+        cl = classify(GeometricMean(F(1, 3)), radii, range(1, 5))
+        assert [low for _, low, _ in cl.trail[:2]] == [None, None]
+        assert [round(up, 3) for _, _, up in cl.trail] == [1.693, 0.307, 0.803, 0.295]
+        assert cl.branch == "neither"
+
+    def test_moduli_below_the_first_radius_collapse_upward(self, radii):
+        xs = [mp.mpf(x) for x in ("-0.5", "-0.25", "-0.125")]
+        cl = probe._branch(radii, range(1, 4), xs)
+        assert cl.trail == ((1, None, 1.5), (2, None, 1.25), (3, None, 1.125))
+        assert cl.branch == "toward-upper"
 
     def test_exact_coincidence_gives_zero_gaps(self, radii):
         # dilated moduli sitting exactly on the radii 1, 2, 3, 5, 8 (in logs),
@@ -390,9 +404,8 @@ class TestSweep:
     @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
     def test_screened_rows_equal_exhaustive_rows(self, sched, exhaustive_sweep, case):
         s, reference, _ = exhaustive_sweep(case)
-        _, rows_used = SWEEP_CASES[case]
         screened = condition_m_sweep(
-            s, _criterion9_points(sched), RatioPlus(HALF), range(5, 7), rows_used)
+            s, _criterion9_points(sched), RatioPlus(HALF), range(5, 7))
         assert [(r.n, r.point_index, r.valid) for r in screened] == [
             (r.n, r.point_index, r.valid) for r in reference
         ]
@@ -401,13 +414,11 @@ class TestSweep:
     @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
     def test_screen_bounds_every_mesh_value(self, exhaustive_sweep, case):
         s, _, meshes = exhaustive_sweep(case)
-        _, rows_used = SWEEP_CASES[case]
-        rows = s.n_rings if rows_used is None else rows_used
         finite = 0
         with mp.workprec(default_precision() + 30):
             for j, values in meshes:
                 for z, sd in values:  # sd is j * f#(j z)
-                    bound = _spherical_log_bound(s, j, z, rows)
+                    bound = _spherical_log_bound(s, j, z)
                     if z.exact is not None or not s.zeros:
                         assert bound == math.inf
                     if bound == math.inf:

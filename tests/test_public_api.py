@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import pkgutil
 import re
 from pathlib import Path
@@ -15,6 +16,18 @@ def test_every_public_name_exists(name):
     mod = importlib.import_module(f"rankzero.{name}")
     missing = [public for public in getattr(mod, "__all__", ()) if not hasattr(mod, public)]
     assert not missing, f"rankzero.{name}.__all__ names undefined {missing}"
+
+
+def test_only_log_eval_and_family_eval_truncate():
+    # every other entry point reads all the rings of the schedule it is given
+    truncating = set()
+    for info in pkgutil.iter_modules(rankzero.__path__):
+        mod = importlib.import_module(f"rankzero.{info.name}")
+        for public in getattr(mod, "__all__", ()):
+            value = getattr(mod, public)
+            if inspect.isfunction(value) and "rows_used" in inspect.signature(value).parameters:
+                truncating.add(f"{info.name}.{public}")
+    assert truncating == {"evaluator.log_eval", "evaluator.family_eval"}
 
 
 def _readme_sketch() -> str:
