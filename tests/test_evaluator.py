@@ -154,10 +154,23 @@ class TestLogEval:
 @pytest.mark.parametrize("rows", [-1, 13])
 @pytest.mark.parametrize("call", [
     pytest.param(lambda s, z, rows: log_eval(s, z, rows), id="log_eval"),
+    pytest.param(lambda s, z, rows: family_eval(s, 3, z, rows), id="family_eval"),
 ])
 def test_rows_used_outside_the_schedule_is_rejected(sched, call, rows):
     with pytest.raises(ValueError, match=f"rows_used {rows} outside 0..12"):
         call(sched, LogPolar(mp.mpf(4), mp.pi), rows)
+
+
+@pytest.mark.parametrize("rows", [8, 10, 12])
+def test_sector_bound_check_reads_the_rings_of_its_schedule(sched, rows):
+    """A caller that wants fewer rings passes a shorter schedule: the check
+    on the first rows rings is log_eval truncated there."""
+    z = LogPolar(mp.mpf("4.5"), mp.mpf("-2.5"))
+    rep = sector_bound_check(truncated(sched, rows), z, 0.3)
+    with mp.workprec(default_precision() + _GUARD):
+        res = log_eval(sched, z, rows)
+        assert rep.lhs == res.value.log_mag
+        assert rep.certified_lhs == res.floor
 
 
 class TestFamily:

@@ -119,6 +119,21 @@ class TestEnumerateBelow:
         for x in got:
             assert compare(x, a) == -1
 
+    @pytest.mark.parametrize("limit, targets", [
+        ("w", ["3", "7"]),
+        ("w^2", ["w*3", "w+5"]),
+        ("w^w", ["w^2", "w^3+1"]),
+        ("w^2+w", ["w^2+3", "w*4"]),
+    ])
+    def test_limit_rank_children_reach_smaller_ranks(self, limit, targets):
+        """The construction takes the m-th child rank of a limit rank from
+        enumerate_below, so the ranks it lists must climb toward the limit:
+        each target sits at a finite index."""
+        prefix = enumerate_below(o(limit), 40)
+        for target in targets:
+            assert compare(o(target), o(limit)) == -1
+            assert o(target) in prefix
+
     def test_deterministic(self):
         assert enumerate_below(o("w^2"), 25) == enumerate_below(o("w^2"), 25)
 

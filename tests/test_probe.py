@@ -236,6 +236,11 @@ class TestDilationFactors:
         with pytest.raises(ValueError):
             dilation_factor(RatioPlus(F(1, 2)), radii, 0)
 
+    def test_rejects_a_zero_factor(self, radii):
+        # floor(e^(3/2) / 10) = 0: f(0 z) is no member of {f(nz) : n >= 1}
+        with pytest.raises(ValueError, match="j_1 = 0"):
+            dilation_factor(GeometricMean(F(1, 10)), radii, 1)
+
     @pytest.mark.parametrize("check, most", [
         (verification.check_zero_clustering, 10),  # 50 when each use recomputes
         (verification.check_geometric_mean_immunity, 5),  # 35 likewise
