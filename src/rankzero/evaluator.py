@@ -34,7 +34,11 @@ far below the screen's slack (_SCREEN_SLACK, 1e-6 in log units, added to
 first-order rounding bounds).  The four searches are family_floor and
 sector_divergence (bounded by _floor_log_bound), and the probe layer's
 nearest-zero search (_distance_log_bounds) and condition-(M) sweep
-(_spherical_log_bound); all four bounds live in this module.
+(_spherical_log_bound, finite at exact zero preimages); all four bounds
+live in this module, in floats only: _floor_log_bound takes a float
+majorant of the interval _tail_bound, which log_eval keeps for the values
+it reports.  The sweep's meshes find the zero preimages in their disks
+with a float test that leaves only the disk's edge to mp (_zeros_in_disk).
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from mpmath import iv, mp
 
@@ -56,7 +60,6 @@ from .schedule import Zero, ZeroSchedule, _iv_fraction, _iv_prec
 __all__ = [
     "LogPolar",
     "EvalResult",
-    "SectorBoundReport",
     "SectorDivergence",
     "default_precision",
     "log_eval",
@@ -64,7 +67,6 @@ __all__ = [
     "family_floor",
     "log_derivative",
     "spherical_derivative",
-    "sector_bound_check",
     "sector_divergence",
     "small_product_constant",
 ]
@@ -420,30 +422,24 @@ def _log_sigmoid_peak(x: float) -> float:
     return x - math.log1p(math.exp(2 * x))
 
 
-def _float_log_sum(schedule: ZeroSchedule, j: int, z: LogPolar):
-    """Floats (lf, err_lf, S, err_S) at w = j z over the scheduled zeros:
-    lf approximates log|f(w)| and S the sum of e^s / (e^s - 1) with
-    s = log w - log b per zero b; err_lf and err_S are first-order bounds
-    on their rounding.
+def _float_factors(x: float, y: float, x_size: float, table):
+    """Floats (lf, err_lf, S, err_S) at w = e^(x + i y) over the zeros b of
+    table, pairs (log|b|, arg b) as _float_constants gives them: lf
+    approximates the sum of log|1 - e^s| and S the sum of e^s / (e^s - 1),
+    with s = log w - log b per zero b; err_lf and err_S are first-order
+    bounds on their rounding, given that x_size bounds |x| and the terms x
+    was summed from.
 
     Each factor uses the three branches of _log_one_minus_exp in floats (the
-    expm1 form for e^s - 1 in the middle one).  None where floats cannot
-    bound the value: exact-tagged points (which may be zeros), the origin
-    and factors e^s - 1 within rounding noise of zero.
+    expm1 form for e^s - 1 in the middle one).  None where a factor e^s - 1
+    is within rounding noise of zero.
     """
-    if z.exact is not None or z.is_zero:
-        return None
-    log_z = float(z.log_mag)
-    log_j = math.log(j)
-    x = log_z + log_j
-    y = float(z.phase)
-    table = _float_constants(schedule)
     lf = err_lf = abs_lf = 0.0
     total = 0j
     err_total = abs_total = 0.0
     for log_r, angle in table:
         s = complex(x - log_r, y - angle)
-        es = 4 * _EPS * (abs(log_z) + log_j + abs(log_r) + 10)  # rounding of s
+        es = 4 * _EPS * (x_size + abs(log_r) + 10)  # rounding of s
         if s.real >= _BRANCH:
             # log|1 - e^s| = Re s + log|1 - e^-s| and e^s/(e^s - 1) = 1/(1 - e^-s)
             m, t = s.real, 1.0
@@ -476,16 +472,40 @@ def _float_log_sum(schedule: ZeroSchedule, j: int, z: LogPolar):
     return lf, err_lf, total, err_total
 
 
+def _float_log_sum(schedule: ZeroSchedule, j: int, z: LogPolar):
+    """_float_factors at w = j z over the scheduled zeros, so lf
+    approximates log|f(w)|; None also at exact-tagged points (which may be
+    zeros) and the origin."""
+    if z.exact is not None or z.is_zero:
+        return None
+    log_z = float(z.log_mag)
+    log_j = math.log(j)
+    return _float_factors(log_z + log_j, float(z.phase), abs(log_z) + log_j,
+                          _float_constants(schedule))
+
+
 def _spherical_log_bound(schedule: ZeroSchedule, j: int, z: LogPolar) -> float:
     """Float upper bound U on log(j * spherical_derivative(schedule, j, z)).
 
     With w = j z and S as in _float_log_sum, f'/f(w) = S / w, so the
     logarithm of j f#(w) is -log|z| + log|S| + log|f| - log(1 + |f|^2); U
-    takes the worst case of both rounding bounds plus _SCREEN_SLACK.
+    takes the worst case of both rounding bounds plus _SCREEN_SLACK.  Where
+    w is exactly a scheduled zero b, j f#(w) = j |f'(b)|, whose logarithm
+    is log j + the sum over the other zeros b' of log|1 - b/b'|, less
+    log|b|; U bounds that sum as _float_factors does.
 
-    U is +inf where _float_log_sum gives up and where S cancels below its
-    error bound, which includes the empty product.
+    U is +inf where _float_log_sum or _float_factors gives up, as at a zero
+    listed twice, and where S cancels below its error bound, which includes
+    the empty product.
     """
+    hit = None if z.exact is None else _hit(schedule, z.scaled_by_int(j), len(schedule))
+    if hit is not None:
+        table = _float_constants(schedule)
+        log_b, angle = table[hit]
+        terms = _float_factors(log_b, angle, abs(log_b), table[:hit] + table[hit + 1:])
+        if terms is None:
+            return math.inf
+        return math.log(j) + terms[0] + terms[1] - log_b + _SCREEN_SLACK
     terms = _float_log_sum(schedule, j, z)
     if terms is None:
         return math.inf
@@ -497,13 +517,33 @@ def _spherical_log_bound(schedule: ZeroSchedule, j: int, z: LogPolar) -> float:
     return -float(z.log_mag) + math.log(abs(total) + err_total) + peak + _SCREEN_SLACK
 
 
+def _float_tail(schedule: ZeroSchedule, log_mag, rows_used: int) -> float:
+    """Float upper bound on _tail_bound(schedule, log_mag, rows_used): the
+    same terms j q_j / (1 - q_j), each raised by a first-order bound on its
+    rounding, until one falls below 1e-20, the rest closed with the 2/e
+    geometric ratio _tail_bound relies on (2.7845 > 2 / (e - 2)) and 1e-300
+    for terms that underflow.  +inf where some q_j exceeds 1/2."""
+    x = float(log_mag)
+    total = 0.0
+    for j in range(rows_used + 1, rows_used + 401):
+        log_r = float(schedule.radii.log_radius(j))
+        q = math.exp(x - log_r)
+        if q > 0.5:
+            break
+        term = j * q / (1 - q) * (1 + 8 * _EPS * (abs(x) + abs(log_r) + 4) / (1 - q))
+        total += term
+        if term < 1e-20:
+            return total * (1 + (j - rows_used) * _EPS) + term * 2.7845 + 1e-300
+    return math.inf
+
+
 def _floor_log_bound(schedule: ZeroSchedule, j: int, z: LogPolar) -> float:
     """Float lower bound on log|f(j z)| minus _tail_bound at j z: the float
-    log|f| less its rounding bound and _SCREEN_SLACK, less the tail.
+    log|f| less its rounding bound, _SCREEN_SLACK and _float_tail.
 
     -inf where _float_log_sum gives up and outside the tail hypothesis.
-    Runs at the working precision of log_eval, so the tail is the one
-    log_eval reports.
+    Runs at the working precision of log_eval, so the tail hypothesis is
+    decided as log_eval decides it.
     """
     terms = _float_log_sum(schedule, j, z)
     if terms is None:
@@ -513,7 +553,7 @@ def _floor_log_bound(schedule: ZeroSchedule, j: int, z: LogPolar) -> float:
     if not _tail_hypothesis(schedule, log_w, rows):
         return -math.inf
     lf, err_lf, _, _ = terms
-    return lf - err_lf - _SCREEN_SLACK - float(_tail_bound(schedule, log_w, rows))
+    return lf - err_lf - _SCREEN_SLACK - _float_tail(schedule, log_w, rows)
 
 
 def _distance_log_bounds(schedule: ZeroSchedule, j: int, r: Fraction,
@@ -543,6 +583,30 @@ def _distance_log_bounds(schedule: ZeroSchedule, j: int, r: Fraction,
         bound = max(lg, la)
         out.append(bound - 8 * _EPS * (abs(bound) + 1) - _SCREEN_SLACK)
     return out
+
+
+def _zeros_in_disk(schedule: ZeroSchedule, j: int, center, radius) -> Iterator[Zero]:
+    """The scheduled zeros b with |b/j - center| <= radius, as mp decides it
+    at the working precision.  Floats decide first, with a margin far above
+    their rounding (from log|b/j| where |b/j| overflows a float); mp tests
+    only the zeros within the margin of the disk's edge."""
+    c, rad = complex(center), float(radius)
+    reach = abs(c) + rad
+    log_j = math.log(j)
+    for i, (log_r, angle) in enumerate(_float_constants(schedule)):
+        u = log_r - log_j  # log |b/j|
+        margin = 1e-12 + 16 * _EPS * (abs(log_r) + log_j)  # relative, and in log units
+        if u > 700:
+            inside = False if u - math.log(reach) > margin else None
+        else:
+            p = math.exp(u)
+            gap = abs(complex(p * math.cos(angle), p * math.sin(angle)) - c) - rad
+            inside = gap < 0 if abs(gap) > margin * (p + reach) else None
+        if inside is None:
+            log_b, angle_b = _zero_constants(schedule)[i]
+            inside = abs(mp.exp(mp.mpc(log_b - mp.log(mp.mpf(j)), angle_b)) - center) <= radius
+        if inside:
+            yield schedule.zeros[i]
 
 
 def _screened(bounds: Sequence[float], certify) -> dict:
@@ -614,19 +678,10 @@ def _small_product_bounds(prec: int):
 
 
 @dataclass(frozen=True)
-class SectorBoundReport:
-    ring: int
-    lhs: object  # computed log |f_truncated(z)|
-    certified_lhs: object  # lhs minus the truncation tail bound
-    rhs: object  # divergence bound log K_n for this ring at the given angular gap
-    passed: bool  # certified_lhs >= rhs
-
-
-@dataclass(frozen=True)
 class SectorDivergence:
-    rings: Tuple[int, ...]  # per point, as SectorBoundReport.ring
-    passed: Tuple[bool, ...]  # per point, as SectorBoundReport.passed
-    floor: object  # the least SectorBoundReport.certified_lhs over the points
+    rings: Tuple[int, ...]  # per point, the ring n with a_n < |z| <= a_{n+1}
+    passed: Tuple[bool, ...]  # per point, whether its certified floor is >= log K_n
+    floor: object  # the least certified floor over the points
 
 
 def _ray_arcs(schedule: ZeroSchedule) -> list:
@@ -688,40 +743,23 @@ def _checked_alpha0(alpha0):
     return alpha0
 
 
-def sector_bound_check(schedule: ZeroSchedule, z: LogPolar, alpha0) -> SectorBoundReport:
-    """Check the off-ray divergence bound at z.
-
-    With n the ring index satisfying a_n < |z| <= a_{n+1} and the ray of z
-    at angular distance at least alpha0 from every zero ray, the product is
-    at least K_n = 2^(n(n-1)/2) * sin(alpha0/2)^(3(n+1)) times the
-    small-product constant.  The check is a claim about f, not about the
-    truncated product: it passes when log|f_truncated(z)| minus the
-    truncation tail bound, which is a lower bound on log|f(z)| up to the
-    rounding of the main sum, is at least log K_n.
-    """
-    with mp.workprec(default_precision() + _GUARD):
-        alpha0 = _checked_alpha0(alpha0)
-        n = _sector_ring(schedule, z, alpha0, _ray_arcs(schedule))
-        res = log_eval(schedule, z)
-        certified = res.floor
-        rhs = _divergence_bound(n, alpha0)
-        return SectorBoundReport(n, res.value.log_mag, certified, rhs, bool(certified >= rhs))
-
-
 def sector_divergence(
     schedule: ZeroSchedule, points: Sequence[LogPolar], alpha0
 ) -> SectorDivergence:
-    """sector_bound_check at every point, reduced to what a divergence claim
-    reports: each point's ring and pass flag, and the floor, the least
-    certified_lhs over the points.  Every point gets sector_bound_check's
-    checks, with its ValueErrors, before anything is evaluated.
+    """The off-ray divergence bound at every point: with n the ring of z
+    (a_n < |z| <= a_{n+1}) and its ray at least alpha0 from every zero ray,
+    |f(z)| >= K_n = 2^(n(n-1)/2) * sin(alpha0/2)^(3(n+1)) times the
+    small-product constant.  A point passes when its certified floor, the
+    EvalResult.floor of log_eval at z, is at least log K_n: a claim about f,
+    not the truncated product.  Every point gets _sector_ring's checks, with
+    their ValueErrors, before anything is evaluated.
 
     Screened (_screened) with _floor_log_bound at j = 1, which bounds every
-    certified_lhs from below: the screen finds the floor, and of the points
-    it skips, those whose bound is at least log K_n pass without evaluation
-    and the others are evaluated one by one through _screened, so each
-    value is checked against its bound.  The flags and the floor are the
-    numbers sector_bound_check returns.
+    certified floor from below: the screen finds the least floor, and of
+    the points it skips, those whose bound is at least log K_n pass without
+    evaluation and the others are evaluated one by one through _screened,
+    so each value is checked against its bound.  The flags and the floor
+    are the numbers an unscreened check at every point gives.
     """
     if not points:
         raise ValueError("the floor needs at least one point")

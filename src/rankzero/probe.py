@@ -43,7 +43,7 @@ from .evaluator import (
     _screened,
     _spherical_log_bound,
     _tail_hypothesis,
-    _zero_constants,
+    _zeros_in_disk,
     default_precision,
     spherical_derivative,
 )
@@ -450,11 +450,8 @@ def _mesh(center, radius, schedule: ZeroSchedule, j: int):
         for m in range(8 * k):
             ang = 2 * mp.pi * m / (8 * k)
             pts.append(LogPolar.from_complex(center + rho * mp.exp(mp.mpc(0, 1) * ang)))
-    log_j = mp.log(mp.mpf(j))
-    for z, (log_r, angle) in zip(schedule.zeros, _zero_constants(schedule)):
-        pre = mp.exp(mp.mpc(log_r - log_j, angle))
-        if abs(pre - center) <= radius:
-            pts.append(LogPolar.from_exact(z.log_r, z.turn, den=j))
+    for zero in _zeros_in_disk(schedule, j, center, radius):
+        pts.append(LogPolar.from_exact(zero.log_r, zero.turn, den=j))
     return pts
 
 
@@ -472,10 +469,10 @@ def condition_m_sweep(
     level n holds when every point with index at most n exceeds n.
 
     Screened (evaluator._screened) on -log(j_n * f#(j_n z)) with the
-    negated _spherical_log_bound, which is +inf at exact zero preimages and
-    wherever floats cannot decide: every skipped point is below the
-    maximum, so each row's maximum is the number an exhaustive sweep
-    returns.
+    negated _spherical_log_bound, which is finite at exact zero preimages,
+    where j_n f# = j_n |f'|, and +inf wherever floats cannot decide: every
+    skipped point is below the maximum, so each row's maximum is the number
+    an exhaustive sweep returns.
     """
     out: List[SweepRow] = []
     with mp.workprec(default_precision() + _GUARD):

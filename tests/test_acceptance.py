@@ -6,9 +6,12 @@ suite and compares serialized reports byte for byte.
 """
 
 import hashlib
+from collections import Counter
 
 import pytest
 
+import rankzero.evaluator as evaluator
+from rankzero import verification
 from rankzero.evaluator import precision_scope
 from rankzero.verification import (
     CRITERIA,
@@ -53,3 +56,33 @@ def test_core_report_bytes_are_pinned(core_results):
     with precision_scope(200):
         data = suite_report_bytes(ordered)
     assert hashlib.sha256(data).hexdigest() == CORE_REPORT_SHA256
+
+
+@pytest.fixture(scope="module")
+def core_kernel_calls():
+    """Calls of the evaluator's kernel, _log_one_minus_exp, and of its
+    interval tail bound, _tail_bound, over one core suite run at 200 bits."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("_log_one_minus_exp", "_tail_bound"):
+            patch.setattr(evaluator, name, counted(name, getattr(evaluator, name)))
+        with precision_scope(200):
+            verification._run_core()
+    return calls
+
+
+def test_core_suite_kernel_call_budget(core_kernel_calls):
+    # 1,867 calls; 4,177 before the sweep bounded zero preimages in floats
+    assert core_kernel_calls["_log_one_minus_exp"] <= 2000
+
+
+def test_core_suite_interval_tail_budget(core_kernel_calls):
+    # 19 calls; 319 before the floor screens bounded the tail in floats
+    assert core_kernel_calls["_tail_bound"] <= 25

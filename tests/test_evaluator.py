@@ -2,8 +2,10 @@ import math
 import re
 from dataclasses import replace
 from fractions import Fraction as F
+from typing import NamedTuple
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 import rankzero.evaluator as evaluator
@@ -18,12 +20,18 @@ from rankzero.evaluator import (
     log_derivative,
     log_eval,
     precision_scope,
-    sector_bound_check,
     sector_divergence,
     small_product_constant,
     spherical_derivative,
 )
-from rankzero.evaluator import _floor_log_bound, _log_one_minus_exp, _screened, _tail_bound
+from rankzero.evaluator import (
+    _float_tail,
+    _floor_log_bound,
+    _log_one_minus_exp,
+    _screened,
+    _spherical_log_bound,
+    _tail_bound,
+)
 from rankzero.ordinal import as_ordinal
 from rankzero.pointset import Leaf
 from rankzero.probe import GeometricMean, RatioPlus, dilation_factor
@@ -41,6 +49,26 @@ def make_schedule(zeros, n_rings=6):
 def truncated(schedule, rows):
     """The schedule cut to the zeros of its first rows rings."""
     return replace(schedule, zeros=schedule.zeros[:schedule.through(rows)])
+
+
+class SectorBound(NamedTuple):
+    ring: int
+    lhs: object  # computed log |f_truncated(z)|
+    certified_lhs: object  # lhs minus the truncation tail bound
+    rhs: object  # divergence bound log K_n for this ring at the given angular gap
+    passed: bool  # certified_lhs >= rhs
+
+
+def _sector_bound_check(schedule, z, alpha0):
+    """Criterion 6's check at one point, without screening: the ring n of
+    z, its log_eval value and floor, log K_n and whether the floor reaches
+    it, after the checks sector_divergence makes."""
+    with mp.workprec(default_precision() + _GUARD):
+        alpha0 = evaluator._checked_alpha0(alpha0)
+        n = evaluator._sector_ring(schedule, z, alpha0, evaluator._ray_arcs(schedule))
+        res = log_eval(schedule, z)
+        rhs = evaluator._divergence_bound(n, alpha0)
+        return SectorBound(n, res.value.log_mag, res.floor, rhs, bool(res.floor >= rhs))
 
 
 @pytest.fixture(scope="module")
@@ -151,6 +179,21 @@ class TestLogEval:
             assert _tail_bound(sched, x, 3) > _tail_bound(sched, third, 3)
 
 
+@pytest.mark.parametrize("rows", [12, 10, 4])
+@given(st.floats(0, 1000), st.integers(-2**40, 2**40))
+@settings(max_examples=40, deadline=None)
+def test_float_tail_bounds_the_certified_tail(sched, rows, depth, nudge):
+    """Across the tail hypothesis of criteria 6 and 8's schedule, cut to
+    rows rings: log_mag up to 1000 below log a_(rows - 2), where the float
+    terms underflow, and off the float grid."""
+    s = truncated(sched, rows)
+    with precision_scope(200), mp.workprec(default_precision() + _GUARD):
+        top = _mpf_fraction(s.radii.log_radius(rows - 2))
+        log_mag = min(top, top - depth + mp.mpf(nudge) * mp.mpf(2) ** -90)
+        tail = _float_tail(s, log_mag, rows)
+        assert _tail_bound(s, log_mag, rows) <= tail < math.inf
+
+
 @pytest.mark.parametrize("rows", [-1, 13])
 @pytest.mark.parametrize("call", [
     pytest.param(lambda s, z, rows: log_eval(s, z, rows), id="log_eval"),
@@ -166,11 +209,12 @@ def test_sector_bound_check_reads_the_rings_of_its_schedule(sched, rows):
     """A caller that wants fewer rings passes a shorter schedule: the check
     on the first rows rings is log_eval truncated there."""
     z = LogPolar(mp.mpf("4.5"), mp.mpf("-2.5"))
-    rep = sector_bound_check(truncated(sched, rows), z, 0.3)
+    rep = _sector_bound_check(truncated(sched, rows), z, 0.3)
     with mp.workprec(default_precision() + _GUARD):
         res = log_eval(sched, z, rows)
         assert rep.lhs == res.value.log_mag
         assert rep.certified_lhs == res.floor
+        assert sector_divergence(truncated(sched, rows), [z], 0.3).floor == res.floor
 
 
 class TestFamily:
@@ -317,6 +361,19 @@ class TestSpherical:
         assert spherical_derivative(doubled, 1, b) == 0
         assert spherical_derivative(make_schedule(zeros, n_rings=4), 1, b) > 0
 
+    @pytest.mark.parametrize("j", [1, 3])
+    def test_screen_bound_at_a_zero(self, j):
+        # finite and above j f#(b) = j |f'(b)| at a simple zero b; +inf at a
+        # doubled one, where floats give up
+        zeros = [Zero(2, F(2), F(1, 8)), Zero(3, F(3), F(3, 8)), Zero(3, F(3), F(1, 2))]
+        simple = make_schedule(zeros, n_rings=4)
+        doubled = make_schedule(zeros[:1] * 2 + zeros[1:], n_rings=4)
+        with mp.workprec(default_precision() + _GUARD):
+            b = LogPolar.from_exact(F(2), F(1, 8), den=j)
+            bound = _spherical_log_bound(simple, j, b)
+            assert mp.log(j * spherical_derivative(simple, j, b)) <= bound < math.inf
+            assert _spherical_log_bound(doubled, j, b) == math.inf
+
     def test_near_zero_dominates_far_on_sparse_schedule(self):
         s = make_schedule([Zero(3, F(3), F(0))])
         near = spherical_derivative(s, 1, LogPolar(mp.mpf(3) + mp.log(mp.mpf("1.001")), mp.mpf(0)))
@@ -326,19 +383,19 @@ class TestSpherical:
 
 class TestSectorBound:
     def test_passes_off_ray(self, sched):
-        rep = sector_bound_check(sched, LogPolar(mp.mpf(4), mp.pi), 0.3)
+        rep = _sector_bound_check(sched, LogPolar(mp.mpf(4), mp.pi), 0.3)
         assert rep.ring == 3
         assert rep.passed
 
     def test_rejects_small_modulus(self, sched):
         with pytest.raises(ValueError):
-            sector_bound_check(sched, LogPolar(mp.mpf("0.5"), mp.pi), 0.3)
+            _sector_bound_check(sched, LogPolar(mp.mpf("0.5"), mp.pi), 0.3)
 
     def test_rejects_on_ray(self, sched):
         c1 = sched.enumeration()[0]
         z = LogPolar(mp.mpf(4), 2 * mp.pi * mp.mpf(c1.numerator) / c1.denominator)
         with pytest.raises(ValueError, match="ray"):
-            sector_bound_check(sched, z, 0.3)
+            _sector_bound_check(sched, z, 0.3)
 
     @pytest.mark.parametrize("alpha, nu, n_max", [(3, 2, 8), (1, 3, 2)])
     def test_rejects_ray_at_source_piece_without_zeros(self, alpha, nu, n_max):
@@ -350,7 +407,7 @@ class TestSectorBound:
         assert all(z.turn < turn for z in s.zeros)
         z = LogPolar(mp.mpf(4), 2 * mp.pi * mp.mpf(turn.numerator) / turn.denominator)
         with pytest.raises(ValueError, match="zero arc"):
-            sector_bound_check(s, z, 0.01)
+            _sector_bound_check(s, z, 0.01)
 
     def test_small_product_constant(self):
         lo, hi = small_product_constant()
@@ -379,8 +436,8 @@ class TestSectorBound:
 
 
 def _exhaustive_divergence(schedule, points, alpha0):
-    """Criterion 6 without screening: sector_bound_check at every point."""
-    return [sector_bound_check(schedule, z, alpha0) for z in points]
+    """Criterion 6 without screening: _sector_bound_check at every point."""
+    return [_sector_bound_check(schedule, z, alpha0) for z in points]
 
 
 def _exact_samples(schedule, n):
@@ -446,7 +503,7 @@ def _ray_at_source_piece():
     return s, LogPolar(mp.mpf(4), 2 * mp.pi * _mpf_fraction(turn)), 0.01
 
 
-# (schedule, point, alpha0) that sector_bound_check rejects
+# (schedule, point, alpha0) that _sector_bound_check rejects
 BAD_DIVERGENCE_INPUTS = {
     "alpha0": lambda s: (s, LogPolar(mp.mpf(4), mp.pi), 0),
     "small-modulus": lambda s: (s, LogPolar(mp.mpf("0.5"), mp.pi), 0.3),
@@ -464,7 +521,7 @@ class TestSectorDivergence:
         div = sector_divergence(s, points, alpha0)
         assert div.rings == tuple(r.ring for r in reports)
         assert div.passed == tuple(r.passed for r in reports)
-        # mpf ==, at the guarded precision of sector_bound_check
+        # mpf ==, at the guarded precision of _sector_bound_check
         assert div.floor == min(r.certified_lhs for r in reports)
 
     @pytest.mark.parametrize("case", sorted(DIVERGENCE_CASES))
@@ -499,7 +556,7 @@ class TestSectorDivergence:
     def test_rejects_what_sector_bound_check_rejects(self, sched, case):
         s, bad, alpha0 = BAD_DIVERGENCE_INPUTS[case](sched)
         with pytest.raises(ValueError) as single:
-            sector_bound_check(s, bad, alpha0)
+            _sector_bound_check(s, bad, alpha0)
         good = LogPolar(mp.mpf("4.5"), mp.mpf("-2.5"))
         with pytest.raises(ValueError, match=f"^{re.escape(str(single.value))}$"):
             sector_divergence(s, [good, bad], alpha0)
@@ -511,7 +568,7 @@ class TestSectorDivergence:
     def test_flag_concedes_the_tail(self):
         s = _clustered_schedule()
         z = LogPolar(mp.mpf("1.01"), mp.mpf("0.6"))
-        rep = sector_bound_check(s, z, 0.3)
+        rep = _sector_bound_check(s, z, 0.3)
         tail = rep.lhs - rep.certified_lhs
         assert rep.ring == 1 and tail > 0
         # alpha0 that puts log K_1 = 6 log sin(alpha0/2) + log k0 halfway
@@ -519,7 +576,7 @@ class TestSectorDivergence:
         k0_low, _ = small_product_constant()
         with mp.workprec(default_precision() + _GUARD):
             alpha0 = 2 * mp.asin(mp.exp((rep.certified_lhs + tail / 2 - mp.log(k0_low)) / 6))
-        rep = sector_bound_check(s, z, alpha0)
+        rep = _sector_bound_check(s, z, alpha0)
         assert rep.certified_lhs < rep.rhs < rep.lhs
         assert not rep.passed
         assert sector_divergence(s, [z], alpha0).passed == (False,)

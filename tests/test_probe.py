@@ -7,12 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import iv, mp
 
+import rankzero.evaluator as evaluator
 import rankzero.probe as probe
 from rankzero import verification
 from rankzero.evaluator import (
     _GUARD,
+    LogPolar,
     _mpf_fraction,
     _spherical_log_bound,
+    _zero_constants,
     default_precision,
     precision_scope,
     spherical_derivative,
@@ -143,6 +146,31 @@ def _certificate_precision(j):
 def _criterion9_points(schedule):
     c1 = schedule.enumeration()[0]
     return [(c1, HALF), (c1 + HALF, HALF)]
+
+
+def _criterion9_disks(schedule):
+    """(j, center, radius) of criterion 9's ten disks, at the sweep's
+    working precision."""
+    for n in range(5, 10):
+        j = dilation_factor(RatioPlus(HALF), schedule.radii, n)
+        for turn, modulus in _criterion9_points(schedule):
+            yield j, _center(turn, modulus), mp.mpf(1) / n
+
+
+def _reference_mesh(center, radius, schedule, j):
+    """probe._mesh with every disk test in mp at the working precision."""
+    pts = [LogPolar.from_complex(center)]
+    for k in range(1, 4):
+        rho = radius * mp.mpf(k) / 3
+        for m in range(8 * k):
+            ang = 2 * mp.pi * m / (8 * k)
+            pts.append(LogPolar.from_complex(center + rho * mp.exp(mp.mpc(0, 1) * ang)))
+    log_j = mp.log(mp.mpf(j))
+    for z, (log_r, angle) in zip(schedule.zeros, _zero_constants(schedule)):
+        pre = mp.exp(mp.mpc(log_r - log_j, angle))
+        if abs(pre - center) <= radius:
+            pts.append(LogPolar.from_exact(z.log_r, z.turn, den=j))
+    return pts
 
 
 def _empty(schedule):
@@ -417,21 +445,34 @@ class TestSweep:
         assert all(a.max_spherical == b.max_spherical for a, b in zip(screened, reference))
 
     @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
-    def test_screen_bounds_every_mesh_value(self, exhaustive_sweep, case):
+    def test_finite_screen_bounds_hold(self, exhaustive_sweep, case):
         s, _, meshes = exhaustive_sweep(case)
-        finite = 0
+        finite = finite_exact = 0
         with mp.workprec(default_precision() + 30):
             for j, values in meshes:
                 for z, sd in values:  # sd is j * f#(j z)
                     bound = _spherical_log_bound(s, j, z)
-                    if z.exact is not None or not s.zeros:
+                    if not s.zeros:
                         assert bound == math.inf
                     if bound == math.inf:
                         continue
                     finite += 1
+                    finite_exact += z.exact is not None
                     assert bound >= mp.log(sd)
         assert len(meshes) == 4
-        assert finite > 0 or not s.zeros
+        assert (finite > 0 and finite_exact > 0) or not s.zeros
+
+    @pytest.mark.parametrize("case", ["criterion-9", "rows-10"])
+    def test_zero_preimages_get_finite_bounds(self, sched, case):
+        s = SWEEP_CASES[case](sched)
+        preimages = 0
+        with mp.workprec(default_precision() + _GUARD):
+            for j, center, radius in _criterion9_disks(sched):
+                for z in probe._mesh(center, radius, s, j):
+                    if z.exact is not None:
+                        preimages += 1
+                        assert _spherical_log_bound(s, j, z) < math.inf
+        assert preimages == 35
 
     def test_criterion9_sweep_makes_few_full_precision_calls(self, sched, monkeypatch):
         calls = []
@@ -446,7 +487,7 @@ class TestSweep:
         )
         assert len(rows) == 10
         # the exhaustive sweep makes 525 calls on these meshes
-        assert len(calls) <= 60
+        assert len(calls) <= 20
 
     def test_crossed_sweep_bound_raises(self, sched, monkeypatch):
         monkeypatch.setattr(probe, "_spherical_log_bound", lambda *args: -1e9)
@@ -461,6 +502,58 @@ class TestSweep:
         maxima = [r.max_spherical for r in rows]
         assert maxima[0] < maxima[1] < maxima[2]
         assert all(r.max_spherical > r.n for r in rows)
+
+
+class TestMesh:
+    @pytest.fixture
+    def mp_disk_tests(self, monkeypatch):
+        """The zeros whose disk test _mesh leaves to mp: each such test reads
+        the mp table of the zeros."""
+        calls = []
+
+        def counted(schedule):
+            calls.append(schedule)
+            return _zero_constants(schedule)
+
+        monkeypatch.setattr(evaluator, "_zero_constants", counted)
+        return calls
+
+    @pytest.mark.parametrize("case", ["criterion-9", "rows-10"])
+    def test_float_disk_test_equals_mp(self, sched, case, mp_disk_tests):
+        s = SWEEP_CASES[case](sched)
+        with mp.workprec(default_precision() + _GUARD):
+            for j, center, radius in _criterion9_disks(sched):
+                assert probe._mesh(center, radius, s, j) == _reference_mesh(center, radius, s, j)
+        # floats decide every zero of the ten meshes
+        assert not mp_disk_tests
+
+    @pytest.mark.parametrize("inside", [True, False])
+    def test_edge_near_a_preimage_falls_back_to_mp(self, sched, inside, mp_disk_tests):
+        j = dilation_factor(RatioPlus(HALF), sched.radii, 5)
+        zero = sched.zeros_in_ring(5)[0]
+        with mp.workprec(default_precision() + _GUARD):
+            pre = LogPolar.from_exact(zero.log_r, zero.turn, den=j)
+            radius = mp.mpf(1) / 5
+            # the preimage lies 1e-13 inside or outside the disk's edge
+            gap = mp.mpf("1e-13") if inside else -mp.mpf("1e-13")
+            center = pre.to_complex() + (radius - gap) * mp.exp(mp.mpc(0, 1))
+            mesh = probe._mesh(center, radius, sched, j)
+            assert mesh == _reference_mesh(center, radius, sched, j)
+            assert (pre in mesh) == inside
+        assert mp_disk_tests
+
+    def test_overflowing_preimage_moduli_are_decided_from_logs(self, mp_disk_tests):
+        s = build_row_schedule(3, 1, 15)
+        j = 5
+        assert any(float(z.log_r) - math.log(j) > 700 for z in s.zeros)  # ring 15: 987
+        first = s.zeros[0]
+        with mp.workprec(default_precision() + _GUARD):
+            center, radius = _center(first.turn, HALF), mp.mpf(1) / 5
+            mesh = probe._mesh(center, radius, s, j)
+            assert mesh == _reference_mesh(center, radius, s, j)
+            # |e/5 - 1/2| < 1/5 on the first zero's ray
+            assert LogPolar.from_exact(first.log_r, first.turn, den=j) in mesh
+        assert not mp_disk_tests
 
 
 class TestOrderReport:
