@@ -16,6 +16,14 @@ ratio of |z| to the j-th radius, the dropped rings j contribute at most
 sum of j * q_j / (1 - q_j), a convergent majorant whenever |z| does not
 exceed the radius two rings below the truncation.
 
+The product loop, _log_product, takes the zeros in ascending modulus and
+stops at the first zero b where |z/b| is so small that neither its factor
+nor any later one can move a bit of the two rounded sums: round-to-nearest
+leaves a p-bit sum unchanged by an addend below 2^-(p+2) of it.  The test
+runs in floats with a margin of 2^8 (derived at _CUT_BITS), and a sum that
+is 0, or 0 as a float, never stops the loop, so the sums, and every byte
+written from them, are those of the whole table.
+
 No certified tail is claimed for the logarithmic derivative; its consumers
 only use self-consistency and monotone comparisons.
 
@@ -167,12 +175,29 @@ class LogPolar:
         return LogPolar(lm, self.phase, exact)
 
 
+@lru_cache(maxsize=None)
+def _pi(prec: int):
+    """pi and 2 pi as mpf at prec bits: the values mp.pi and 2 * mp.pi take
+    there, without evaluating the constant at every use."""
+    with mp.workprec(prec):
+        pi = +mp.pi
+        return pi, 2 * pi
+
+
 def _norm_phase(x):
-    two_pi = 2 * mp.pi
+    """x reduced to (-pi, pi] by mp.fmod by 2 pi.  For an x in [0, pi] that
+    fits the working precision, fmod returns x itself, so that x is returned
+    as it is; fmod leaves a wider x unrounded only when x is tiny, so a wider
+    x, like every x outside [0, pi], takes the fmod path."""
+    prec = mp.prec
+    pi, two_pi = _pi(prec)
+    sign, _, _, bits = x._mpf_
+    if not sign and bits <= prec and x <= pi:
+        return x
     x = mp.fmod(x, two_pi)
-    if x > mp.pi:
+    if x > pi:
         x -= two_pi
-    elif x <= -mp.pi:
+    elif x <= -pi:
         x += two_pi
     return x
 
@@ -180,6 +205,7 @@ def _norm_phase(x):
 # -- the kernel ---------------------------------------------------------------
 
 _BRANCH = 40
+_HALF = mp.mpf(0.5)
 
 
 def _log_one_minus_exp(s) -> Tuple[object, object]:
@@ -190,7 +216,7 @@ def _log_one_minus_exp(s) -> Tuple[object, object]:
         u = mp.exp(-s)
         rest = mp.log(1 - u)
         mag = re + mp.re(rest)
-        ph = _norm_phase(mp.pi + mp.im(s) + mp.im(rest))
+        ph = _norm_phase(_pi(mp.prec)[0] + mp.im(s) + mp.im(rest))
         return mag, ph
     if re <= -_BRANCH:
         v = mp.log(1 - mp.exp(s))
@@ -199,11 +225,13 @@ def _log_one_minus_exp(s) -> Tuple[object, object]:
     d = 1 - w
     if d == 0:
         return mp.ninf, mp.mpf(0)
-    if abs(d) < mp.mpf(1) / 2:
+    size = abs(d)
+    if size < _HALF:
         d = -mp.expm1(s)  # cancellation zone: expm1 keeps full precision
         if d == 0:
             return mp.ninf, mp.mpf(0)
-    return mp.log(abs(d)), mp.arg(d)
+        size = abs(d)
+    return mp.log(size), mp.arg(d)
 
 
 @dataclass(frozen=True)
@@ -296,15 +324,44 @@ def _tail_bound(schedule: ZeroSchedule, log_mag, rows_used: int):
         return mp.mpf(total.b)
 
 
+# The product loop stops at the first factor that cannot move either
+# rounded sum S (mag or ph) at p = mp.prec bits.  Let q = e^re, re being the
+# kernel's input log|z| - log|b|, and suppose 2q < 2^-(p + c) min(|S|, 1):
+# * q < 2^-(p + 2), so re <= -40 and the kernel takes log(1 - e^s) directly;
+#   e^s rounds to w with |w| < 2q, so Re(1 - w) rounds to exactly 1 and
+#   1 - w = 1 + iy with |y| < 2q;
+# * log|1 + iy| <= y^2 / 2 and |atan y| <= |y|, so both the log modulus and
+#   the phase of the factor are below 2q (_norm_phase sends a negative phase
+#   that small to 0 and keeps a positive one);
+# * round-to-nearest leaves a p-bit S unchanged by an addend below half the
+#   spacing of p-bit numbers under |S|, which is at least 2^-(p + 2) |S|
+#   (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 2.1).
+# So c = 2 would do in exact arithmetic; c = 10 leaves a factor 2^8 for the
+# float test (relative errors near 2^-52 in re, |S| and the log) and for
+# mpmath's exp and atan, which are a few ulps off, not correctly rounded.
+# The table ascends in log|b|, so every later q is smaller and passes the
+# same test against the same sums: the loop can end there.  A sum that is 0,
+# or 0 as a float, never passes.
+_CUT_BITS = 10
+
+
 def _log_product(table, log_mag, phase):
     """(sum of log|1 - z/b|, sum of arg(1 - z/b)) over the zeros b of table,
-    pairs (log|b|, arg b) as _zero_constants gives them, at
-    z = e^(log_mag + i phase), summed in table order; (-inf, 0) as soon as
-    a factor vanishes."""
+    pairs (log|b|, arg b) as _zero_constants gives them in ascending log|b|,
+    at z = e^(log_mag + i phase), summed in table order; (-inf, 0) as soon
+    as a factor vanishes.  Stops where no later factor can change either
+    rounded sum, so the sums are the ones the whole table gives."""
     mag = mp.mpf(0)
     ph = mp.mpf(0)
+    cut = -(mp.prec + _CUT_BITS + 1) * math.log(2)  # log of 2^-(p + c) / 2
     for log_r, angle in table:
-        m, p = _log_one_minus_exp(mp.mpc(log_mag - log_r, _norm_phase(phase - angle)))
+        re = log_mag - log_r
+        x = float(re)
+        if x < cut:
+            least = min(abs(float(mag)), abs(float(ph)), 1.0)
+            if least > 0 and x < cut + math.log(least):
+                break
+        m, p = _log_one_minus_exp(mp.mpc(re, _norm_phase(phase - angle)))
         if m == mp.ninf:
             return mp.ninf, mp.mpf(0)
         mag += m

@@ -65,14 +65,20 @@ __all__ = [
 ]
 
 
-def _norm_turn(t: Fraction) -> Fraction:
-    return t % 1
+def _norm_turn(t) -> Fraction:
+    """t as an exact turn in [0, 1); a Fraction that already is one is kept."""
+    if type(t) is Fraction and 0 <= t < 1:
+        return t
+    return Fraction(t) % 1
 
 
 def turn_distance(a: Fraction, b: Fraction) -> Fraction:
     """Circular distance between two angles, in turns."""
     d = abs(_norm_turn(a) - _norm_turn(b))
     return min(d, 1 - d)
+
+
+_QUARTER = Fraction(1, 4)
 
 
 @dataclass(frozen=True)
@@ -87,9 +93,10 @@ class Arc:
     half_width: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "center", _norm_turn(Fraction(self.center)))
-        object.__setattr__(self, "half_width", Fraction(self.half_width))
-        if not 0 < self.half_width < Fraction(1, 4):
+        object.__setattr__(self, "center", _norm_turn(self.center))
+        if type(self.half_width) is not Fraction:
+            object.__setattr__(self, "half_width", Fraction(self.half_width))
+        if not 0 < self.half_width < _QUARTER:
             raise ValueError("arc half_width must lie in (0, 1/4)")
 
     def contains(self, angle: Fraction) -> bool:
@@ -118,7 +125,7 @@ class Leaf:
     angle: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "angle", _norm_turn(Fraction(self.angle)))
+        object.__setattr__(self, "angle", _norm_turn(self.angle))
 
 
 @dataclass(frozen=True)
@@ -366,7 +373,7 @@ def member(e: Optional[RankTree], angle: Fraction) -> bool:
     """Exact membership of an angle in the denoted point set."""
     if e is None:
         return False
-    angle = _norm_turn(Fraction(angle))
+    angle = _norm_turn(angle)
     if isinstance(e, Leaf):
         return e.angle == angle
     if isinstance(e, Forest):
@@ -412,7 +419,7 @@ def _child_containing(cluster: Cluster, angle: Fraction) -> Optional[Union[Leaf,
 def singleton_refine(e: RankTree, alpha: OrdinalLike, target: Fraction) -> RankTree:
     """A subset of e whose stage-alpha pruning is exactly {target}."""
     alpha = as_ordinal(alpha)
-    target = _norm_turn(Fraction(target))
+    target = _norm_turn(target)
     if not member(derive(e, alpha), target):
         raise ValueError(
             f"angle {target} does not survive {format_ordinal(alpha)} pruning stages"

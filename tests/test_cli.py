@@ -17,10 +17,11 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import rankzero
+import rankzero.evaluator as evaluator
 from rankzero.cli import main
 from rankzero.evaluator import default_precision
 from rankzero.probe import InconclusiveProbe
-from rankzero.schedule import build_row_schedule, schedule_to_json
+from rankzero.schedule import build_row_schedule, build_sector_schedule, schedule_to_json
 
 
 @pytest.fixture()
@@ -108,6 +109,30 @@ class TestPipelines:
 
 # sha256 of `rankzero build-zeros --alpha 3 --nu 1 --nmax 6 --out s.json`
 BUILD_ZEROS_3_1_6_SHA256 = "cc1e37d0ef5a3f7c6771b2c82d2326c3beaba0ec94bedf20764b340a863a254a"
+
+# sha256 of `rankzero --precision 200 eval --j 16 --grid ring:n=5,samples=64`
+# on build_sector_schedule(3, 6), from the product loop that summed every zero
+EVAL_SECTOR_3_6_SHA256 = "1de796008797bab6d4c736603ca183b3ccea684d73ef33f9f425470148572b5d"
+
+
+def test_eval_kernel_calls_and_bytes(runner, tmp_path, monkeypatch):
+    """A sector eval at a large dilation calls the kernel only for the zeros
+    that can move its rounded sums, and writes the bytes of the full sum."""
+    calls = []
+    kernel = evaluator._log_one_minus_exp
+
+    def counted(s):
+        calls.append(s)
+        return kernel(s)
+
+    monkeypatch.setattr(evaluator, "_log_one_minus_exp", counted)
+    sched, csv = tmp_path / "s.json", tmp_path / "field.csv"
+    sched.write_text(json.dumps(schedule_to_json(build_sector_schedule(3, 6))))
+    run(runner, "--precision", "200", "eval", "--schedule", str(sched), "--j", "16",
+        "--grid", "ring:n=5,samples=64", "--out", str(csv))
+    # 5,824 calls, all 91 zeros at each of the 64 points, before the cut
+    assert len(calls) == 2240
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == EVAL_SECTOR_3_6_SHA256
 
 
 class TestManifests:

@@ -28,14 +28,23 @@ from rankzero.evaluator import (
     _float_tail,
     _floor_log_bound,
     _log_one_minus_exp,
+    _log_product,
+    _norm_phase,
     _screened,
     _spherical_log_bound,
     _tail_bound,
+    _zero_constants,
 )
 from rankzero.ordinal import as_ordinal
 from rankzero.pointset import Leaf
 from rankzero.probe import GeometricMean, RatioPlus, dilation_factor
-from rankzero.schedule import Zero, ZeroSchedule, build_radii, build_row_schedule
+from rankzero.schedule import (
+    Zero,
+    ZeroSchedule,
+    build_radii,
+    build_row_schedule,
+    build_sector_schedule,
+)
 
 
 def make_schedule(zeros, n_rings=6):
@@ -114,6 +123,193 @@ class TestKernel:
         with mp.workprec(230):
             mag, ph = _log_one_minus_exp(mp.mpc(0, 0))
         assert mag == mp.ninf
+
+
+def _reference_norm_phase(x):
+    """_norm_phase without its fast path: every input through mp.fmod."""
+    two_pi = 2 * mp.pi
+    x = mp.fmod(x, two_pi)
+    if x > mp.pi:
+        x -= two_pi
+    elif x <= -mp.pi:
+        x += two_pi
+    return x
+
+
+def _reference_kernel(s):
+    """_log_one_minus_exp with every phase through _reference_norm_phase."""
+    re = mp.re(s)
+    if re >= 40:
+        rest = mp.log(1 - mp.exp(-s))
+        return re + mp.re(rest), _reference_norm_phase(mp.pi + mp.im(s) + mp.im(rest))
+    if re <= -40:
+        v = mp.log(1 - mp.exp(s))
+        return mp.re(v), _reference_norm_phase(mp.im(v))
+    d = 1 - mp.exp(s)
+    if d == 0:
+        return mp.ninf, mp.mpf(0)
+    if abs(d) < mp.mpf(1) / 2:
+        d = -mp.expm1(s)
+        if d == 0:
+            return mp.ninf, mp.mpf(0)
+    return mp.log(abs(d)), mp.arg(d)
+
+
+def _reference_log_product(table, log_mag, phase):
+    """_log_product without its cut: every factor of the table, in order."""
+    mag = ph = mp.mpf(0)
+    for log_r, angle in table:
+        m, p = _reference_kernel(mp.mpc(log_mag - log_r, _reference_norm_phase(phase - angle)))
+        if m == mp.ninf:
+            return mp.ninf, mp.mpf(0)
+        mag += m
+        ph += p
+    return mag, ph
+
+
+PRODUCT_TABLES = {
+    "criteria-6-8": lambda: build_row_schedule(3, 1, 12),
+    "sector-6": lambda: build_sector_schedule(3, 6),
+}
+
+
+@pytest.fixture(scope="module")
+def product_schedules():
+    return {name: build() for name, build in PRODUCT_TABLES.items()}
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """A count of _log_one_minus_exp calls made through the evaluator module."""
+    calls = []
+
+    def counted(s):
+        calls.append(s)
+        return _log_one_minus_exp(s)
+
+    monkeypatch.setattr(evaluator, "_log_one_minus_exp", counted)
+    return calls
+
+
+class TestProductCut:
+    @pytest.mark.parametrize("prec", [64 + _GUARD, 200 + _GUARD])
+    @pytest.mark.parametrize("name", sorted(PRODUCT_TABLES))
+    @given(
+        st.data(),
+        st.sampled_from(["free", "aligned", "at-zero", "without-zero"]),
+        st.integers(-2**40, 2**40),
+        st.floats(-math.pi, math.pi),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_cut_product_equals_the_whole_product(
+        self, product_schedules, name, prec, data, mode, nudge, phase
+    ):
+        """Bit for bit.  z lies gap below the radius of entry k, off the
+        float grid, with the gap spread widely or drawn near the cut for sums
+        of size 1; at k = 0 a large gap makes both sums small, down to float
+        underflow.  "aligned" puts the zeros below k on the positive axis
+        and z on the negative one, so the phase sum stays near 0 while the
+        modulus sum grows.  "at-zero" puts z on entry k, and "without-zero"
+        also takes that entry out of the table, as _derivative_at_zero
+        does."""
+        with mp.workprec(prec):
+            table = _zero_constants(product_schedules[name])
+            k = data.draw(st.one_of(st.just(0), st.integers(0, len(table) - 1)))
+            near = (prec + evaluator._CUT_BITS + 1) * math.log(2)
+            gap = data.draw(st.one_of(st.floats(-5, 900), st.floats(near - 12, near + 12)))
+            log_r, angle = table[k]
+            log_mag = log_r - gap + mp.mpf(nudge) * mp.mpf(2) ** -(prec - 10)
+            z_phase = mp.mpf(phase)
+            if mode == "aligned":
+                table = tuple((r, mp.mpf(0)) for r, _ in table[:k]) + table[k:]
+                z_phase = +mp.pi
+            elif mode != "free":
+                log_mag, z_phase = log_r, _norm_phase(angle)
+            if mode == "without-zero":
+                table = table[:k] + table[k + 1:]
+            got = _log_product(table, log_mag, z_phase)
+            want = _reference_log_product(table, log_mag, z_phase)
+            assert got[0] == want[0] and got[1] == want[1]
+
+    @pytest.mark.parametrize("prec", [64 + _GUARD, 200 + _GUARD])
+    @given(
+        st.floats(0, 760),
+        st.floats(-20, 20),
+        st.floats(0, 2),
+        st.lists(st.floats(0, 2 * math.pi), min_size=2, max_size=5),
+        st.floats(-math.pi, math.pi),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_cut_product_equals_the_whole_product_at_the_edge(
+        self, prec, depth, offset, spacing, angles, phase
+    ):
+        """Bit for bit on a two-scale table.  A zero of modulus 1, e^depth
+        times |z|, leaves sums of size about e^-depth, down to float
+        underflow; the later zeros start within 20 log units of where a
+        factor stops moving the smaller sum in exact arithmetic (2q below
+        2^-(p+2) of it), which is where a cut that is too eager shows."""
+        with mp.workprec(prec):
+            log_mag, z_phase = mp.mpf(-depth), mp.mpf(phase)
+            first = ((mp.mpf(0), mp.mpf(angles[0])),)
+            mag, ph = _reference_log_product(first, log_mag, z_phase)
+            least = min(abs(float(mag)), abs(float(ph)), 1.0)
+            edge = (prec + 3) * math.log(2) + math.log(max(least, 1e-300)) + offset
+            table = first + tuple(
+                (log_mag + edge + i * spacing, mp.mpf(angle))
+                for i, angle in enumerate(angles[1:])
+            )
+            got = _log_product(table, log_mag, z_phase)
+            want = _reference_log_product(table, log_mag, z_phase)
+            assert got[0] == want[0] and got[1] == want[1]
+
+    @pytest.mark.parametrize("name", sorted(PRODUCT_TABLES))
+    def test_vanishing_factor_gives_minus_infinity(self, product_schedules, name):
+        with mp.workprec(200 + _GUARD):
+            table = _zero_constants(product_schedules[name])
+            for log_r, angle in (table[0], table[-1]):
+                got = _log_product(table, log_r, _norm_phase(angle))
+                assert got == _reference_log_product(table, log_r, _norm_phase(angle))
+                assert got == (mp.ninf, 0)
+
+    def test_cut_drops_only_negligible_factors(self, product_schedules, kernel_calls):
+        """On criteria 6/8's schedule at |z| = 1, ring 12 (log a_12 = 233)
+        lies beyond the cut and ring 11 (144) before it.  With every
+        partial sum near e^-800, which floats cannot hold, nothing is cut."""
+        s = product_schedules["criteria-6-8"]
+        with mp.workprec(200 + _GUARD):
+            table = _zero_constants(s)
+            _log_product(table, mp.mpf(0), mp.mpf("0.3"))
+            assert len(kernel_calls) == s.through(11) == len(table) - 12
+            kernel_calls.clear()
+            _log_product(table, table[0][0] - 800, mp.mpf("0.3"))
+            assert len(kernel_calls) == len(table)
+
+
+@pytest.mark.parametrize("prec", [64 + _GUARD, 200 + _GUARD])
+@given(st.floats(-3 * math.pi, math.pi), st.integers(0, 200), st.integers(-2**60, 2**60))
+@settings(max_examples=60, deadline=None)
+def test_norm_phase_equals_fmod(prec, x, extra, nudge):
+    """On the phases _log_product reduces, (-3 pi, pi], with up to 200 bits
+    more than the working precision."""
+    with mp.workprec(prec + extra):
+        wide = mp.mpf(x) + mp.mpf(nudge) * mp.mpf(2) ** -(prec + 10)
+    with mp.workprec(prec):
+        assert _norm_phase(wide) == _reference_norm_phase(wide)
+
+
+@pytest.mark.parametrize("prec", [64 + _GUARD, 200 + _GUARD])
+def test_norm_phase_on_edges_and_tiny_wide_inputs(prec):
+    with mp.workprec(prec):
+        pi = +mp.pi
+        edges = [mp.mpf(0), pi, -pi, 2 * pi, -3 * pi, pi / 2]
+    with mp.workprec(3 * prec):
+        # tiny with more than prec bits: fmod returns it unrounded
+        tiny = mp.mpf(2) ** -(prec + 5) * (1 + mp.mpf(2) ** -(2 * prec))
+        wide = [tiny, +mp.pi, mp.pi / 3]
+    with mp.workprec(prec):
+        for x in edges + wide:
+            assert _norm_phase(x) == _reference_norm_phase(x)
+        assert _norm_phase(tiny) == tiny != +tiny
 
 
 class TestLogEval:

@@ -35,7 +35,7 @@ from rankzero.pointset import (
     tree_to_json,
     union_disjoint,
 )
-from rankzero.pointset import _spec_children  # structural invariants need the stream
+from rankzero.pointset import _child_arc, _spec_children  # private helpers under test
 from rankzero.schedule import standard_arc
 
 
@@ -52,6 +52,34 @@ class TestArc:
             Arc(F(0), F(1, 4))
         with pytest.raises(ValueError):
             Arc(F(0), F(0))
+
+    def test_rejects_a_quarter_turn_in_any_form(self):
+        for half_width in (F(1, 4), 0.25, F(1, 3), F(-1, 8)):
+            with pytest.raises(ValueError):
+                Arc(F(1, 8), half_width)
+
+    @pytest.mark.parametrize("turn,expect", [
+        (0, F(0)), (3, F(0)), (F(-1, 3), F(2, 3)), (F(5, 4), F(1, 4)),
+        (F(1), F(0)), (0.375, F(3, 8)), (-0.125, F(7, 8)), (F(2, 3), F(2, 3)),
+    ])
+    def test_turns_normalize_to_exact_fractions(self, turn, expect):
+        arc, leaf = Arc(turn, 0.125), Leaf(turn)
+        for value in (arc.center, leaf.angle):
+            assert value == expect and type(value) is F
+        assert arc.half_width == F(1, 8) and type(arc.half_width) is F
+
+    def test_exact_turns_are_kept(self):
+        center, half_width = F(2, 3), F(1, 9)
+        arc = Arc(center, half_width)
+        assert arc.center is center and arc.half_width is half_width
+        assert Leaf(center).angle is center
+
+    def test_child_arcs_wrap_below_zero(self):
+        arc = Arc(F(1, 100), F(1, 10))
+        child = _child_arc(arc, 1)
+        assert child.center == F(1, 100) - F(1, 20) + 1 == F(24, 25)
+        assert child.half_width == F(1, 270)
+        assert all(0 <= _child_arc(arc, n).center < 1 for n in range(1, 8))
 
     def test_wraparound_distance(self):
         a = Arc(F(1, 64), F(1, 32))
