@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 usage error, 3 internal invariant breach,
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -26,7 +27,7 @@ import mpmath
 from mpmath import mp
 
 from . import __version__
-from .evaluator import LogPolar, _rows, default_precision, log_eval, precision_scope
+from .evaluator import LogPolar, default_precision, log_eval, precision_scope
 from .ordinal import parse_ordinal, predecessor
 from .pointset import (
     Arc,
@@ -222,10 +223,10 @@ def eval_cmd(sched_path: str, j_factor: str, grid: str, rows: Optional[int],
             raise ValueError(j_factor)
     except ValueError:
         raise click.UsageError(f"--j must be a positive integer, not {j_factor!r}") from None
-    try:
-        _rows(sched, rows)
-    except ValueError as exc:
-        raise click.UsageError(f"--rows: {exc}") from exc
+    if rows is not None:
+        if not 0 <= rows <= sched.n_rings:
+            raise click.UsageError(f"--rows {rows} outside 0..{sched.n_rings}")
+        sched = dataclasses.replace(sched, zeros=sched.zeros[:sched.through(rows)])
     kind, opts = _parse_spec(grid)
     points = []
     try:
@@ -251,7 +252,7 @@ def eval_cmd(sched_path: str, j_factor: str, grid: str, rows: Optional[int],
     lines = ["log_r,turn,log_mag,phase,tail_bound,valid"]
     for log_r, turn in points:
         z = LogPolar.from_exact(log_r, turn)
-        res = log_eval(sched, z.scaled_by_int(j) if j > 1 else z, rows)
+        res = log_eval(sched, z.scaled_by_int(j) if j > 1 else z)
         lines.append(
             f"{log_r},{turn},{mp.nstr(res.value.log_mag, 17)},"
             f"{mp.nstr(res.value.phase, 17)},{mp.nstr(res.tail_log_bound, 12)},"

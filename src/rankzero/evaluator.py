@@ -11,10 +11,12 @@ three documented branches:
 * otherwise:    direct evaluation, switching to an expm1-based path when
   1 - e^s suffers cancellation (|1 - e^s| < 1/2).
 
-The truncation tail of a product evaluation is certified: with q_j the
-ratio of |z| to the j-th radius, the dropped rings j contribute at most
-sum of j * q_j / (1 - q_j), a convergent majorant whenever |z| does not
-exceed the radius two rings below the truncation.
+Every entry point reads all the rings of the schedule it is given; a
+caller that wants fewer rings passes a shorter schedule.  The tail past
+the schedule's last ring is certified: with q_j the ratio of |z| to the
+j-th radius, the rings j beyond it contribute at most the sum of
+j * q_j / (1 - q_j), a convergent majorant whenever |z| does not exceed
+the radius two rings below the last.
 
 The product loop, _log_product, takes the zeros in ascending modulus and
 stops at the first zero b where |z/b| is so small that neither its factor
@@ -26,10 +28,6 @@ written from them, are those of the whole table.
 
 No certified tail is claimed for the logarithmic derivative; its consumers
 only use self-consistency and monotone comparisons.
-
-Only log_eval and family_eval truncate, to their rows_used argument; every
-other entry point reads all the rings of the schedule it is given, so a
-caller that wants fewer rings passes a shorter schedule.
 
 Four searches screen, then certify: a float pass bounds every candidate,
 and _screened evaluates at full precision only where that can decide the
@@ -46,7 +44,8 @@ nearest-zero search (_distance_log_bounds) and condition-(M) sweep
 live in this module, in floats only: _floor_log_bound takes a float
 majorant of the interval _tail_bound, which log_eval keeps for the values
 it reports.  The sweep's meshes find the zero preimages in their disks
-with a float test that leaves only the disk's edge to mp (_zeros_in_disk).
+with _distance_log_bounds too: mp tests only the zeros it cannot place
+outside the disk.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from mpmath import iv, mp
 
@@ -236,41 +235,35 @@ def _log_one_minus_exp(s) -> Tuple[object, object]:
 
 @dataclass(frozen=True)
 class EvalResult:
-    """Truncated product value with a certified bound on the dropped tail."""
+    """Product value over the scheduled zeros with a certified bound on the
+    tail past the schedule's last ring, +inf outside the tail hypothesis."""
 
     value: LogPolar
     tail_log_bound: object
-    valid: bool
+
+    @property
+    def valid(self) -> bool:
+        """Whether the tail bound holds: |z| meets the tail hypothesis."""
+        return self.tail_log_bound < mp.inf
 
     @property
     def floor(self):
-        """log|f_truncated| minus the tail bound, at the precision of the
+        """log|f_schedule| minus the tail bound, at the precision of the
         reader: a lower bound on log|f| up to the rounding of the main sum."""
         return self.value.log_mag - self.tail_log_bound
 
 
-def _rows(schedule: ZeroSchedule, rows_used: Optional[int]) -> int:
-    """The truncation depth in rings: all of them by default."""
-    if rows_used is None:
-        return schedule.n_rings
-    if not 0 <= rows_used <= schedule.n_rings:
-        raise ValueError(f"rows_used {rows_used} outside 0..{schedule.n_rings}")
-    return rows_used
-
-
-def _hit(schedule: ZeroSchedule, z: LogPolar, end: int) -> Optional[int]:
-    """The index of the zero among schedule.zeros[:end] that z is exactly,
-    if any."""
+def _hit(schedule: ZeroSchedule, z: LogPolar) -> Optional[int]:
+    """The index of the scheduled zero that z is exactly, if any."""
     if z.exact is None:
         return None
-    return next(
-        (i for i, zero in enumerate(schedule.zeros[:end]) if z.exact.hits(zero)), None
-    )
+    return next((i for i, zero in enumerate(schedule.zeros) if z.exact.hits(zero)), None)
 
 
-def _tail_hypothesis(schedule: ZeroSchedule, log_mag, rows: int) -> bool:
+def _tail_hypothesis(schedule: ZeroSchedule, log_mag) -> bool:
     """Whether |z| = e^log_mag is at most the radius two rings below the
-    truncation, where _tail_bound holds."""
+    schedule's last, where _tail_bound holds."""
+    rows = schedule.n_rings
     return rows >= 3 and log_mag <= _mpf_fraction(schedule.radii.log_radius(rows - 2))
 
 
@@ -291,8 +284,9 @@ def _zero_constants(schedule: ZeroSchedule) -> Tuple[Tuple[object, object], ...]
     return table
 
 
-def _tail_bound(schedule: ZeroSchedule, log_mag, rows_used: int):
-    """Strict majorant of |log f - log f_truncated| at modulus e^log_mag.
+def _tail_bound(schedule: ZeroSchedule, log_mag):
+    """Strict majorant of |log f - log f_schedule| at modulus e^log_mag,
+    f_schedule being the product over the scheduled zeros.
 
     Ring j holds at most j zeros, each factor obeys
     |log(1 - w)| <= |w| / (1 - |w|), and the ring ratios q_j collapse
@@ -304,7 +298,7 @@ def _tail_bound(schedule: ZeroSchedule, log_mag, rows_used: int):
     with _iv_prec(mp.prec + _GUARD):
         x = iv.mpf(log_mag)
         total = iv.mpf(0)
-        j = rows_used + 1
+        j = schedule.n_rings + 1
         last_term = None
         for _ in range(400):
             q = iv.exp(x - _iv_fraction(schedule.radii.log_radius(j)))
@@ -369,34 +363,33 @@ def _log_product(table, log_mag, phase):
     return mag, ph
 
 
-def log_eval(schedule: ZeroSchedule, z: LogPolar, rows_used: Optional[int] = None) -> EvalResult:
-    """Product of (1 - z/b) over the zeros b of the first rows_used rings.
+def log_eval(schedule: ZeroSchedule, z: LogPolar) -> EvalResult:
+    """Product of (1 - z/b) over the scheduled zeros b.
 
     The certified tail hypothesis requires |z| at most the radius two rings
-    below the truncation; outside it the value is still returned with
-    valid=False.  An exact hit on a scheduled zero gives log_mag = -inf.
+    below the schedule's last; outside it the value is still returned, with
+    an infinite tail bound.  An exact hit on a scheduled zero gives
+    log_mag = -inf.
     """
-    rows = _rows(schedule, rows_used)
-    end = schedule.through(rows)
     with mp.workprec(default_precision() + _GUARD):
         if z.is_zero:
-            return EvalResult(LogPolar(mp.mpf(0), mp.mpf(0)), mp.mpf(0), True)
-        if _hit(schedule, z, end) is not None:
-            return EvalResult(LogPolar.origin(), mp.mpf(0), True)
-        mag, ph = _log_product(_zero_constants(schedule)[:end], z.log_mag, z.phase)
+            return EvalResult(LogPolar(mp.mpf(0), mp.mpf(0)), mp.mpf(0))
+        if _hit(schedule, z) is not None:
+            return EvalResult(LogPolar.origin(), mp.mpf(0))
+        mag, ph = _log_product(_zero_constants(schedule), z.log_mag, z.phase)
         if mag == mp.ninf:
-            return EvalResult(LogPolar.origin(), mp.mpf(0), True)
-        valid = _tail_hypothesis(schedule, z.log_mag, rows)
-        tail = _tail_bound(schedule, z.log_mag, rows) if valid else mp.inf
-        return EvalResult(LogPolar(mag, _norm_phase(ph)), tail, valid)
+            return EvalResult(LogPolar.origin(), mp.mpf(0))
+        if _tail_hypothesis(schedule, z.log_mag):
+            tail = _tail_bound(schedule, z.log_mag)
+        else:
+            tail = mp.inf
+        return EvalResult(LogPolar(mag, _norm_phase(ph)), tail)
 
 
-def family_eval(
-    schedule: ZeroSchedule, j: int, z: LogPolar, rows_used: Optional[int] = None
-) -> EvalResult:
+def family_eval(schedule: ZeroSchedule, j: int, z: LogPolar) -> EvalResult:
     """Evaluate the j-th dilation: the product at j*z."""
     with mp.workprec(default_precision() + _GUARD):
-        return log_eval(schedule, z.scaled_by_int(j), rows_used)
+        return log_eval(schedule, z.scaled_by_int(j))
 
 
 def log_derivative(schedule: ZeroSchedule, z: LogPolar) -> LogPolar:
@@ -404,7 +397,7 @@ def log_derivative(schedule: ZeroSchedule, z: LogPolar) -> LogPolar:
     zeros.  Carries no certified tail; use it only for self-consistency and
     monotone comparisons."""
     with mp.workprec(default_precision() + _GUARD):
-        if _hit(schedule, z, len(schedule)) is not None:
+        if _hit(schedule, z) is not None:
             raise ValueError("logarithmic derivative has a pole at a scheduled zero")
         zc = z.to_complex()
         total = mp.mpc(0)
@@ -432,7 +425,7 @@ def spherical_derivative(schedule: ZeroSchedule, j: int, z: LogPolar) -> object:
     """
     with mp.workprec(default_precision() + _GUARD):
         w = z.scaled_by_int(j) if j != 1 else z
-        hit = _hit(schedule, w, len(schedule))
+        hit = _hit(schedule, w)
         if hit is not None:
             return mp.exp(_derivative_at_zero(schedule, hit))
         fv = log_eval(schedule, w)
@@ -473,10 +466,10 @@ def _float_constants(schedule: ZeroSchedule) -> Tuple[Tuple[float, float], ...]:
 
 
 def _log_sigmoid_peak(x: float) -> float:
-    """x - log(1 + e^(2x)): log of |f| / (1 + |f|^2) at log|f| = x."""
-    if x > 0:
-        return -x - math.log1p(math.exp(-2 * x))
-    return x - math.log1p(math.exp(2 * x))
+    """x - log(1 + e^(2x)), the log of |f| / (1 + |f|^2) at log|f| = x: even
+    in x, so taken at -|x|, where e^(2x) cannot overflow."""
+    x = abs(x)
+    return -x - math.log1p(math.exp(-2 * x))
 
 
 def _float_factors(x: float, y: float, x_size: float, table):
@@ -555,7 +548,7 @@ def _spherical_log_bound(schedule: ZeroSchedule, j: int, z: LogPolar) -> float:
     listed twice, and where S cancels below its error bound, which includes
     the empty product.
     """
-    hit = None if z.exact is None else _hit(schedule, z.scaled_by_int(j), len(schedule))
+    hit = None if z.exact is None else _hit(schedule, z.scaled_by_int(j))
     if hit is not None:
         table = _float_constants(schedule)
         log_b, angle = table[hit]
@@ -574,15 +567,16 @@ def _spherical_log_bound(schedule: ZeroSchedule, j: int, z: LogPolar) -> float:
     return -float(z.log_mag) + math.log(abs(total) + err_total) + peak + _SCREEN_SLACK
 
 
-def _float_tail(schedule: ZeroSchedule, log_mag, rows_used: int) -> float:
-    """Float upper bound on _tail_bound(schedule, log_mag, rows_used): the
+def _float_tail(schedule: ZeroSchedule, log_mag) -> float:
+    """Float upper bound on _tail_bound(schedule, log_mag): the
     same terms j q_j / (1 - q_j), each raised by a first-order bound on its
     rounding, until one falls below 1e-20, the rest closed with the 2/e
     geometric ratio _tail_bound relies on (2.7845 > 2 / (e - 2)) and 1e-300
     for terms that underflow.  +inf where some q_j exceeds 1/2."""
     x = float(log_mag)
+    rows = schedule.n_rings
     total = 0.0
-    for j in range(rows_used + 1, rows_used + 401):
+    for j in range(rows + 1, rows + 401):
         log_r = float(schedule.radii.log_radius(j))
         q = math.exp(x - log_r)
         if q > 0.5:
@@ -590,7 +584,7 @@ def _float_tail(schedule: ZeroSchedule, log_mag, rows_used: int) -> float:
         term = j * q / (1 - q) * (1 + 8 * _EPS * (abs(x) + abs(log_r) + 4) / (1 - q))
         total += term
         if term < 1e-20:
-            return total * (1 + (j - rows_used) * _EPS) + term * 2.7845 + 1e-300
+            return total * (1 + (j - rows) * _EPS) + term * 2.7845 + 1e-300
     return math.inf
 
 
@@ -606,11 +600,10 @@ def _floor_log_bound(schedule: ZeroSchedule, j: int, z: LogPolar) -> float:
     if terms is None:
         return -math.inf
     log_w = z.scaled_by_int(j).log_mag
-    rows = schedule.n_rings
-    if not _tail_hypothesis(schedule, log_w, rows):
+    if not _tail_hypothesis(schedule, log_w):
         return -math.inf
     lf, err_lf, _, _ = terms
-    return lf - err_lf - _SCREEN_SLACK - _float_tail(schedule, log_w, rows)
+    return lf - err_lf - _SCREEN_SLACK - _float_tail(schedule, log_w)
 
 
 def _distance_log_bounds(schedule: ZeroSchedule, j: int, r: Fraction,
@@ -640,30 +633,6 @@ def _distance_log_bounds(schedule: ZeroSchedule, j: int, r: Fraction,
         bound = max(lg, la)
         out.append(bound - 8 * _EPS * (abs(bound) + 1) - _SCREEN_SLACK)
     return out
-
-
-def _zeros_in_disk(schedule: ZeroSchedule, j: int, center, radius) -> Iterator[Zero]:
-    """The scheduled zeros b with |b/j - center| <= radius, as mp decides it
-    at the working precision.  Floats decide first, with a margin far above
-    their rounding (from log|b/j| where |b/j| overflows a float); mp tests
-    only the zeros within the margin of the disk's edge."""
-    c, rad = complex(center), float(radius)
-    reach = abs(c) + rad
-    log_j = math.log(j)
-    for i, (log_r, angle) in enumerate(_float_constants(schedule)):
-        u = log_r - log_j  # log |b/j|
-        margin = 1e-12 + 16 * _EPS * (abs(log_r) + log_j)  # relative, and in log units
-        if u > 700:
-            inside = False if u - math.log(reach) > margin else None
-        else:
-            p = math.exp(u)
-            gap = abs(complex(p * math.cos(angle), p * math.sin(angle)) - c) - rad
-            inside = gap < 0 if abs(gap) > margin * (p + reach) else None
-        if inside is None:
-            log_b, angle_b = _zero_constants(schedule)[i]
-            inside = abs(mp.exp(mp.mpc(log_b - mp.log(mp.mpf(j)), angle_b)) - center) <= radius
-        if inside:
-            yield schedule.zeros[i]
 
 
 def _screened(bounds: Sequence[float], certify) -> dict:
@@ -776,7 +745,7 @@ def _sector_ring(schedule: ZeroSchedule, z: LogPolar, alpha0, arcs) -> int:
     for center, half_width, message in arcs:
         if two_pi * (_turn_gap(turn, center) - half_width) < alpha0:
             raise ValueError(message)
-    if not _tail_hypothesis(schedule, z.log_mag, schedule.n_rings):
+    if not _tail_hypothesis(schedule, z.log_mag):
         raise ValueError("tail hypothesis fails: the schedule has too few rings "
                          "for this modulus")
     return n

@@ -316,7 +316,7 @@ def parse_ordinal(text: str) -> Ordinal:
             return Ordinal.omega_power(exponent, coeff)
         if tok is not None and tok.isdigit():
             return Ordinal.from_int(int(take()))
-        raise ValueError(f"unexpected token {tok!r}")
+        raise ValueError(f"unexpected token {take()!r}")  # take() raises at the end
 
     def parse_factor() -> Ordinal:
         tok = peek()
@@ -330,7 +330,7 @@ def parse_ordinal(text: str) -> Ordinal:
             return OMEGA
         if tok is not None and tok.isdigit():
             return Ordinal.from_int(int(take()))
-        raise ValueError(f"unexpected token {tok!r} in exponent")
+        raise ValueError(f"unexpected token {take()!r} in exponent")
 
     value = parse_expr()
     if idx != len(tokens):

@@ -28,6 +28,7 @@ loop returns.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -43,7 +44,7 @@ from .evaluator import (
     _screened,
     _spherical_log_bound,
     _tail_hypothesis,
-    _zeros_in_disk,
+    _zero_constants,
     default_precision,
     spherical_derivative,
 )
@@ -439,19 +440,31 @@ class SweepRow:
     valid: bool
 
 
-def _mesh(center, radius, schedule: ZeroSchedule, j: int):
-    """Deterministic disk mesh: the center, three rings of 8k points, and
-    the preimages of every scheduled zero landing inside the disk.  The
+def _mesh(schedule: ZeroSchedule, j: int, turn: Fraction, modulus: Fraction, radius):
+    """Deterministic mesh of the disk of the given radius around
+    modulus * e^(2 pi i turn): the center, three rings of 8k points, and the
+    preimages b/j of every scheduled zero b landing inside the disk.  The
     preimages carry exact tags, so a zero hit is recognized exactly and the
-    spike of the spherical derivative cannot be missed."""
+    spike of the spherical derivative cannot be missed.
+
+    A zero whose float bound _distance_log_bounds exceeds the log of the
+    radius lies outside; mp decides |b/j - center| <= radius for the rest.
+    """
+    center = _mpf_fraction(modulus) * mp.exp(mp.mpc(0, 2 * mp.pi * _mpf_fraction(turn)))
     pts = [LogPolar.from_complex(center)]
     for k in range(1, 4):
         rho = radius * mp.mpf(k) / 3
         for m in range(8 * k):
             ang = 2 * mp.pi * m / (8 * k)
             pts.append(LogPolar.from_complex(center + rho * mp.exp(mp.mpc(0, 1) * ang)))
-    for zero in _zeros_in_disk(schedule, j, center, radius):
-        pts.append(LogPolar.from_exact(zero.log_r, zero.turn, den=j))
+    log_radius = math.log(float(radius))
+    log_j = mp.log(mp.mpf(j))
+    for i, bound in enumerate(_distance_log_bounds(schedule, j, modulus, turn)):
+        if bound <= log_radius:
+            log_b, angle = _zero_constants(schedule)[i]
+            if abs(mp.exp(mp.mpc(log_b - log_j, angle)) - center) <= radius:
+                zero = schedule.zeros[i]
+                pts.append(LogPolar.from_exact(zero.log_r, zero.turn, den=j))
     return pts
 
 
@@ -481,12 +494,9 @@ def condition_m_sweep(
             radius = mp.mpf(1) / n
             for i, (turn, modulus) in enumerate(points, start=1):
                 turn, modulus = Fraction(turn), Fraction(modulus)
-                center = _mpf_fraction(modulus) * mp.exp(
-                    mp.mpc(0, 2 * mp.pi * _mpf_fraction(turn))
-                )
-                top_log = mp.log(mp.mpf(j)) + mp.log(abs(center) + radius)
-                valid = _tail_hypothesis(schedule, top_log, schedule.n_rings)
-                mesh = _mesh(center, radius, schedule, j)
+                # j times the largest modulus in the disk
+                valid = _tail_hypothesis(schedule, mp.log(j * (_mpf_fraction(modulus) + radius)))
+                mesh = _mesh(schedule, j, turn, modulus, radius)
                 sds = {}
 
                 def certify(k):

@@ -135,6 +135,44 @@ def test_eval_kernel_calls_and_bytes(runner, tmp_path, monkeypatch):
     assert hashlib.sha256(csv.read_bytes()).hexdigest() == EVAL_SECTOR_3_6_SHA256
 
 
+# sha256 of `eval --rows N` (default grid ring:3) on the schedules fixture,
+# from the evaluator that truncated to its rows_used argument
+EVAL_ROWS_SHA256 = {
+    ("rows", 0): "c137ae0e74ed4fa164c4f35f79e473db87216aef5a48b9ae5585f7537bc082e8",
+    ("rows", 3): "a90c7b48c282fb3db847071b4624f06a410433971371069716d6e3f8c33ab73f",
+    ("rows", 8): "08cb227faed010a429ba572aff7d591a3ebb015379307b9280bee9ecf80175fa",
+    ("rows", 10): "329586fb603e89da67fc060a2920f521a3418e5d3aa28d1c17338d3e4a4e4f20",
+    ("sectors", 4): "d24bc0f72b5060c36e92be238777ee78cb1d46dda2ca60252bc743589c0e56dc",
+    ("sectors", 7): "42594c6e402b5af1f7a1e8a2b6918b85499c9d5a86237e61322ecdd7a24c6c4d",
+    ("sectors", 10): "91759e5bec4c3b2e2536be33142d20655be809d8b574d460fc6b768038a072fb",
+}
+
+
+@pytest.mark.parametrize("layout, rows", sorted(EVAL_ROWS_SHA256))
+def test_eval_rows_bytes(runner, tmp_path, schedules, layout, rows):
+    """--rows N evaluates the schedule cut to its first N rings."""
+    csv = tmp_path / "field.csv"
+    run(runner, "eval", "--schedule", str(schedules[layout]), "--rows", str(rows),
+        "--out", str(csv))
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == EVAL_ROWS_SHA256[layout, rows]
+
+
+def test_eval_rows_at_an_empty_ring_is_the_ring_below(runner, tmp_path):
+    """Ring 15 of this limit layout holds no zeros, so the schedule cut at 15
+    rings is the one cut at 14, and its tail is bounded from ring 15 on: a
+    valid bound, looser than one that starts past ring 15."""
+    sched = tmp_path / "s.json"
+    run(runner, "build-zeros", "--alpha", "w", "--nmax", "6", "--out", str(sched))
+    assert not [z for z in json.loads(sched.read_text())["zeros"] if z["row"] == 15]
+    fields = {}
+    for rows in (14, 15):
+        csv = tmp_path / f"rows-{rows}.csv"
+        run(runner, "eval", "--schedule", str(sched), "--rows", str(rows), "--out", str(csv))
+        fields[rows] = csv.read_text()
+    assert fields[14] == fields[15]
+    assert all(line.endswith(",1") for line in fields[15].splitlines()[1:])
+
+
 class TestManifests:
     def test_manifest_written_with_digests(self, runner, tmp_path):
         out = tmp_path / "set.json"
@@ -340,8 +378,12 @@ class TestBadArguments:
         ("rows", ["probe", "--rule", "sector:r=1/2,t=3", "--k", "1..2"], "no source set"),
         ("sectors", ["probe", "--rule", "sector:r=1/2,t=3", "--k", "1..2"], "k >= t = 3"),
         ("sectors", ["probe", "--rule", "ratio-plus:r=1/2"], "no source set"),
-        ("rows", ["eval", "--rows", "40"], "rows_used 40 outside 0..10"),
-        ("rows", ["eval", "--rows", "-1"], "rows_used -1 outside 0..10"),
+        ("rows", ["eval", "--rows", "40"], "--rows 40 outside 0..10"),
+        ("rows", ["eval", "--rows", "-1"], "--rows -1 outside 0..10"),
+        ("rows", ["eval", "--j", "0"], "--j must be a positive integer"),
+        ("rows", ["eval", "--grid", "disk:n=3"], "unknown grid kind"),
+        ("rows", ["probe", "--rule", "bogus:r=1/2"], "unknown rule kind"),
+        ("rows", ["probe", "--rule", "ratio-plus:r=1/2", "--k", "a..b"], "bad range"),
         ("rows", ["eval", "--grid", "ring:40"], "ring 40 outside 1..10"),
         ("rows", ["eval", "--grid", "ring:0"], "ring 0 outside 1..10"),
         ("rows", ["eval", "--grid", "annulus:n=10"], "ring 11 outside 1..10"),
@@ -368,6 +410,29 @@ class TestBadArguments:
         assert result.exit_code == 2, result.output
         assert message in result.output
         assert not out.exists()
+
+    @pytest.mark.parametrize("args, message", [
+        (["derive", "--beta", "w+"], "unexpected end of ordinal"),
+        (["build-zeros", "--alpha", "x"], "bad ordinal syntax"),
+        (["build-zeros", "--alpha", "3", "--nu", "0"], "nu must be a positive integer"),
+        (["verify", "--suite", "bogus"], "--suite must be 'all' or 'core'"),
+    ])
+    def test_usage_error_without_a_schedule(self, runner, tmp_path, args, message):
+        out = tmp_path / "o"
+        if args[0] == "derive":
+            run(runner, "build-set", "--alpha", "2", "--out", str(tmp_path / "set.json"))
+            args = [*args, "--set", str(tmp_path / "set.json")]
+        result = runner.invoke(main, [*args, "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+        assert not out.exists()
+
+    def test_nu_of_a_limit_rank_is_ignored(self, runner, tmp_path):
+        out = tmp_path / "s.json"
+        result = run(runner, "build-zeros", "--alpha", "w", "--nu", "3", "--nmax", "4",
+                     "--out", str(out))
+        assert "--nu ignored" in result.output
+        assert json.loads(out.read_text())["variant"] == "limit"
 
     def test_bad_rational_is_a_usage_error(self, runner, tmp_path):
         out = tmp_path / "set.json"

@@ -1,6 +1,6 @@
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction as F
 from typing import NamedTuple
 
@@ -12,6 +12,7 @@ import rankzero.evaluator as evaluator
 from rankzero import verification
 from rankzero.evaluator import (
     _GUARD,
+    EvalResult,
     LogPolar,
     _mpf_fraction,
     default_precision,
@@ -301,7 +302,8 @@ def test_norm_phase_equals_fmod(prec, x, extra, nudge):
 def test_norm_phase_on_edges_and_tiny_wide_inputs(prec):
     with mp.workprec(prec):
         pi = +mp.pi
-        edges = [mp.mpf(0), pi, -pi, 2 * pi, -3 * pi, pi / 2]
+        # fmod keeps -4, which is below -pi, so 2 pi is added
+        edges = [mp.mpf(0), pi, -pi, 2 * pi, -3 * pi, pi / 2, mp.mpf(-4)]
     with mp.workprec(3 * prec):
         # tiny with more than prec bits: fmod returns it unrounded
         tiny = mp.mpf(2) ** -(prec + 5) * (1 + mp.mpf(2) ** -(2 * prec))
@@ -312,22 +314,49 @@ def test_norm_phase_on_edges_and_tiny_wide_inputs(prec):
         assert _norm_phase(tiny) == tiny != +tiny
 
 
+@pytest.mark.parametrize("x", [-800.0, -3.5, -1e-300, -0.0, 0.0, 1e-300, 2.0, 800.0])
+def test_log_sigmoid_peak_is_even(x):
+    """Bit for bit the two-branch form it replaced, on both signs."""
+    old = -x - math.log1p(math.exp(-2 * x)) if x > 0 else x - math.log1p(math.exp(2 * x))
+    assert evaluator._log_sigmoid_peak(x) == old == evaluator._log_sigmoid_peak(-x)
+
+
 class TestLogEval:
     def test_value_at_origin_is_one(self, sched):
-        res = log_eval(sched, LogPolar.origin(), 8)
+        res = log_eval(truncated(sched, 8), LogPolar.origin())
         assert res.value.log_mag == 0 and res.value.phase == 0
         assert res.valid and res.tail_log_bound == 0
 
     def test_exact_zero_hit(self, sched):
         z = LogPolar.from_exact(F(1), sched.enumeration()[0])
-        res = log_eval(sched, z, 12)
+        res = log_eval(sched, z)
         assert res.value.is_zero
 
     def test_zero_outside_truncation_not_hit(self, sched):
         z = LogPolar.from_exact(F(55), sched.enumeration()[0])  # ring 9 zero
-        res = log_eval(sched, z, 8)
+        res = log_eval(truncated(sched, 8), z)
         assert not res.value.is_zero
-        assert not res.valid  # modulus breaks the tail hypothesis for 8 rings
+        # the modulus breaks the tail hypothesis for 8 rings
+        assert res.tail_log_bound == mp.inf and not res.valid
+
+    def test_valid_is_read_off_the_tail_bound(self, sched):
+        assert [f.name for f in fields(EvalResult)] == ["value", "tail_log_bound"]
+        z = LogPolar(mp.mpf("2.5"), mp.pi / 5)
+        assert log_eval(truncated(sched, 8), z).valid
+        assert not log_eval(truncated(sched, 4), z).valid
+        assert EvalResult(LogPolar.origin(), mp.mpf(0)).valid
+
+    def test_mp_position_of_a_zero_without_exact_tag(self, sched):
+        """A point that is a scheduled zero to the last bit, with no exact
+        tag: the product loop finds the vanishing factor itself."""
+        zero = sched.zeros[0]
+        assert zero.turn < F(1, 2)  # its angle is its phase
+        with mp.workprec(default_precision() + _GUARD):
+            log_b, angle = _zero_constants(sched)[0]
+            z = LogPolar(log_b, angle)
+        res = log_eval(sched, z)
+        assert res.value.is_zero and res.tail_log_bound == 0 and res.valid
+        assert spherical_derivative(sched, 1, z) == mp.inf
 
     def test_matches_direct_product(self, sched):
         with mp.workprec(300):
@@ -340,13 +369,13 @@ class TestLogEval:
                     )
                     prod *= 1 - w / b
             expect_mag = mp.log(abs(prod))
-            got = log_eval(sched, LogPolar(mp.mpf("2.5"), mp.pi / 5), 8)
+            got = log_eval(truncated(sched, 8), LogPolar(mp.mpf("2.5"), mp.pi / 5))
             assert abs(got.value.log_mag - expect_mag) < mp.mpf("1e-50")
 
     def test_truncation_consistency(self, sched):
         z = LogPolar(mp.mpf("2.5"), mp.pi / 5)
-        r8 = log_eval(sched, z, 8)
-        r12 = log_eval(sched, z, 12)
+        r8 = log_eval(truncated(sched, 8), z)
+        r12 = log_eval(sched, z)
         assert r8.valid
         assert abs(r8.value.log_mag - r12.value.log_mag) <= r8.tail_log_bound
 
@@ -356,14 +385,10 @@ class TestLogEval:
             Zero(2, F(2), F(1, 8)), Zero(2, F(2), F(7, 8)),
         )
         s = make_schedule(zeros)
-        a = log_eval(s, LogPolar(mp.mpf("1.5"), mp.mpf("0.9")), 2)
-        b = log_eval(s, LogPolar(mp.mpf("1.5"), -mp.mpf("0.9")), 2)
+        a = log_eval(s, LogPolar(mp.mpf("1.5"), mp.mpf("0.9")))
+        b = log_eval(s, LogPolar(mp.mpf("1.5"), -mp.mpf("0.9")))
         assert abs(a.value.log_mag - b.value.log_mag) < mp.mpf("1e-50")
         assert abs(a.value.phase + b.value.phase) < mp.mpf("1e-50")
-
-    def test_rows_beyond_schedule_rejected(self, sched):
-        with pytest.raises(ValueError):
-            log_eval(sched, LogPolar.origin(), 13)
 
     def test_tail_bound_encloses_its_exact_input(self, sched):
         with mp.workprec(230):
@@ -372,7 +397,8 @@ class TestLogEval:
             # a 40-digit rounding cannot tell x from 1/3 ...
             assert mp.nstr(x, 40) == mp.nstr(third, 40)
             # ... but the tail grows with the modulus, so its bound must too
-            assert _tail_bound(sched, x, 3) > _tail_bound(sched, third, 3)
+            s = truncated(sched, 3)
+            assert _tail_bound(s, x) > _tail_bound(s, third)
 
 
 @pytest.mark.parametrize("rows", [12, 10, 4])
@@ -386,18 +412,14 @@ def test_float_tail_bounds_the_certified_tail(sched, rows, depth, nudge):
     with precision_scope(200), mp.workprec(default_precision() + _GUARD):
         top = _mpf_fraction(s.radii.log_radius(rows - 2))
         log_mag = min(top, top - depth + mp.mpf(nudge) * mp.mpf(2) ** -90)
-        tail = _float_tail(s, log_mag, rows)
-        assert _tail_bound(s, log_mag, rows) <= tail < math.inf
+        tail = _float_tail(s, log_mag)
+        assert _tail_bound(s, log_mag) <= tail < math.inf
 
 
-@pytest.mark.parametrize("rows", [-1, 13])
-@pytest.mark.parametrize("call", [
-    pytest.param(lambda s, z, rows: log_eval(s, z, rows), id="log_eval"),
-    pytest.param(lambda s, z, rows: family_eval(s, 3, z, rows), id="family_eval"),
-])
-def test_rows_used_outside_the_schedule_is_rejected(sched, call, rows):
-    with pytest.raises(ValueError, match=f"rows_used {rows} outside 0..12"):
-        call(sched, LogPolar(mp.mpf(4), mp.pi), rows)
+def test_float_tail_is_infinite_at_the_first_radius_past_the_schedule(sched):
+    with mp.workprec(default_precision() + _GUARD):
+        log_mag = _mpf_fraction(sched.radii.log_radius(sched.n_rings + 1))
+        assert _float_tail(sched, log_mag) == math.inf
 
 
 @pytest.mark.parametrize("rows", [8, 10, 12])
@@ -407,7 +429,7 @@ def test_sector_bound_check_reads_the_rings_of_its_schedule(sched, rows):
     z = LogPolar(mp.mpf("4.5"), mp.mpf("-2.5"))
     rep = _sector_bound_check(truncated(sched, rows), z, 0.3)
     with mp.workprec(default_precision() + _GUARD):
-        res = log_eval(sched, z, rows)
+        res = log_eval(truncated(sched, rows), z)
         assert rep.lhs == res.value.log_mag
         assert rep.certified_lhs == res.floor
         assert sector_divergence(truncated(sched, rows), [z], 0.3).floor == res.floor
@@ -416,13 +438,14 @@ def test_sector_bound_check_reads_the_rings_of_its_schedule(sched, rows):
 class TestFamily:
     def test_unit_dilation_is_identity(self, sched):
         z = LogPolar(mp.mpf("2.5"), mp.pi / 5)
-        assert family_eval(sched, 1, z, 8).value.log_mag == log_eval(sched, z, 8).value.log_mag
+        s = truncated(sched, 8)
+        assert family_eval(s, 1, z).value.log_mag == log_eval(s, z).value.log_mag
 
     def test_zero_fidelity_through_dilation(self, sched):
         c1 = sched.enumeration()[0]
         j = 5962
         z = LogPolar.from_exact(F(8), c1, den=j)  # a_5 c_1 / j
-        assert family_eval(sched, j, z, 12).value.is_zero
+        assert family_eval(sched, j, z).value.is_zero
 
     def test_rejects_bad_factor(self, sched):
         with pytest.raises(ValueError):

@@ -199,3 +199,8 @@ class TestSyntax:
     def test_rejects_garbage(self, text):
         with pytest.raises(ValueError):
             parse_ordinal(text)
+
+    @pytest.mark.parametrize("text", ["w+", "3+", "w^", "w*", "w^(1"])
+    def test_input_that_stops_early_says_so(self, text):
+        with pytest.raises(ValueError, match="^unexpected end of ordinal$"):
+            parse_ordinal(text)

@@ -63,14 +63,15 @@ def _exhaustive_sweep(schedule, points, rule, n_range):
             j = dilation_factor(rule, schedule.radii, n)
             radius = mp.mpf(1) / n
             for i, (turn, modulus) in enumerate(points, start=1):
-                center = _center(F(turn), F(modulus))
+                turn, modulus = F(turn), F(modulus)
+                center = _center(turn, modulus)
                 top_log = mp.log(mp.mpf(j)) + mp.log(abs(center) + radius)
                 valid = rows >= 3 and top_log <= _mpf_fraction(
                     schedule.radii.log_radius(rows - 2)
                 )
                 best = mp.mpf(0)
                 values = []
-                for z in probe._mesh(center, radius, schedule, j):
+                for z in probe._mesh(schedule, j, turn, modulus, radius):
                     sd = mp.mpf(j) * spherical_derivative(schedule, j, z)
                     values.append((z, sd))
                     if sd > best:
@@ -149,12 +150,12 @@ def _criterion9_points(schedule):
 
 
 def _criterion9_disks(schedule):
-    """(j, center, radius) of criterion 9's ten disks, at the sweep's
-    working precision."""
+    """(j, turn, modulus, radius) of criterion 9's ten disks, the radius at
+    the sweep's working precision."""
     for n in range(5, 10):
         j = dilation_factor(RatioPlus(HALF), schedule.radii, n)
         for turn, modulus in _criterion9_points(schedule):
-            yield j, _center(turn, modulus), mp.mpf(1) / n
+            yield j, turn, modulus, mp.mpf(1) / n
 
 
 def _reference_mesh(center, radius, schedule, j):
@@ -213,6 +214,22 @@ def exhaustive_sweep(sched):
         return memo[case]
 
     return sweep
+
+
+class TestCertifiedFloor:
+    def test_escalates_until_the_endpoints_agree(self):
+        precisions = []
+
+        def expr():
+            precisions.append(iv.prec)
+            return 1 - iv.mpf(2) ** -100
+
+        assert probe._certified_floor(expr, 64) == 0
+        assert precisions == [64, 128]
+
+    def test_an_interval_across_an_integer_is_undecidable(self):
+        with pytest.raises(ArithmeticError, match="floor undecidable"):
+            probe._certified_floor(lambda: iv.mpf([0, 1]), 64)
 
 
 class TestDilationFactors:
@@ -467,8 +484,8 @@ class TestSweep:
         s = SWEEP_CASES[case](sched)
         preimages = 0
         with mp.workprec(default_precision() + _GUARD):
-            for j, center, radius in _criterion9_disks(sched):
-                for z in probe._mesh(center, radius, s, j):
+            for j, turn, modulus, radius in _criterion9_disks(sched):
+                for z in probe._mesh(s, j, turn, modulus, radius):
                     if z.exact is not None:
                         preimages += 1
                         assert _spherical_log_bound(s, j, z) < math.inf
@@ -515,32 +532,52 @@ class TestMesh:
             calls.append(schedule)
             return _zero_constants(schedule)
 
-        monkeypatch.setattr(evaluator, "_zero_constants", counted)
+        monkeypatch.setattr(probe, "_zero_constants", counted)
         return calls
 
     @pytest.mark.parametrize("case", ["criterion-9", "rows-10"])
     def test_float_disk_test_equals_mp(self, sched, case, mp_disk_tests):
         s = SWEEP_CASES[case](sched)
+        preimages = 0
         with mp.workprec(default_precision() + _GUARD):
-            for j, center, radius in _criterion9_disks(sched):
-                assert probe._mesh(center, radius, s, j) == _reference_mesh(center, radius, s, j)
-        # floats decide every zero of the ten meshes
-        assert not mp_disk_tests
+            for j, turn, modulus, radius in _criterion9_disks(sched):
+                mesh = probe._mesh(s, j, turn, modulus, radius)
+                assert mesh == _reference_mesh(_center(turn, modulus), radius, s, j)
+                preimages += sum(z.exact is not None for z in mesh)
+        # floats place every other zero of the ten meshes outside
+        assert len(mp_disk_tests) == preimages > 0
+
+    @pytest.mark.parametrize("make, rule, k_range, sector", [
+        (lambda: build_sector_schedule(2, 5), Sector(HALF, 1), range(2, 6), 1),
+        (lambda: build_limit_schedule("w", 6), RatioPlus(HALF), range(3, 8), 2),
+    ])
+    def test_sector_and_limit_meshes_equal_mp(self, make, rule, k_range, sector):
+        s = make()
+        preimages = 0
+        with mp.workprec(default_precision() + _GUARD):
+            for n, j in dilation_factors(rule, s.radii, k_range):
+                radius = mp.mpf(1) / n
+                for turn in s.enumeration(sector)[:2]:
+                    mesh = probe._mesh(s, j, turn, HALF, radius)
+                    assert mesh == _reference_mesh(_center(turn, HALF), radius, s, j)
+                    preimages += sum(z.exact is not None for z in mesh)
+        assert preimages > 0
 
     @pytest.mark.parametrize("inside", [True, False])
     def test_edge_near_a_preimage_falls_back_to_mp(self, sched, inside, mp_disk_tests):
         j = dilation_factor(RatioPlus(HALF), sched.radii, 5)
         zero = sched.zeros_in_ring(5)[0]
+        turn = sched.enumeration()[0]
         with mp.workprec(default_precision() + _GUARD):
             pre = LogPolar.from_exact(zero.log_r, zero.turn, den=j)
-            radius = mp.mpf(1) / 5
+            center = _center(turn, HALF)
             # the preimage lies 1e-13 inside or outside the disk's edge
             gap = mp.mpf("1e-13") if inside else -mp.mpf("1e-13")
-            center = pre.to_complex() + (radius - gap) * mp.exp(mp.mpc(0, 1))
-            mesh = probe._mesh(center, radius, sched, j)
+            radius = abs(pre.to_complex() - center) + gap
+            mesh = probe._mesh(sched, j, turn, HALF, radius)
             assert mesh == _reference_mesh(center, radius, sched, j)
             assert (pre in mesh) == inside
-        assert mp_disk_tests
+        assert len(mp_disk_tests) == sum(z.exact is not None for z in mesh) + (not inside)
 
     def test_overflowing_preimage_moduli_are_decided_from_logs(self, mp_disk_tests):
         s = build_row_schedule(3, 1, 15)
@@ -548,12 +585,12 @@ class TestMesh:
         assert any(float(z.log_r) - math.log(j) > 700 for z in s.zeros)  # ring 15: 987
         first = s.zeros[0]
         with mp.workprec(default_precision() + _GUARD):
-            center, radius = _center(first.turn, HALF), mp.mpf(1) / 5
-            mesh = probe._mesh(center, radius, s, j)
-            assert mesh == _reference_mesh(center, radius, s, j)
+            radius = mp.mpf(1) / 5
+            mesh = probe._mesh(s, j, first.turn, HALF, radius)
+            assert mesh == _reference_mesh(_center(first.turn, HALF), radius, s, j)
             # |e/5 - 1/2| < 1/5 on the first zero's ray
             assert LogPolar.from_exact(first.log_r, first.turn, den=j) in mesh
-        assert not mp_disk_tests
+        assert len(mp_disk_tests) == sum(z.exact is not None for z in mesh)
 
 
 class TestOrderReport:

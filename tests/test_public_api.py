@@ -18,8 +18,8 @@ def test_every_public_name_exists(name):
     assert not missing, f"rankzero.{name}.__all__ names undefined {missing}"
 
 
-def test_only_log_eval_and_family_eval_truncate():
-    # every other entry point reads all the rings of the schedule it is given
+def test_no_public_function_truncates():
+    # every entry point reads all the rings of the schedule it is given
     truncating = set()
     for info in pkgutil.iter_modules(rankzero.__path__):
         mod = importlib.import_module(f"rankzero.{info.name}")
@@ -27,7 +27,7 @@ def test_only_log_eval_and_family_eval_truncate():
             value = getattr(mod, public)
             if inspect.isfunction(value) and "rows_used" in inspect.signature(value).parameters:
                 truncating.add(f"{info.name}.{public}")
-    assert truncating == {"evaluator.log_eval", "evaluator.family_eval"}
+    assert not truncating
 
 
 def _readme_sketch() -> str:
