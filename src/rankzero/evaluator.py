@@ -11,6 +11,14 @@ three documented branches:
 * otherwise:    direct evaluation, switching to an expm1-based path when
   1 - e^s suffers cancellation (|1 - e^s| < 1/2).
 
+The kernel, the product loop and _norm_phase work on libmp's raw tuples
+(_mpf_ for a real, an _mpc_ pair for a complex).  They call the libmp
+operations that mp's arithmetic, exp, log, abs, arg and fmod call, at the
+working precision and rounding to nearest, in the order mp-object code
+would call them, so they give the bits the mp objects gave, without the
+objects' wrappers; only the expm1 path goes through mp.expm1, as libmp has
+no complex expm1.
+
 Every entry point reads all the rings of the schedule it is given; a
 caller that wants fewer rings passes a shorter schedule.  The tail past
 the schedule's last ring is certified: with q_j the ratio of |z| to the
@@ -60,6 +68,11 @@ from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 from mpmath import iv, mp
+from mpmath.libmp import (
+    fninf, fone, fzero, from_int, mpc_exp, mpc_log, mpc_neg, mpc_sub, mpf_add,
+    mpf_atan2, mpf_ge, mpf_gt, mpf_hypot, mpf_le, mpf_log, mpf_lt, mpf_mod, mpf_neg,
+    mpf_sub, round_nearest as _RN, to_float,
+)
 
 from .pointset import _hull, _pieces
 from .schedule import Zero, ZeroSchedule, _iv_fraction, _iv_prec
@@ -145,7 +158,7 @@ class LogPolar:
             raise ValueError("den must be positive")
         with mp.workprec(default_precision() + _GUARD):
             lm = _mpf_fraction(log_rat) - mp.log(den)
-            ph = _norm_phase(2 * mp.pi * _mpf_fraction(turn))
+            ph = mp.make_mpf(_norm_phase((2 * mp.pi * _mpf_fraction(turn))._mpf_))
         return LogPolar(lm, ph, ExactScale(log_rat, Fraction(1, den), turn))
 
     @staticmethod
@@ -176,61 +189,66 @@ class LogPolar:
 
 @lru_cache(maxsize=None)
 def _pi(prec: int):
-    """pi and 2 pi as mpf at prec bits: the values mp.pi and 2 * mp.pi take
-    there, without evaluating the constant at every use."""
+    """pi and 2 pi as _mpf_ tuples at prec bits: the values mp.pi and
+    2 * mp.pi take there, without evaluating the constant at every use."""
     with mp.workprec(prec):
         pi = +mp.pi
-        return pi, 2 * pi
+        return pi._mpf_, (2 * pi)._mpf_
 
 
 def _norm_phase(x):
-    """x reduced to (-pi, pi] by mp.fmod by 2 pi.  For an x in [0, pi] that
-    fits the working precision, fmod returns x itself, so that x is returned
-    as it is; fmod leaves a wider x unrounded only when x is tiny, so a wider
-    x, like every x outside [0, pi], takes the fmod path."""
+    """x, an _mpf_ tuple, reduced to (-pi, pi] by mpf_mod by 2 pi at
+    mp.prec, as mp.fmod reduces it.  For an x in [0, pi] that fits the
+    working precision, mpf_mod returns x itself, so that x is returned as it
+    is; mpf_mod leaves a wider x unrounded only when x is tiny, so a wider
+    x, like every x outside [0, pi], takes the mpf_mod path."""
     prec = mp.prec
     pi, two_pi = _pi(prec)
-    sign, _, _, bits = x._mpf_
-    if not sign and bits <= prec and x <= pi:
+    if not x[0] and x[3] <= prec and mpf_le(x, pi):
         return x
-    x = mp.fmod(x, two_pi)
-    if x > pi:
-        x -= two_pi
-    elif x <= -pi:
-        x += two_pi
+    x = mpf_mod(x, two_pi, prec, _RN)
+    if mpf_gt(x, pi):
+        x = mpf_sub(x, two_pi, prec, _RN)
+    elif mpf_le(x, mpf_neg(pi)):
+        x = mpf_add(x, two_pi, prec, _RN)
     return x
 
 
 # -- the kernel ---------------------------------------------------------------
 
 _BRANCH = 40
-_HALF = mp.mpf(0.5)
+_ABOVE, _BELOW = from_int(_BRANCH), from_int(-_BRANCH)
+_HALF = mp.mpf(0.5)._mpf_
+_ONE = (fone, fzero)
 
 
-def _log_one_minus_exp(s) -> Tuple[object, object]:
-    """(log|1 - e^s|, arg(1 - e^s)); (-inf, 0) when e^s is exactly 1."""
-    re = mp.re(s)
-    if re >= _BRANCH:
+def _log_one_minus_exp(s) -> Tuple[tuple, tuple]:
+    """(log|1 - e^s|, arg(1 - e^s)) as _mpf_ tuples for a complex s given as
+    an _mpc_ pair of working-precision parts; (-inf, 0) when e^s is exactly
+    1."""
+    prec = mp.prec
+    re, im = s
+    if mpf_ge(re, _ABOVE):
         # 1 - e^s = -e^s (1 - e^-s); e^-s is tiny but its effect is kept
-        u = mp.exp(-s)
-        rest = mp.log(1 - u)
-        mag = re + mp.re(rest)
-        ph = _norm_phase(_pi(mp.prec)[0] + mp.im(s) + mp.im(rest))
-        return mag, ph
-    if re <= -_BRANCH:
-        v = mp.log(1 - mp.exp(s))
-        return mp.re(v), _norm_phase(mp.im(v))
-    w = mp.exp(s)
-    d = 1 - w
-    if d == 0:
-        return mp.ninf, mp.mpf(0)
-    size = abs(d)
-    if size < _HALF:
-        d = -mp.expm1(s)  # cancellation zone: expm1 keeps full precision
-        if d == 0:
-            return mp.ninf, mp.mpf(0)
-        size = abs(d)
-    return mp.log(size), mp.arg(d)
+        u = mpc_exp(mpc_neg(s, prec, _RN), prec, _RN)
+        rest = mpc_log(mpc_sub(_ONE, u, prec, _RN), prec, _RN)
+        mag = mpf_add(re, rest[0], prec, _RN)
+        ph = mpf_add(mpf_add(_pi(prec)[0], im, prec, _RN), rest[1], prec, _RN)
+        return mag, _norm_phase(ph)
+    if mpf_le(re, _BELOW):
+        v = mpc_log(mpc_sub(_ONE, mpc_exp(s, prec, _RN), prec, _RN), prec, _RN)
+        return v[0], _norm_phase(v[1])
+    d = mpc_sub(_ONE, mpc_exp(s, prec, _RN), prec, _RN)
+    if d == (fzero, fzero):
+        return fninf, fzero
+    size = mpf_hypot(d[0], d[1], prec, _RN)
+    if mpf_lt(size, _HALF):
+        # cancellation zone: expm1 (with its 10 guard bits) keeps full precision
+        d = (-mp.expm1(mp.make_mpc(s)))._mpc_
+        if d == (fzero, fzero):
+            return fninf, fzero
+        size = mpf_hypot(d[0], d[1], prec, _RN)
+    return mpf_log(size, prec, _RN), mpf_atan2(d[1], d[0], prec, _RN)
 
 
 @dataclass(frozen=True)
@@ -267,8 +285,9 @@ def _tail_hypothesis(schedule: ZeroSchedule, log_mag) -> bool:
     return rows >= 3 and log_mag <= _mpf_fraction(schedule.radii.log_radius(rows - 2))
 
 
-def _zero_constants(schedule: ZeroSchedule) -> Tuple[Tuple[object, object], ...]:
-    """(log a_ring, 2 pi turn) as mpf per zero, aligned with schedule.zeros.
+def _zero_constants(schedule: ZeroSchedule) -> Tuple[Tuple[tuple, tuple], ...]:
+    """(log a_ring, 2 pi turn) as _mpf_ tuples per zero, aligned with
+    schedule.zeros.
 
     Built once per schedule and working precision; the values are the ones
     the kernels would compute inline, so results are bit-identical.
@@ -277,7 +296,7 @@ def _zero_constants(schedule: ZeroSchedule) -> Tuple[Tuple[object, object], ...]
     table = schedule.tables.get(key)
     if table is None:
         table = tuple(
-            (_mpf_fraction(zero.log_r), 2 * mp.pi * _mpf_fraction(zero.turn))
+            (_mpf_fraction(zero.log_r)._mpf_, (2 * mp.pi * _mpf_fraction(zero.turn))._mpf_)
             for zero in schedule.zeros
         )
         schedule.tables[key] = table
@@ -340,27 +359,29 @@ _CUT_BITS = 10
 
 
 def _log_product(table, log_mag, phase):
-    """(sum of log|1 - z/b|, sum of arg(1 - z/b)) over the zeros b of table,
-    pairs (log|b|, arg b) as _zero_constants gives them in ascending log|b|,
-    at z = e^(log_mag + i phase), summed in table order; (-inf, 0) as soon
-    as a factor vanishes.  Stops where no later factor can change either
-    rounded sum, so the sums are the ones the whole table gives."""
-    mag = mp.mpf(0)
-    ph = mp.mpf(0)
-    cut = -(mp.prec + _CUT_BITS + 1) * math.log(2)  # log of 2^-(p + c) / 2
+    """(sum of log|1 - z/b|, sum of arg(1 - z/b)) as mpf over the zeros b of
+    table, pairs (log|b|, arg b) as _zero_constants gives them in ascending
+    log|b|, at z = e^(log_mag + i phase), log_mag and phase as _mpf_ tuples,
+    summed in table order; (-inf, 0) as soon as a factor vanishes.  Stops
+    where no later factor can change either rounded sum, so the sums are the
+    ones the whole table gives."""
+    prec = mp.prec
+    mag = ph = fzero
+    cut = -(prec + _CUT_BITS + 1) * math.log(2)  # log of 2^-(p + c) / 2
     for log_r, angle in table:
-        re = log_mag - log_r
-        x = float(re)
+        re = mpf_sub(log_mag, log_r, prec, _RN)
+        x = to_float(re, rnd=_RN)
         if x < cut:
-            least = min(abs(float(mag)), abs(float(ph)), 1.0)
+            least = min(abs(to_float(mag, rnd=_RN)), abs(to_float(ph, rnd=_RN)), 1.0)
             if least > 0 and x < cut + math.log(least):
                 break
-        m, p = _log_one_minus_exp(mp.mpc(re, _norm_phase(phase - angle)))
-        if m == mp.ninf:
+        # both parts have at most prec bits: mp.mpc(re, phase) would keep them
+        m, p = _log_one_minus_exp((re, _norm_phase(mpf_sub(phase, angle, prec, _RN))))
+        if m == fninf:
             return mp.ninf, mp.mpf(0)
-        mag += m
-        ph += p
-    return mag, ph
+        mag = mpf_add(mag, m, prec, _RN)
+        ph = mpf_add(ph, p, prec, _RN)
+    return mp.make_mpf(mag), mp.make_mpf(ph)
 
 
 def log_eval(schedule: ZeroSchedule, z: LogPolar) -> EvalResult:
@@ -376,14 +397,15 @@ def log_eval(schedule: ZeroSchedule, z: LogPolar) -> EvalResult:
             return EvalResult(LogPolar(mp.mpf(0), mp.mpf(0)), mp.mpf(0))
         if _hit(schedule, z) is not None:
             return EvalResult(LogPolar.origin(), mp.mpf(0))
-        mag, ph = _log_product(_zero_constants(schedule), z.log_mag, z.phase)
+        mag, ph = _log_product(_zero_constants(schedule), mp.convert(z.log_mag)._mpf_,
+                               mp.convert(z.phase)._mpf_)
         if mag == mp.ninf:
             return EvalResult(LogPolar.origin(), mp.mpf(0))
         if _tail_hypothesis(schedule, z.log_mag):
             tail = _tail_bound(schedule, z.log_mag)
         else:
             tail = mp.inf
-        return EvalResult(LogPolar(mag, _norm_phase(ph)), tail)
+        return EvalResult(LogPolar(mag, mp.make_mpf(_norm_phase(ph._mpf_))), tail)
 
 
 def family_eval(schedule: ZeroSchedule, j: int, z: LogPolar) -> EvalResult:
@@ -402,7 +424,7 @@ def log_derivative(schedule: ZeroSchedule, z: LogPolar) -> LogPolar:
         zc = z.to_complex()
         total = mp.mpc(0)
         for log_r, angle in _zero_constants(schedule):
-            total += 1 / (zc - mp.exp(mp.mpc(log_r, angle)))
+            total += 1 / (zc - mp.exp(mp.make_mpc((log_r, angle))))
         return LogPolar.from_complex(total)
 
 
@@ -413,7 +435,7 @@ def _derivative_at_zero(schedule: ZeroSchedule, hit: int):
     table = _zero_constants(schedule)
     log_b, angle_b = table[hit]
     mag, _ = _log_product(table[:hit] + table[hit + 1:], log_b, angle_b)
-    return mag - log_b
+    return mag - mp.make_mpf(log_b)
 
 
 def spherical_derivative(schedule: ZeroSchedule, j: int, z: LogPolar) -> object:

@@ -462,7 +462,7 @@ def _mesh(schedule: ZeroSchedule, j: int, turn: Fraction, modulus: Fraction, rad
     for i, bound in enumerate(_distance_log_bounds(schedule, j, modulus, turn)):
         if bound <= log_radius:
             log_b, angle = _zero_constants(schedule)[i]
-            if abs(mp.exp(mp.mpc(log_b - log_j, angle)) - center) <= radius:
+            if abs(mp.exp(mp.mpc(mp.make_mpf(log_b) - log_j, angle)) - center) <= radius:
                 zero = schedule.zeros[i]
                 pts.append(LogPolar.from_exact(zero.log_r, zero.turn, den=j))
     return pts

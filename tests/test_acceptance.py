@@ -79,10 +79,11 @@ def core_kernel_calls():
 
 
 def test_core_suite_kernel_call_budget(core_kernel_calls):
-    # 1,579 calls; 1,867 before the product loop stopped at the factors that
-    # cannot move its rounded sums, 4,177 before the sweep bounded zero
-    # preimages in floats
-    assert core_kernel_calls["_log_one_minus_exp"] <= 1600
+    # exactly 1,579 calls, so a product loop that stops calling the kernel
+    # through the module cannot pass; 1,867 before the product loop stopped
+    # at the factors that cannot move its rounded sums, 4,177 before the
+    # sweep bounded zero preimages in floats
+    assert core_kernel_calls["_log_one_minus_exp"] == 1579
 
 
 def test_core_suite_interval_tail_budget(core_kernel_calls):

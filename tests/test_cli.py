@@ -135,6 +135,43 @@ def test_eval_kernel_calls_and_bytes(runner, tmp_path, monkeypatch):
     assert hashlib.sha256(csv.read_bytes()).hexdigest() == EVAL_SECTOR_3_6_SHA256
 
 
+# sha256 of `rankzero --precision 200 eval` on three layouts no other pin
+# covers, with the kernel calls of that eval and how many of them take the
+# Re s >= 40 branch, from the kernel that ran on mp objects
+EVAL_LAYOUT_PINS = {
+    "limit-annulus": (
+        ["--alpha", "w^2", "--nmax", "6"], ["--j", "25", "--grid", "annulus:n=3,samples=64"],
+        1600, 0, "eb73172f04e12136a3d13359e72f5fa094c3c8d400dd6f53237fffe51444504b"),
+    "rows-large-j": (
+        ["--alpha", "w^2+1", "--nu", "2", "--nmax", "10"],
+        ["--j", "81193", "--grid", "ring:n=7,samples=64"],
+        3520, 0, "38e6aadab3ff11877189c6b32f5505f9c7c485a60cb3910c33c24d2c2085c847"),
+    "re-s-above-40": (
+        ["--alpha", "3", "--nu", "1", "--nmax", "10"],
+        ["--j", "100000000000000000000", "--grid", "ring:3"],
+        3520, 960, "528034e27f08d036432347160bda0f83c4295250c596251ad57e9de52cf229a6"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EVAL_LAYOUT_PINS))
+def test_eval_bytes_and_kernel_branches(runner, tmp_path, monkeypatch, case):
+    build, grid, n_calls, n_above, digest = EVAL_LAYOUT_PINS[case]
+    sched, csv = tmp_path / "s.json", tmp_path / "field.csv"
+    run(runner, "--precision", "200", "build-zeros", *build, "--out", str(sched))
+    calls = []
+    kernel = evaluator._log_one_minus_exp
+
+    def counted(s):
+        calls.append(mpmath.mp.make_mpf(s[0]) >= 40)
+        return kernel(s)
+
+    monkeypatch.setattr(evaluator, "_log_one_minus_exp", counted)
+    run(runner, "--precision", "200", "eval", "--schedule", str(sched), *grid,
+        "--out", str(csv))
+    assert (len(calls), sum(calls)) == (n_calls, n_above)
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == digest
+
+
 # sha256 of `eval --rows N` (default grid ring:3) on the schedules fixture,
 # from the evaluator that truncated to its rows_used argument
 EVAL_ROWS_SHA256 = {

@@ -5,8 +5,9 @@ from fractions import Fraction as F
 from typing import NamedTuple
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
+from mpmath.libmp import fzero
 
 import rankzero.evaluator as evaluator
 from rankzero import verification
@@ -100,30 +101,13 @@ def log_eval_calls(monkeypatch):
     return calls
 
 
-class TestKernel:
-    def brute(self, s):
-        with mp.workprec(400):
-            v = 1 - mp.exp(s)
-            return (mp.log(abs(v)), mp.arg(v))
+KERNEL_PRECISIONS = [64 + _GUARD, 200 + _GUARD, 333]
 
-    @pytest.mark.parametrize(
-        "re,im",
-        [(39.999, 0.3), (40.001, 0.3), (-39.999, -0.7), (-40.001, -0.7),
-         (0.2, 0.1), (1e-9, 1e-9), (-0.3, 3.0), (5.0, -2.0), (200.0, 1.0),
-         (-500.0, 0.5)],
-    )
-    def test_matches_brute_force_across_seams(self, re, im):
-        with mp.workprec(230):
-            s = mp.mpc(re, im)
-            mag, ph = _log_one_minus_exp(s)
-        bm, bp = self.brute(s)
-        assert abs(mag - bm) < mp.mpf("1e-55")
-        assert abs(ph - bp) < mp.mpf("1e-55")
 
-    def test_exact_unit(self):
-        with mp.workprec(230):
-            mag, ph = _log_one_minus_exp(mp.mpc(0, 0))
-        assert mag == mp.ninf
+def _kernel(s):
+    """_log_one_minus_exp at an mpc s, as a pair of mpf."""
+    mag, ph = _log_one_minus_exp(s._mpc_)
+    return mp.make_mpf(mag), mp.make_mpf(ph)
 
 
 def _reference_norm_phase(x):
@@ -138,7 +122,8 @@ def _reference_norm_phase(x):
 
 
 def _reference_kernel(s):
-    """_log_one_minus_exp with every phase through _reference_norm_phase."""
+    """The kernel on mp objects, as _log_one_minus_exp computed it before it
+    called libmp directly, with every phase through _reference_norm_phase."""
     re = mp.re(s)
     if re >= 40:
         rest = mp.log(1 - mp.exp(-s))
@@ -156,16 +141,99 @@ def _reference_kernel(s):
     return mp.log(abs(d)), mp.arg(d)
 
 
+class TestKernel:
+    def brute(self, s):
+        with mp.workprec(400):
+            v = 1 - mp.exp(s)
+            return (mp.log(abs(v)), mp.arg(v))
+
+    @pytest.mark.parametrize(
+        "re,im",
+        [(39.999, 0.3), (40.001, 0.3), (-39.999, -0.7), (-40.001, -0.7),
+         (0.2, 0.1), (1e-9, 1e-9), (-0.3, 3.0), (5.0, -2.0), (200.0, 1.0),
+         (-500.0, 0.5)],
+    )
+    def test_matches_brute_force_across_seams(self, re, im):
+        with mp.workprec(230):
+            s = mp.mpc(re, im)
+            mag, ph = _kernel(s)
+        bm, bp = self.brute(s)
+        assert abs(mag - bm) < mp.mpf("1e-55")
+        assert abs(ph - bp) < mp.mpf("1e-55")
+
+    def test_exact_unit(self):
+        with mp.workprec(230):
+            assert _log_one_minus_exp(mp.mpc(0, 0)._mpc_) == (mp.ninf._mpf_, fzero)
+
+    @pytest.mark.parametrize("prec", KERNEL_PRECISIONS)
+    @pytest.mark.parametrize("point", [
+        "seam+", "seam+ulp", "seam+under", "seam-", "seam-ulp", "seam-under", "unit",
+        "unit-rounded", "turn", "near-turn", "far-above",
+    ])
+    def test_equals_the_mp_object_kernel_at_the_seams(self, prec, point):
+        """Bit for bit, on both parts: Re s = +-40 and one ulp either side,
+        e^s = 1 exactly (s = 0, and a real s whose exponential rounds to 1),
+        s = 2 pi i and s next to it (the expm1 zone), and Re s far above
+        40."""
+        with mp.workprec(prec):
+            ulp = mp.mpf(2) ** (6 - prec)  # one ulp at 40
+            two_pi_i = mp.mpc(0, 2 * mp.pi)
+            s = {
+                "seam+": mp.mpc(40, 0.3), "seam+ulp": mp.mpc(40 + ulp, 0.3),
+                "seam+under": mp.mpc(40 - ulp, -2.9), "seam-": mp.mpc(-40, -0.7),
+                "seam-ulp": mp.mpc(-40 - ulp, -0.7), "seam-under": mp.mpc(-40 + ulp, 3.1),
+                "unit": mp.mpc(0, 0), "unit-rounded": mp.mpc(mp.mpf(2) ** -(prec + 3), 0),
+                "turn": two_pi_i, "near-turn": two_pi_i + mp.mpc("1e-30", "-3e-31"),
+                "far-above": mp.mpc(900, -3.0),
+            }[point]
+            got, want = _kernel(s), _reference_kernel(s)
+        assert got[0] == want[0] and got[1] == want[1]
+        if point in ("unit", "unit-rounded"):
+            assert got == (mp.ninf, 0)
+
+    @pytest.mark.parametrize("prec", KERNEL_PRECISIONS)
+    @given(
+        st.one_of(st.floats(-60, 60), st.sampled_from([-40.0, 40.0]), st.floats(40, 800),
+                  st.floats(-1e-3, 1e-3)),
+        st.integers(-2**40, 2**40),
+        st.one_of(st.floats(-math.pi, math.pi), st.floats(-1e-3, 1e-3)),
+        st.integers(-1, 1),
+        st.integers(-2**40, 2**40),
+    )
+    @example(re=0.0, re_nudge=0, im=0.0, turns=0, im_nudge=0)
+    @example(re=40.0, re_nudge=-1, im=0.5, turns=0, im_nudge=0)
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_mp_object_kernel(self, prec, re, re_nudge, im, turns, im_nudge):
+        """Bit for bit, on both parts.  Re s is spread over both branches
+        and the direct path, put on the seams +-40 and moved off them by
+        whole units of 2^-(prec - 8), beyond float resolution; s near
+        2 pi i k (turns = k) is the expm1 zone, where s = 0 makes e^s
+        exactly 1."""
+        with mp.workprec(prec):
+            step = mp.mpf(2) ** -(prec - 8)
+            s = mp.mpc(mp.mpf(re) + re_nudge * step,
+                       2 * mp.pi * turns + mp.mpf(im) + im_nudge * step)
+            got, want = _kernel(s), _reference_kernel(s)
+        assert got[0] == want[0] and got[1] == want[1]
+
+
 def _reference_log_product(table, log_mag, phase):
-    """_log_product without its cut: every factor of the table, in order."""
+    """_log_product on mp objects and without its cut: every factor of the
+    table, in order, at mpf log_mag and phase."""
     mag = ph = mp.mpf(0)
     for log_r, angle in table:
+        log_r, angle = mp.make_mpf(log_r), mp.make_mpf(angle)
         m, p = _reference_kernel(mp.mpc(log_mag - log_r, _reference_norm_phase(phase - angle)))
         if m == mp.ninf:
             return mp.ninf, mp.mpf(0)
         mag += m
         ph += p
     return mag, ph
+
+
+def _cut_product(table, log_mag, phase):
+    """_log_product at mpf log_mag and phase."""
+    return _log_product(table, log_mag._mpf_, phase._mpf_)
 
 
 PRODUCT_TABLES = {
@@ -219,16 +287,16 @@ class TestProductCut:
             near = (prec + evaluator._CUT_BITS + 1) * math.log(2)
             gap = data.draw(st.one_of(st.floats(-5, 900), st.floats(near - 12, near + 12)))
             log_r, angle = table[k]
-            log_mag = log_r - gap + mp.mpf(nudge) * mp.mpf(2) ** -(prec - 10)
+            log_mag = mp.make_mpf(log_r) - gap + mp.mpf(nudge) * mp.mpf(2) ** -(prec - 10)
             z_phase = mp.mpf(phase)
             if mode == "aligned":
-                table = tuple((r, mp.mpf(0)) for r, _ in table[:k]) + table[k:]
+                table = tuple((r, fzero) for r, _ in table[:k]) + table[k:]
                 z_phase = +mp.pi
             elif mode != "free":
-                log_mag, z_phase = log_r, _norm_phase(angle)
+                log_mag, z_phase = mp.make_mpf(log_r), mp.make_mpf(_norm_phase(angle))
             if mode == "without-zero":
                 table = table[:k] + table[k + 1:]
-            got = _log_product(table, log_mag, z_phase)
+            got = _cut_product(table, log_mag, z_phase)
             want = _reference_log_product(table, log_mag, z_phase)
             assert got[0] == want[0] and got[1] == want[1]
 
@@ -251,15 +319,15 @@ class TestProductCut:
         2^-(p+2) of it), which is where a cut that is too eager shows."""
         with mp.workprec(prec):
             log_mag, z_phase = mp.mpf(-depth), mp.mpf(phase)
-            first = ((mp.mpf(0), mp.mpf(angles[0])),)
+            first = ((fzero, mp.mpf(angles[0])._mpf_),)
             mag, ph = _reference_log_product(first, log_mag, z_phase)
             least = min(abs(float(mag)), abs(float(ph)), 1.0)
             edge = (prec + 3) * math.log(2) + math.log(max(least, 1e-300)) + offset
             table = first + tuple(
-                (log_mag + edge + i * spacing, mp.mpf(angle))
+                ((log_mag + edge + i * spacing)._mpf_, mp.mpf(angle)._mpf_)
                 for i, angle in enumerate(angles[1:])
             )
-            got = _log_product(table, log_mag, z_phase)
+            got = _cut_product(table, log_mag, z_phase)
             want = _reference_log_product(table, log_mag, z_phase)
             assert got[0] == want[0] and got[1] == want[1]
 
@@ -269,7 +337,8 @@ class TestProductCut:
             table = _zero_constants(product_schedules[name])
             for log_r, angle in (table[0], table[-1]):
                 got = _log_product(table, log_r, _norm_phase(angle))
-                assert got == _reference_log_product(table, log_r, _norm_phase(angle))
+                log_mag, phase = mp.make_mpf(log_r), mp.make_mpf(_norm_phase(angle))
+                assert got == _reference_log_product(table, log_mag, phase)
                 assert got == (mp.ninf, 0)
 
     def test_cut_drops_only_negligible_factors(self, product_schedules, kernel_calls):
@@ -279,10 +348,10 @@ class TestProductCut:
         s = product_schedules["criteria-6-8"]
         with mp.workprec(200 + _GUARD):
             table = _zero_constants(s)
-            _log_product(table, mp.mpf(0), mp.mpf("0.3"))
+            _cut_product(table, mp.mpf(0), mp.mpf("0.3"))
             assert len(kernel_calls) == s.through(11) == len(table) - 12
             kernel_calls.clear()
-            _log_product(table, table[0][0] - 800, mp.mpf("0.3"))
+            _cut_product(table, mp.make_mpf(table[0][0]) - 800, mp.mpf("0.3"))
             assert len(kernel_calls) == len(table)
 
 
@@ -295,7 +364,7 @@ def test_norm_phase_equals_fmod(prec, x, extra, nudge):
     with mp.workprec(prec + extra):
         wide = mp.mpf(x) + mp.mpf(nudge) * mp.mpf(2) ** -(prec + 10)
     with mp.workprec(prec):
-        assert _norm_phase(wide) == _reference_norm_phase(wide)
+        assert _norm_phase(wide._mpf_) == _reference_norm_phase(wide)._mpf_
 
 
 @pytest.mark.parametrize("prec", [64 + _GUARD, 200 + _GUARD])
@@ -310,8 +379,8 @@ def test_norm_phase_on_edges_and_tiny_wide_inputs(prec):
         wide = [tiny, +mp.pi, mp.pi / 3]
     with mp.workprec(prec):
         for x in edges + wide:
-            assert _norm_phase(x) == _reference_norm_phase(x)
-        assert _norm_phase(tiny) == tiny != +tiny
+            assert _norm_phase(x._mpf_) == _reference_norm_phase(x)._mpf_
+        assert _norm_phase(tiny._mpf_) == tiny._mpf_ != (+tiny)._mpf_
 
 
 @pytest.mark.parametrize("x", [-800.0, -3.5, -1e-300, -0.0, 0.0, 1e-300, 2.0, 800.0])
@@ -353,7 +422,7 @@ class TestLogEval:
         assert zero.turn < F(1, 2)  # its angle is its phase
         with mp.workprec(default_precision() + _GUARD):
             log_b, angle = _zero_constants(sched)[0]
-            z = LogPolar(log_b, angle)
+            z = LogPolar(mp.make_mpf(log_b), mp.make_mpf(angle))
         res = log_eval(sched, z)
         assert res.value.is_zero and res.tail_log_bound == 0 and res.valid
         assert spherical_derivative(sched, 1, z) == mp.inf

@@ -168,7 +168,7 @@ def _reference_mesh(center, radius, schedule, j):
             pts.append(LogPolar.from_complex(center + rho * mp.exp(mp.mpc(0, 1) * ang)))
     log_j = mp.log(mp.mpf(j))
     for z, (log_r, angle) in zip(schedule.zeros, _zero_constants(schedule)):
-        pre = mp.exp(mp.mpc(log_r - log_j, angle))
+        pre = mp.exp(mp.mpc(mp.make_mpf(log_r) - log_j, angle))
         if abs(pre - center) <= radius:
             pts.append(LogPolar.from_exact(z.log_r, z.turn, den=j))
     return pts
