@@ -450,10 +450,12 @@ def spherical_derivative(schedule: ZeroSchedule, j: int, z: LogPolar) -> object:
         hit = _hit(schedule, w)
         if hit is not None:
             return mp.exp(_derivative_at_zero(schedule, hit))
-        fv = log_eval(schedule, w)
-        if fv.value.is_zero:  # numeric zero without exact tag
+        lf = mp.mpf(0)  # f(0) = 1
+        if not w.is_zero:
+            lf, _ = _log_product(_zero_constants(schedule), mp.convert(w.log_mag)._mpf_,
+                                 mp.convert(w.phase)._mpf_)
+        if lf == mp.ninf:  # numeric zero without exact tag
             return mp.inf
-        lf = fv.value.log_mag
         ld = log_derivative(schedule, w)
         if ld.is_zero:
             return mp.mpf(0)

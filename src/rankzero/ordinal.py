@@ -2,9 +2,12 @@
 
 Every value is a finite sum w^e1*c1 + ... + w^ek*ck with ordinal exponents
 e1 > e2 > ... > ek and positive integer coefficients.  Values are immutable,
-hashable and totally ordered.  The set of ordinals below a given bound has
-a fixed dovetailed enumeration (ordered by description size, ties broken by
-ordinal order) so that every construction seeded by it is reproducible.
+hashable and totally ordered.  The order is the lexicographic order of their
+term tuples: the first term that differs decides, by exponent and then by
+coefficient, and a proper prefix is the smaller ordinal.  The set of
+ordinals below a given bound has a fixed dovetailed enumeration (ordered by
+description size, ties broken by ordinal order) so that every construction
+seeded by it is reproducible.
 
 Text syntax, round-tripped exactly by parse_ordinal/format_ordinal:
 
@@ -24,7 +27,6 @@ __all__ = [
     "ONE",
     "OMEGA",
     "as_ordinal",
-    "compare",
     "predecessor",
     "successor",
     "ordinal_add",
@@ -37,7 +39,7 @@ __all__ = [
 OrdinalLike = Union["Ordinal", int, str]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Ordinal:
     """Cantor normal form; the empty term list denotes 0."""
 
@@ -50,7 +52,7 @@ class Ordinal:
                 raise TypeError("exponents must be Ordinal values")
             if not isinstance(coeff, int) or coeff < 1:
                 raise ValueError("coefficients must be positive integers")
-            if prev is not None and compare(exp, prev) >= 0:
+            if prev is not None and exp >= prev:
                 raise ValueError("exponents must be strictly decreasing")
             prev = exp
 
@@ -74,20 +76,6 @@ class Ordinal:
     def omega_power(exponent: "Ordinal", coeff: int = 1) -> "Ordinal":
         return Ordinal(((exponent, coeff),))
 
-    # -- ordering -----------------------------------------------------------
-
-    def __lt__(self, other: "Ordinal") -> bool:
-        return compare(self, other) < 0
-
-    def __le__(self, other: "Ordinal") -> bool:
-        return compare(self, other) <= 0
-
-    def __gt__(self, other: "Ordinal") -> bool:
-        return compare(self, other) > 0
-
-    def __ge__(self, other: "Ordinal") -> bool:
-        return compare(self, other) >= 0
-
     def __str__(self) -> str:
         return format_ordinal(self)
 
@@ -108,19 +96,6 @@ def as_ordinal(value: OrdinalLike) -> Ordinal:
     if isinstance(value, str):
         return parse_ordinal(value)
     raise TypeError(f"cannot interpret {value!r} as an ordinal")
-
-
-def compare(a: Ordinal, b: Ordinal) -> int:
-    """Strict total order on normal forms: -1, 0 or 1."""
-    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
-        c = compare(ea, eb)
-        if c != 0:
-            return c
-        if ca != cb:
-            return -1 if ca < cb else 1
-    if len(a.terms) == len(b.terms):
-        return 0
-    return -1 if len(a.terms) < len(b.terms) else 1
 
 
 def successor(a: Ordinal) -> Ordinal:
@@ -145,16 +120,16 @@ def ordinal_add(a: Ordinal, b: Ordinal) -> Ordinal:
     if b.is_zero:
         return a
     lead = b.terms[0][0]
-    head: List[Tuple[Ordinal, int]] = [t for t in a.terms if compare(t[0], lead) > 0]
+    head: List[Tuple[Ordinal, int]] = [t for t in a.terms if t[0] > lead]
     merged = list(b.terms)
-    if len(head) < len(a.terms) and compare(a.terms[len(head)][0], lead) == 0:
+    if len(head) < len(a.terms) and a.terms[len(head)][0] == lead:
         merged[0] = (lead, a.terms[len(head)][1] + b.terms[0][1])
     return Ordinal(tuple(head) + tuple(merged))
 
 
 def ordinal_sub_left(a: Ordinal, b: Ordinal) -> Ordinal:
     """The unique g with a + g == b; requires a <= b."""
-    if compare(a, b) > 0:
+    if a > b:
         raise ValueError(f"{a} > {b}: no left difference")
     i = 0
     while i < len(a.terms) and i < len(b.terms) and a.terms[i] == b.terms[i]:
@@ -163,7 +138,7 @@ def ordinal_sub_left(a: Ordinal, b: Ordinal) -> Ordinal:
         return Ordinal(b.terms[i:])
     ea, ca = a.terms[i]
     eb, cb = b.terms[i]
-    if compare(ea, eb) == 0 and ca < cb:
+    if ea == eb and ca < cb:
         return Ordinal(((eb, cb - ca),) + b.terms[i + 1:])
     # a's term is dominated; the leading term of the suffix absorbs a's tail
     return Ordinal(b.terms[i:])

@@ -32,7 +32,6 @@ from .ordinal import (
     Ordinal,
     OrdinalLike,
     as_ordinal,
-    compare,
     enumerate_below,
     format_ordinal,
     ordinal_add,
@@ -204,7 +203,7 @@ def _spec_children(arc: Arc, spec: KidsSpec) -> Iterator[Tuple[int, Union[Leaf, 
             yield n, _apex_tree(rank, _child_arc(arc, n))
     elif isinstance(spec, DerivedKids):
         for n, child in _spec_children(arc, spec.base):
-            if compare(rank_of(child), spec.beta) >= 0:
+            if rank_of(child) >= spec.beta:
                 yield n, derive(child, spec.beta)  # type: ignore[arg-type]
     elif isinstance(spec, PickedKids):
         alpha = spec.alpha
@@ -212,13 +211,13 @@ def _spec_children(arc: Arc, spec: KidsSpec) -> Iterator[Tuple[int, Union[Leaf, 
         p = predecessor(alpha)
         if p is not None:
             for n, child in stream:
-                if compare(rank_of(child), p) >= 0:
+                if rank_of(child) >= p:
                     yield n, _rank_select(child, p)
         else:
             for m in count(1):
                 goal = enumerate_below(alpha, m)[m - 1]
                 for n, child in stream:
-                    if compare(rank_of(child), goal) >= 0:
+                    if rank_of(child) >= goal:
                         yield n, _rank_select(child, goal)
                         break
     else:  # pragma: no cover
@@ -227,11 +226,11 @@ def _spec_children(arc: Arc, spec: KidsSpec) -> Iterator[Tuple[int, Union[Leaf, 
 
 def _rank_select(tree: Union[Leaf, Cluster], goal: Ordinal) -> Union[Leaf, Cluster]:
     """A subtree of `tree` with collapse rank exactly `goal` (goal <= rank)."""
-    if compare(goal, rank_of(tree)) == 0:
+    if goal == rank_of(tree):
         return tree
     assert isinstance(tree, Cluster)
     for _, child in _spec_children(tree.arc, tree.kids):
-        if compare(rank_of(child), goal) >= 0:
+        if rank_of(child) >= goal:
             return _rank_select(child, goal)
     raise AssertionError("unreachable: child ranks are cofinal")  # pragma: no cover
 
@@ -328,10 +327,9 @@ def derive(e: Optional[RankTree], beta: OrdinalLike) -> Optional[RankTree]:
         return None
     if isinstance(e, Forest):
         return _forest([derive(m, beta) for m in e.members])
-    c = compare(beta, e.rank)
-    if c > 0:
+    if beta > e.rank:
         return None
-    if c == 0:
+    if beta == e.rank:
         return Leaf(e.limit)
     return Cluster(e.arc, _derived_kids(e.kids, beta), ordinal_sub_left(beta, e.rank), True)
 
@@ -435,7 +433,7 @@ def _refine(e: RankTree, alpha: Ordinal, target: Fraction) -> RankTree:
             if member(derive(m, alpha), target):
                 return _refine(m, alpha, target)
         raise AssertionError("unreachable: member check passed")  # pragma: no cover
-    if compare(alpha, e.rank) == 0:
+    if alpha == e.rank:
         return e
     if target == e.limit:
         if alpha.is_zero:

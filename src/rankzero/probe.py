@@ -327,6 +327,10 @@ class Certificate:
     reason: str
 
 
+def _target(cert: Certificate) -> str:
+    return "origin" if cert.target_turn is None else str(cert.target_turn)
+
+
 def _zero_distance(schedule: ZeroSchedule, j: int, r: Fraction,
                    turn: Fraction) -> Tuple[object, object]:
     """Certified interval of min |b/j - r e^(2 pi i turn)| over all
@@ -518,8 +522,14 @@ class ProbeReport:
     certificates: Tuple[Certificate, ...]
     claimed: str
     rank_conclusion: RankProfile
-    inconclusive: bool
-    failing_targets: Tuple[str, ...] = ()
+
+    @property
+    def failing_targets(self) -> Tuple[str, ...]:
+        return tuple(_target(c) for c in self.certificates if not c.passed)
+
+    @property
+    def inconclusive(self) -> bool:
+        return bool(self.failing_targets)
 
     def as_dict(self) -> dict:
         return {
@@ -531,7 +541,7 @@ class ProbeReport:
             "failing_targets": list(self.failing_targets),
             "certificates": [
                 {
-                    "target": "origin" if c.target_turn is None else str(c.target_turn),
+                    "target": _target(c),
                     "passed": c.passed,
                     "reason": c.reason,
                     "entries": [
@@ -599,11 +609,6 @@ def order_report(
             certs.append(non_c0_certificate(schedule, rule, turn, delta, k_range))
 
     branch = classify(rule, schedule.radii, k_range)
-    failing = tuple(
-        "origin" if c.target_turn is None else str(c.target_turn)
-        for c in certs
-        if not c.passed
-    )
 
     if not rule.pins_rings:
         claimed = "{0}"
@@ -616,12 +621,4 @@ def order_report(
         top = max(rank_of(piece) for piece in _pieces(tree))
         profile = rank_profile(tree, (ZERO, ONE, top, successor(top)), extra_isolated=1)
 
-    return ProbeReport(
-        rule.describe(),
-        branch.branch,
-        tuple(certs),
-        claimed,
-        profile,
-        bool(failing),
-        failing,
-    )
+    return ProbeReport(rule.describe(), branch.branch, tuple(certs), claimed, profile)

@@ -60,8 +60,9 @@ def test_core_report_bytes_are_pinned(core_results):
 
 @pytest.fixture(scope="module")
 def core_kernel_calls():
-    """Calls of the evaluator's kernel, _log_one_minus_exp, and of its
-    interval tail bound, _tail_bound, over one core suite run at 200 bits."""
+    """Calls of the evaluator's kernel, _log_one_minus_exp, of its interval
+    tail bound, _tail_bound, and of its scan for an exact hit, _hit, over
+    one core suite run at 200 bits."""
     calls = Counter()
 
     def counted(name, fn):
@@ -71,7 +72,7 @@ def core_kernel_calls():
         return call
 
     with pytest.MonkeyPatch.context() as patch:
-        for name in ("_log_one_minus_exp", "_tail_bound"):
+        for name in ("_log_one_minus_exp", "_tail_bound", "_hit"):
             patch.setattr(evaluator, name, counted(name, getattr(evaluator, name)))
         with precision_scope(200):
             verification._run_core()
@@ -87,5 +88,13 @@ def test_core_suite_kernel_call_budget(core_kernel_calls):
 
 
 def test_core_suite_interval_tail_budget(core_kernel_calls):
-    # 19 calls; 319 before the floor screens bounded the tail in floats
-    assert core_kernel_calls["_tail_bound"] <= 25
+    # 19 calls before spherical_derivative stopped calling log_eval, which
+    # bounds a tail it has no use for; 319 before the floor screens bounded
+    # the tail in floats
+    assert core_kernel_calls["_tail_bound"] == 11
+
+
+def test_core_suite_exact_hit_scans(core_kernel_calls):
+    # 75 before spherical_derivative stopped calling log_eval, which scans
+    # again for the hit that spherical_derivative has just ruled out
+    assert core_kernel_calls["_hit"] == 67

@@ -623,6 +623,23 @@ class TestSpherical:
         s = make_schedule([])
         assert spherical_derivative(s, 1, LogPolar(mp.mpf(1), mp.mpf(0))) == 0
 
+    @pytest.mark.parametrize("bits, expect", [
+        (64, (0, 16173515028089284258497378631, -95, 94)),
+        (200, (0, 704455932824267543743793542847096477492640153474752025589247579799217,
+               -230, 229)),
+    ])
+    @pytest.mark.parametrize("j", [1, 7])
+    def test_value_at_the_origin(self, sched, j, bits, expect):
+        # f(0) = 1, so f#(0) = |f'(0)| / 2 = |sum of 1/b| / 2; the bits are
+        # the ones spherical_derivative gave when it called log_eval
+        with precision_scope(bits):
+            got = spherical_derivative(sched, j, LogPolar.origin())
+        assert got._mpf_ == expect
+        with mp.workprec(300):
+            total = sum(1 / mp.exp(mp.mpc(_mpf_fraction(z.log_r), 2 * mp.pi * _mpf_fraction(z.turn)))
+                        for z in sched.zeros)
+            assert abs(got - abs(total) / 2) < mp.mpf("1e-15")
+
     def test_value_at_simple_zero_is_derivative_modulus(self, sched):
         c1 = sched.enumeration()[0]
         z = LogPolar.from_exact(F(1), c1)

@@ -2,14 +2,13 @@ import random
 from functools import reduce
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rankzero.ordinal import (
     OMEGA,
     ONE,
     ZERO,
     Ordinal,
-    compare,
     enumerate_below,
     format_ordinal,
     ordinal_add,
@@ -37,29 +36,68 @@ ordinals = st.recursive(
 )
 
 
+def _cnf_compare(a: Ordinal, b: Ordinal) -> int:
+    """The Cantor-normal-form order written out, as -1, 0 or 1: the first
+    term that differs decides, by exponent and then by coefficient, and a
+    proper prefix is the smaller ordinal."""
+    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
+        c = _cnf_compare(ea, eb)
+        if c != 0:
+            return c
+        if ca != cb:
+            return -1 if ca < cb else 1
+    if len(a.terms) == len(b.terms):
+        return 0
+    return -1 if len(a.terms) < len(b.terms) else 1
+
+
+def _agrees_with_cnf_compare(a: Ordinal, b: Ordinal) -> bool:
+    c = _cnf_compare(a, b)
+    return ((a < b, a == b, a > b, a <= b, a >= b)
+            == (c < 0, c == 0, c > 0, c <= 0, c >= 0))
+
+
 class TestCompare:
     def test_finite_below_omega(self):
-        assert compare(Ordinal.from_int(3), OMEGA) == -1
+        assert Ordinal.from_int(3) < OMEGA
 
     def test_reflexive(self):
         x = o("w*2+1")
-        assert compare(x, x) == 0
+        assert x == x and x <= x and x >= x and not x < x and not x > x
 
     def test_leading_term_dominates(self):
-        assert compare(o("w^2"), o("w*5+9")) == 1
+        assert o("w^2") > o("w*5+9")
 
     @given(ordinals, ordinals)
     def test_trichotomy(self, a, b):
-        c = compare(a, b)
-        assert c in (-1, 0, 1)
-        assert (c == 0) == (a == b)
-        assert compare(b, a) == -c
+        assert [a < b, a == b, a > b].count(True) == 1
+        assert (a < b) == (b > a)
 
     @given(ordinals, ordinals, ordinals)
     @settings(max_examples=60)
     def test_transitive(self, a, b, c):
-        if compare(a, b) <= 0 and compare(b, c) <= 0:
-            assert compare(a, c) <= 0
+        if a <= b and b <= c:
+            assert a <= c
+
+    @given(ordinals, ordinals)
+    @example(o("w^(w^2+1)*3"), o("w^(w^2+1)*2+w^w"))
+    @example(o("w^(w^2+1)"), o("w^(w^2)*7+1"))
+    @example(o("w^(w^(w+1))"), o("w^(w^w*2)"))
+    @example(o("w^w+w"), o("w^w+w+1"))
+    def test_operators_are_the_cnf_order(self, a, b):
+        assert _agrees_with_cnf_compare(a, b)
+
+    def test_operators_are_the_cnf_order_below_a_nested_bound(self):
+        small = sorted(_bounded_below(o("w^(w^2+1)*3"), 9), key=format_ordinal)
+        assert len(small) == 43
+        assert o("w^(w^2)*2") in small  # an exponent with a nested exponent
+        for a in small:
+            for b in small:
+                assert _agrees_with_cnf_compare(a, b)
+
+    def test_ordinals_from_other_types_are_refused(self):
+        with pytest.raises(TypeError):
+            OMEGA < 3
 
 
 class TestPredecessor:
@@ -84,10 +122,10 @@ class TestPredecessor:
         if p is None:
             assert a.is_limit
             return
-        assert compare(p, a) == -1
+        assert p < a
         # nothing sits strictly between p and a
         for x in enumerate_below(a, 25):
-            assert compare(x, p) <= 0
+            assert x <= p
 
 
 class TestEnumerateBelow:
@@ -103,7 +141,7 @@ class TestEnumerateBelow:
         assert len(got) == 6
         assert len(set(got)) == 6
         for x in got:
-            assert compare(x, o("w*2")) == -1
+            assert x < o("w*2")
         # completeness: specific values appear at finite indices
         prefix = enumerate_below(o("w*2"), 40)
         for target in (o("w+5"), o("7"), o("w+1")):
@@ -117,7 +155,7 @@ class TestEnumerateBelow:
         got = enumerate_below(a, count)
         assert len(set(got)) == len(got)
         for x in got:
-            assert compare(x, a) == -1
+            assert x < a
 
     @pytest.mark.parametrize("limit, targets", [
         ("w", ["3", "7"]),
@@ -131,7 +169,7 @@ class TestEnumerateBelow:
         each target sits at a finite index."""
         prefix = enumerate_below(o(limit), 40)
         for target in targets:
-            assert compare(o(target), o(limit)) == -1
+            assert o(target) < o(limit)
             assert o(target) in prefix
 
     def test_deterministic(self):

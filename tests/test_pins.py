@@ -1,0 +1,51 @@
+"""The benchmark's pinned bytes, checked in process.
+
+perfbench/pins.json records the sha256 of every artifact a benchmark cycle
+writes that passed its checks.  Here every command of one cli-pipeline cycle,
+and the build-set/derive pairs of one build-large cycle, run through the CLI
+at the benchmark's precision, and each pinned artifact must have its pinned
+digest.  The plans and pins are only read.
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+from rankzero.cli import main
+
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+if str(BENCH) not in sys.path:
+    sys.path.insert(0, str(BENCH))
+
+import plans  # noqa: E402
+
+PINS = json.loads((BENCH / "pins.json").read_text())
+
+
+def _set_jobs(jobs):
+    return [job for job in jobs if job[0]["kind"] == "build-set"]
+
+
+@pytest.mark.parametrize("workload, seed, select", [
+    ("cli-pipeline", 0, list),
+    ("build-large", 0, _set_jobs),
+], ids=["cli-pipeline", "build-large-sets"])
+def test_pinned_artifacts_keep_their_bytes(workload, seed, select, tmp_path, monkeypatch):
+    pins = PINS[workload][str(seed)]
+    monkeypatch.chdir(tmp_path)
+    runner = CliRunner()
+    written = set()
+    for job in select(plans.plan(workload, seed)):
+        for cmd in job:
+            runner.invoke(main, ["--precision", str(plans.PRECISION), *cmd["argv"]],
+                          catch_exceptions=False)
+            written.add(cmd["out"])
+    wanted = {name: digest for name, digest in pins.items() if name in written}
+    assert wanted, "the selected commands write no pinned artifact"
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           if (tmp_path / name).exists() else None for name in wanted}
+    assert got == wanted
