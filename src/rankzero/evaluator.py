@@ -38,27 +38,23 @@ No certified tail is claimed for the logarithmic derivative; its consumers
 only use self-consistency and monotone comparisons.
 
 Four searches screen, then certify: a float pass bounds every candidate,
-and _screened evaluates at full precision only where that can decide the
-result, so only full-precision values are reported.  _screened visits the
-candidates in ascending order of a float lower bound, stops once the next
-bound exceeds the least value so far, and raises ArithmeticError if a
-value it computes crosses its bound.  The candidates it skips are never
-evaluated, so skipping them rests on one assumption: float rounding stays
-far below the screen's slack (_SCREEN_SLACK, 1e-6 in log units, added to
-first-order rounding bounds).  The four searches are family_floor and
-sector_divergence (bounded by _floor_log_bound), and the probe layer's
-nearest-zero search (_distance_log_bounds) and condition-(M) sweep
-(_spherical_log_bound, finite at exact zero preimages); all four bounds
-live in this module, in floats only: _floor_log_bound takes a float
-majorant of the interval _tail_bound, which log_eval keeps for the values
-it reports.  The sweep's meshes find the zero preimages in their disks
-with _distance_log_bounds too: mp tests only the zeros it cannot place
-outside the disk.
+and _screened evaluates at full precision, in ascending order of the
+bounds, until the next bound exceeds the least value so far, raising
+ArithmeticError if a value crosses its bound.  Skipping the rest rests on
+one assumption: float rounding stays far below _SCREEN_SLACK (1e-6 in log
+units, added to first-order rounding bounds).  The bounds live here, in
+floats: _floor_log_bound for family_floor and sector_divergence (with a
+float majorant of the interval _tail_bound that log_eval reports), and for
+the probe layer _distance_log_bounds (nearest-zero search, and the sweep
+meshes' disk tests) and _spherical_log_bound (condition-(M) sweep; finite
+at exact zero preimages, and given the grid points in floats with a stated
+error, so only those it certifies are built at full precision).  Their
+loop, _float_factors, stops at the first zero with Re s <= -40, adding the
+zeros left times e^(Re s), raised for rounding, to its error bounds.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -69,9 +65,9 @@ from typing import List, Optional, Sequence, Tuple
 
 from mpmath import iv, mp
 from mpmath.libmp import (
-    fninf, fone, fzero, from_int, mpc_exp, mpc_log, mpc_neg, mpc_sub, mpf_add,
-    mpf_atan2, mpf_ge, mpf_gt, mpf_hypot, mpf_le, mpf_log, mpf_lt, mpf_mod, mpf_neg,
-    mpf_sub, round_nearest as _RN, to_float,
+    fninf, fone, fzero, from_int, mpc_add, mpc_exp, mpc_log, mpc_mpf_div, mpc_neg,
+    mpc_sub, mpf_add, mpf_atan2, mpf_ge, mpf_gt, mpf_hypot, mpf_le, mpf_log, mpf_lt,
+    mpf_mod, mpf_neg, mpf_sub, round_nearest as _RN, to_float,
 )
 
 from .pointset import _hull, _pieces
@@ -414,6 +410,20 @@ def family_eval(schedule: ZeroSchedule, j: int, z: LogPolar) -> EvalResult:
         return log_eval(schedule, z.scaled_by_int(j))
 
 
+def _derivative_sum(schedule: ZeroSchedule, z: LogPolar):
+    """log_derivative without its check for a pole: the sum of 1/(z - b) by
+    the libmp calls of mp's `total += 1 / (z - b)`, so with its bits; the b,
+    mp.exp of _zero_constants, are built once per schedule and precision."""
+    prec, key = mp.prec, ("exp", mp.prec)
+    if key not in schedule.tables:
+        schedule.tables[key] = tuple(mpc_exp(c, prec, _RN) for c in _zero_constants(schedule))
+    zc, total = z.to_complex()._mpc_, (fzero, fzero)
+    for b in schedule.tables[key]:
+        term = mpc_mpf_div(fone, mpc_sub(zc, b, prec, _RN), prec, _RN)
+        total = mpc_add(total, term, prec, _RN)
+    return LogPolar.from_complex(mp.make_mpc(total))
+
+
 def log_derivative(schedule: ZeroSchedule, z: LogPolar) -> LogPolar:
     """Truncated logarithmic derivative: sum of 1/(z - b) over the scheduled
     zeros.  Carries no certified tail; use it only for self-consistency and
@@ -421,11 +431,7 @@ def log_derivative(schedule: ZeroSchedule, z: LogPolar) -> LogPolar:
     with mp.workprec(default_precision() + _GUARD):
         if _hit(schedule, z) is not None:
             raise ValueError("logarithmic derivative has a pole at a scheduled zero")
-        zc = z.to_complex()
-        total = mp.mpc(0)
-        for log_r, angle in _zero_constants(schedule):
-            total += 1 / (zc - mp.exp(mp.make_mpc((log_r, angle))))
-        return LogPolar.from_complex(total)
+        return _derivative_sum(schedule, z)
 
 
 def _derivative_at_zero(schedule: ZeroSchedule, hit: int):
@@ -456,7 +462,7 @@ def spherical_derivative(schedule: ZeroSchedule, j: int, z: LogPolar) -> object:
                                  mp.convert(w.phase)._mpf_)
         if lf == mp.ninf:  # numeric zero without exact tag
             return mp.inf
-        ld = log_derivative(schedule, w)
+        ld = _derivative_sum(schedule, w)
         if ld.is_zero:
             return mp.mpf(0)
         log_fprime = ld.log_mag + lf
@@ -496,33 +502,35 @@ def _log_sigmoid_peak(x: float) -> float:
     return -x - math.log1p(math.exp(-2 * x))
 
 
-def _float_factors(x: float, y: float, x_size: float, table):
+def _float_factors(x: float, y: float, x_size: float, x_err: float, table):
     """Floats (lf, err_lf, S, err_S) at w = e^(x + i y) over the zeros b of
-    table, pairs (log|b|, arg b) as _float_constants gives them: lf
-    approximates the sum of log|1 - e^s| and S the sum of e^s / (e^s - 1),
-    with s = log w - log b per zero b; err_lf and err_S are first-order
-    bounds on their rounding, given that x_size bounds |x| and the terms x
-    was summed from.
-
-    Each factor uses the three branches of _log_one_minus_exp in floats (the
-    expm1 form for e^s - 1 in the middle one).  None where a factor e^s - 1
-    is within rounding noise of zero.
-    """
+    table, pairs (log|b|, arg b) from _float_constants in ascending log|b|:
+    lf approximates the sum of log|1 - e^s| and S that of e^s / (e^s - 1),
+    s = log w - log b; err_lf and err_S bound their rounding to first order,
+    given that x_size bounds |x| and the terms x was summed from, and the
+    error x_err of x and y each.  Factors take the first or middle branch
+    of _log_one_minus_exp in floats (the expm1 form for e^s - 1); at the
+    first zero with Re s <= -40 the loop stops and adds the zeros left times
+    a bound on any later term to the error bounds and absolute sums.  None
+    where a factor e^s - 1 is within rounding noise of zero."""
     lf = err_lf = abs_lf = 0.0
     total = 0j
     err_total = abs_total = 0.0
-    for log_r, angle in table:
+    for i, (log_r, angle) in enumerate(table):
         s = complex(x - log_r, y - angle)
-        es = 4 * _EPS * (x_size + abs(log_r) + 10)  # rounding of s
+        es = 4 * _EPS * (x_size + abs(log_r) + 10) + 2 * x_err  # error of s
+        if s.real <= -_BRANCH:
+            # each term left is at most q / (1 - q), q <= e^(Re s + es) <= e^-39,
+            # so below e^(Re s)(1 + 2 es + 16 eps), rounding of exp included
+            rest = (len(table) - i) * math.exp(s.real) * (1 + 2 * es + 16 * _EPS)
+            err_lf, abs_lf = err_lf + rest, abs_lf + rest
+            err_total, abs_total = err_total + rest, abs_total + rest
+            break
         if s.real >= _BRANCH:
             # log|1 - e^s| = Re s + log|1 - e^-s| and e^s/(e^s - 1) = 1/(1 - e^-s)
             m, t = s.real, 1.0
             tiny = 3 * math.exp(-s.real)
             em, et = es + tiny, tiny
-        elif s.real <= -_BRANCH:
-            e = cmath.exp(s)
-            m, t = -e.real, -e
-            em = et = 2 * abs(e) * (es + abs(e) + _EPS)
         else:
             a, cos, sin = math.exp(s.real), math.cos(s.imag), math.sin(s.imag)
             # e^s - 1 without cancellation
@@ -546,41 +554,32 @@ def _float_factors(x: float, y: float, x_size: float, table):
     return lf, err_lf, total, err_total
 
 
-def _float_log_sum(schedule: ZeroSchedule, j: int, z: LogPolar):
-    """_float_factors at w = j z over the scheduled zeros, so lf
-    approximates log|f(w)|; None also at exact-tagged points (which may be
-    zeros) and the origin."""
-    if z.exact is not None or z.is_zero:
-        return None
-    log_z = float(z.log_mag)
-    log_j = math.log(j)
-    return _float_factors(log_z + log_j, float(z.phase), abs(log_z) + log_j,
-                          _float_constants(schedule))
+def _spherical_log_bound(schedule: ZeroSchedule, j: int, z) -> float:
+    """Float upper bound U on log(j * spherical_derivative(schedule, j, z))
+    at an exact-tagged z or at a sweep grid point (probe._GridPoint).
 
-
-def _spherical_log_bound(schedule: ZeroSchedule, j: int, z: LogPolar) -> float:
-    """Float upper bound U on log(j * spherical_derivative(schedule, j, z)).
-
-    With w = j z and S as in _float_log_sum, f'/f(w) = S / w, so the
-    logarithm of j f#(w) is -log|z| + log|S| + log|f| - log(1 + |f|^2); U
-    takes the worst case of both rounding bounds plus _SCREEN_SLACK.  Where
-    w is exactly a scheduled zero b, j f#(w) = j |f'(b)|, whose logarithm
-    is log j + the sum over the other zeros b' of log|1 - b/b'|, less
-    log|b|; U bounds that sum as _float_factors does.
-
-    U is +inf where _float_log_sum or _float_factors gives up, as at a zero
-    listed twice, and where S cancels below its error bound, which includes
-    the empty product.
+    With w = j z and S as _float_factors gives it at w, f'/f(w) = S / w, so
+    the log of j f#(w) is -log|z| + log|S| + log|f| - log(1 + |f|^2); U
+    takes the worst case of both rounding bounds and of z.err, plus
+    _SCREEN_SLACK.  Where w is exactly a scheduled zero b, j f#(w) =
+    j |f'(b)|, whose logarithm is log j + the sum over the other zeros b'
+    of log|1 - b/b'|, less log|b|; U bounds that sum as _float_factors does.
+    U is +inf at an exact z that is no zero, where z.err is +inf or floats
+    give up, as at a zero listed twice, and where S cancels below its error
+    bound, as in the empty product.
     """
     hit = None if z.exact is None else _hit(schedule, z.scaled_by_int(j))
+    table = _float_constants(schedule)
     if hit is not None:
-        table = _float_constants(schedule)
         log_b, angle = table[hit]
-        terms = _float_factors(log_b, angle, abs(log_b), table[:hit] + table[hit + 1:])
+        terms = _float_factors(log_b, angle, abs(log_b), 0.0, table[:hit] + table[hit + 1:])
         if terms is None:
             return math.inf
         return math.log(j) + terms[0] + terms[1] - log_b + _SCREEN_SLACK
-    terms = _float_log_sum(schedule, j, z)
+    if z.exact is not None or not z.err < math.inf:
+        return math.inf
+    log_j = math.log(j)
+    terms = _float_factors(z.log_mag + log_j, z.phase, abs(z.log_mag) + log_j, z.err, table)
     if terms is None:
         return math.inf
     lf, err_lf, total, err_total = terms
@@ -588,7 +587,7 @@ def _spherical_log_bound(schedule: ZeroSchedule, j: int, z: LogPolar) -> float:
         return math.inf
     lo, hi = lf - err_lf, lf + err_lf
     peak = -math.log(2) if lo <= 0 <= hi else max(_log_sigmoid_peak(lo), _log_sigmoid_peak(hi))
-    return -float(z.log_mag) + math.log(abs(total) + err_total) + peak + _SCREEN_SLACK
+    return -z.log_mag + z.err + math.log(abs(total) + err_total) + peak + _SCREEN_SLACK
 
 
 def _float_tail(schedule: ZeroSchedule, log_mag) -> float:
@@ -616,15 +615,19 @@ def _floor_log_bound(schedule: ZeroSchedule, j: int, z: LogPolar) -> float:
     """Float lower bound on log|f(j z)| minus _tail_bound at j z: the float
     log|f| less its rounding bound, _SCREEN_SLACK and _float_tail.
 
-    -inf where _float_log_sum gives up and outside the tail hypothesis.
-    Runs at the working precision of log_eval, so the tail hypothesis is
-    decided as log_eval decides it.
+    -inf at exact-tagged points (maybe zeros), the origin, outside the tail
+    hypothesis and where floats give up.  Runs at the working precision of
+    log_eval, so the tail hypothesis is decided as log_eval decides it.
     """
-    terms = _float_log_sum(schedule, j, z)
-    if terms is None:
+    if z.exact is not None or z.is_zero:
         return -math.inf
     log_w = z.scaled_by_int(j).log_mag
     if not _tail_hypothesis(schedule, log_w):
+        return -math.inf
+    log_z, log_j = float(z.log_mag), math.log(j)
+    terms = _float_factors(log_z + log_j, float(z.phase), abs(log_z) + log_j, 0.0,
+                           _float_constants(schedule))
+    if terms is None:
         return -math.inf
     lf, err_lf, _, _ = terms
     return lf - err_lf - _SCREEN_SLACK - _float_tail(schedule, log_w)
@@ -764,11 +767,19 @@ def _sector_ring(schedule: ZeroSchedule, z: LogPolar, alpha0, arcs) -> int:
     n = 1
     while z.log_mag > _mpf_fraction(schedule.radii.log_radius(n + 1)):
         n += 1
-    two_pi = 2 * mp.pi
-    turn = z.phase / two_pi
+    # Floats pass the arcs that clear alpha0 by the margin, mp decides the
+    # rest: t is within 3u|t| and the other floats within u|.| of mp's (u =
+    # 2^-53), t - center and 1 - d round once, % 1 is exact and the gap is
+    # 1-Lipschitz, so the value is within 2 pi u(4|t| + 8) + 2ua <= 51u(|t| +
+    # 1 + a) of mp's.
+    t, a = float(z.phase) / (2 * math.pi), float(alpha0)
+    margin = 64 * _EPS * (abs(t) + 1 + a)
     for center, half_width, message in arcs:
-        if two_pi * (_turn_gap(turn, center) - half_width) < alpha0:
-            raise ValueError(message)
+        d = abs(t - float(center)) % 1
+        if 2 * math.pi * (min(d, 1 - d) - float(half_width)) - a <= margin:
+            d = mp.fmod(abs(z.phase / (2 * mp.pi) - center), 1)
+            if 2 * mp.pi * (min(d, 1 - d) - half_width) < alpha0:
+                raise ValueError(message)
     if not _tail_hypothesis(schedule, z.log_mag):
         raise ValueError("tail hypothesis fails: the schedule has too few rings "
                          "for this modulus")
@@ -833,8 +844,3 @@ def sector_divergence(
             for k, n in enumerate(rings)
         )
     return SectorDivergence(rings, passed, floor)
-
-
-def _turn_gap(a, b):
-    d = mp.fmod(abs(a - b), 1)
-    return min(d, 1 - d)

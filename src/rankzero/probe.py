@@ -28,6 +28,7 @@ loop returns.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,6 +38,7 @@ from typing import ClassVar, List, Optional, Sequence, Tuple, Union
 from mpmath import iv, mp
 
 from .evaluator import (
+    _EPS,
     _GUARD,
     LogPolar,
     _distance_log_bounds,
@@ -343,11 +345,13 @@ def _zero_distance(schedule: ZeroSchedule, j: int, r: Fraction,
     """
     point = _iv_fraction(r) * _cis(turn)
     found = {}
+    zeros = schedule.tables.setdefault(("iv", iv.prec), {})  # kept per precision
 
     def certify(i):
-        zero = schedule.zeros[i]
-        b = iv.exp(_iv_fraction(zero.log_r)) * _cis(zero.turn)
-        found[i] = _cnorm(b / iv.mpf(j) - point)
+        if i not in zeros:
+            b = schedule.zeros[i]
+            zeros[i] = iv.exp(_iv_fraction(b.log_r)) * _cis(b.turn)
+        found[i] = _cnorm(zeros[i] / iv.mpf(j) - point)
         return float(mp.log(found[i].b))
 
     _screened(_distance_log_bounds(schedule, j, r, turn), certify)
@@ -444,23 +448,58 @@ class SweepRow:
     valid: bool
 
 
+@dataclass(frozen=True)
+class _GridPoint:
+    """Point m of ring k of a sweep mesh, center + (k/3) radius e^(2 pi i m/8k),
+    for the screen: float log_mag and phase within err of full()'s."""
+
+    log_mag: float
+    phase: float
+    err: float
+    center: object
+    radius: object
+    k: int
+    m: int
+    exact: ClassVar[None] = None
+
+    def full(self) -> LogPolar:
+        point = self.center
+        if self.k:
+            ang = 2 * mp.pi * self.m / (8 * self.k)
+            point += self.radius * mp.mpf(self.k) / 3 * mp.exp(mp.mpc(0, 1) * ang)
+        return LogPolar.from_complex(point)
+
+
+def _grid_point(center, radius, k: int, m: int) -> _GridPoint:
+    # With u = 2^-53, complex(center) is within u|c|, rho within 3u rho and
+    # e^(i ang) within 19u + 3u (angle, cos, sin) of their full-precision
+    # values; the product and sum round once: p is within D = 32u(|c| + rho)
+    # of the point P (whose own rounding the constant absorbs).  With d =
+    # D/|p| <= 1/4, |P - p| <= (4d/3)|P|, so log|P| and arg P are within
+    # -log(1 - 4d/3) <= 2d and asin(4d/3) < 3d of log|p| and arg p, and log
+    # and phase add 2u(|log|p|| + 8).  Past d = 1/4 no bound is stated.
+    c, rho = complex(center), float(radius) * k / 3
+    p = c + rho * cmath.exp(1j * (2 * math.pi * m / (8 * k))) if k else c
+    d = 32 * _EPS * (abs(c) + rho) / abs(p) if p else math.inf
+    if not d <= 0.25:
+        return _GridPoint(-math.inf, 0.0, math.inf, center, radius, k, m)
+    lm = math.log(abs(p))
+    return _GridPoint(lm, cmath.phase(p), 3 * d + 2 * _EPS * (abs(lm) + 8), center, radius, k, m)
+
+
 def _mesh(schedule: ZeroSchedule, j: int, turn: Fraction, modulus: Fraction, radius):
     """Deterministic mesh of the disk of the given radius around
-    modulus * e^(2 pi i turn): the center, three rings of 8k points, and the
-    preimages b/j of every scheduled zero b landing inside the disk.  The
-    preimages carry exact tags, so a zero hit is recognized exactly and the
-    spike of the spherical derivative cannot be missed.
+    modulus * e^(2 pi i turn): the center and three rings of 8k points as
+    _GridPoints, and the preimages b/j of every scheduled zero b landing
+    inside the disk as LogPolars with exact tags, so a zero hit is
+    recognized exactly and the spike of the spherical derivative cannot be
+    missed.
 
     A zero whose float bound _distance_log_bounds exceeds the log of the
     radius lies outside; mp decides |b/j - center| <= radius for the rest.
     """
     center = _mpf_fraction(modulus) * mp.exp(mp.mpc(0, 2 * mp.pi * _mpf_fraction(turn)))
-    pts = [LogPolar.from_complex(center)]
-    for k in range(1, 4):
-        rho = radius * mp.mpf(k) / 3
-        for m in range(8 * k):
-            ang = 2 * mp.pi * m / (8 * k)
-            pts.append(LogPolar.from_complex(center + rho * mp.exp(mp.mpc(0, 1) * ang)))
+    pts = [_grid_point(center, radius, k, m) for k in range(4) for m in range(8 * k or 1)]
     log_radius = math.log(float(radius))
     log_j = mp.log(mp.mpf(j))
     for i, bound in enumerate(_distance_log_bounds(schedule, j, modulus, turn)):
@@ -504,7 +543,8 @@ def condition_m_sweep(
                 sds = {}
 
                 def certify(k):
-                    sds[k] = mp.mpf(j) * spherical_derivative(schedule, j, mesh[k])
+                    z = mesh[k].full() if isinstance(mesh[k], _GridPoint) else mesh[k]
+                    sds[k] = mp.mpf(j) * spherical_derivative(schedule, j, z)
                     return -mp.log(sds[k])
 
                 _screened([-_spherical_log_bound(schedule, j, z) for z in mesh], certify)

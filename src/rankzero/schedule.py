@@ -205,9 +205,9 @@ class ZeroSchedule:
     # enumeration actually used per sector (key 0 holds the row layout's one)
     angles: Dict[int, Tuple[Fraction, ...]] = field(default_factory=dict)
     sources: Dict[int, Optional[RankTree]] = field(default_factory=dict)
-    # per-zero numeric constants of the evaluator, built on first use and
-    # keyed by what they depend on (the working precision, or "float")
-    tables: Dict[object, tuple] = field(
+    # per-zero numeric constants of the evaluator and the probe, built on
+    # first use and keyed by what they depend on (a precision, or "float")
+    tables: Dict[object, object] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
 

@@ -6,11 +6,13 @@ suite and compares serialized reports byte for byte.
 """
 
 import hashlib
+import sys
 from collections import Counter
 
 import pytest
 
 import rankzero.evaluator as evaluator
+import rankzero.probe as probe
 from rankzero import verification
 from rankzero.evaluator import precision_scope
 from rankzero.verification import (
@@ -58,11 +60,28 @@ def test_core_report_bytes_are_pinned(core_results):
     assert hashlib.sha256(data).hexdigest() == CORE_REPORT_SHA256
 
 
+class _CountedTable:
+    """A _float_factors table that counts the zeros its loop takes."""
+
+    def __init__(self, table, calls):
+        self.table, self.calls = table, calls
+
+    def __len__(self):
+        return len(self.table)
+
+    def __iter__(self):
+        for pair in self.table:
+            self.calls["_float_factors zeros"] += 1
+            yield pair
+
+
 @pytest.fixture(scope="module")
 def core_kernel_calls():
     """Calls of the evaluator's kernel, _log_one_minus_exp, of its interval
-    tail bound, _tail_bound, and of its scan for an exact hit, _hit, over
-    one core suite run at 200 bits."""
+    tail bound, _tail_bound, and of its scan for an exact hit, _hit; the
+    zeros the float screens' loop, _float_factors, takes; and the sweep's
+    full-precision grid points, LogPolar.from_complex called from the probe
+    layer; over one core suite run at 200 bits."""
     calls = Counter()
 
     def counted(name, fn):
@@ -71,9 +90,23 @@ def core_kernel_calls():
             return fn(*args)
         return call
 
+    def float_factors(*args):
+        *head, table = args
+        return screen_loop(*head, _CountedTable(table, calls))
+
+    from_complex = evaluator.LogPolar.from_complex
+
+    def grid_point(value):
+        if sys._getframe(1).f_globals["__name__"] == probe.__name__:
+            calls["sweep from_complex"] += 1
+        return from_complex(value)
+
+    screen_loop = evaluator._float_factors
     with pytest.MonkeyPatch.context() as patch:
         for name in ("_log_one_minus_exp", "_tail_bound", "_hit"):
             patch.setattr(evaluator, name, counted(name, getattr(evaluator, name)))
+        patch.setattr(evaluator, "_float_factors", float_factors)
+        patch.setattr(evaluator.LogPolar, "from_complex", staticmethod(grid_point))
         with precision_scope(200):
             verification._run_core()
     return calls
@@ -95,6 +128,20 @@ def test_core_suite_interval_tail_budget(core_kernel_calls):
 
 
 def test_core_suite_exact_hit_scans(core_kernel_calls):
-    # 75 before spherical_derivative stopped calling log_eval, which scans
-    # again for the hit that spherical_derivative has just ruled out
-    assert core_kernel_calls["_hit"] == 67
+    # 67 before spherical_derivative and log_derivative shared the sum of
+    # 1/(z - b), when log_derivative scanned again for the hit that
+    # spherical_derivative had just ruled out; 75 before
+    # spherical_derivative stopped calling log_eval
+    assert core_kernel_calls["_hit"] == 59
+
+
+def test_core_suite_float_screen_zeros(core_kernel_calls):
+    # 64,169 before _float_factors stopped at the first zero with
+    # Re s <= -40
+    assert core_kernel_calls["_float_factors zeros"] == 35918
+
+
+def test_core_suite_full_precision_grid_points(core_kernel_calls):
+    # 490 before the sweep's meshes built their grid points in floats: all
+    # 49 of each of criterion 9's ten meshes
+    assert core_kernel_calls["sweep from_complex"] == 8

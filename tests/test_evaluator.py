@@ -1,3 +1,4 @@
+import cmath
 import math
 import re
 from dataclasses import fields, replace
@@ -27,6 +28,9 @@ from rankzero.evaluator import (
     spherical_derivative,
 )
 from rankzero.evaluator import (
+    _EPS,
+    _float_constants,
+    _float_factors,
     _float_tail,
     _floor_log_bound,
     _log_one_minus_exp,
@@ -80,6 +84,26 @@ def _sector_bound_check(schedule, z, alpha0):
         res = log_eval(schedule, z)
         rhs = evaluator._divergence_bound(n, alpha0)
         return SectorBound(n, res.value.log_mag, res.floor, rhs, bool(res.floor >= rhs))
+
+
+def _reference_sector_ring(schedule, z, alpha0, arcs):
+    """_sector_ring with every arc decided in mp, as it was before floats
+    passed the arcs that clear alpha0 by the margin."""
+    if z.is_zero or z.log_mag <= _mpf_fraction(schedule.radii.log_radius(1)):
+        raise ValueError("modulus must exceed the first radius")
+    n = 1
+    while z.log_mag > _mpf_fraction(schedule.radii.log_radius(n + 1)):
+        n += 1
+    two_pi = 2 * mp.pi
+    turn = z.phase / two_pi
+    for center, half_width, message in arcs:
+        d = mp.fmod(abs(turn - center), 1)
+        if two_pi * (min(d, 1 - d) - half_width) < alpha0:
+            raise ValueError(message)
+    if not evaluator._tail_hypothesis(schedule, z.log_mag):
+        raise ValueError("tail hypothesis fails: the schedule has too few rings "
+                         "for this modulus")
+    return n
 
 
 @pytest.fixture(scope="module")
@@ -521,7 +545,43 @@ class TestFamily:
             LogPolar.origin().scaled_by_int(0)
 
 
+def _reference_log_derivative(schedule, z):
+    """log_derivative's sum on mp objects, as it was computed before it ran
+    on libmp tuples."""
+    with mp.workprec(default_precision() + _GUARD):
+        zc = z.to_complex()
+        total = mp.mpc(0)
+        for log_r, angle in _zero_constants(schedule):
+            total += 1 / (zc - mp.exp(mp.make_mpc((log_r, angle))))
+        return LogPolar.from_complex(total)
+
+
 class TestLogDerivative:
+    @given(
+        st.sampled_from([64, 200, 303]),
+        st.sampled_from(["rows", "sectors"]),
+        st.floats(-3, 12),
+        st.floats(-math.pi, math.pi),
+    )
+    @example(bits=200, layout="rows", log_mag=1.0, phase=0.0)
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_mp_object_loop(self, bits, layout, log_mag, phase):
+        """Bit for bit, on the row layout of criteria 6-9 and a sector
+        layout; the example sits next to a zero of the first ring."""
+        s = LOG_DERIVATIVE_SCHEDULES[layout]
+        z = LogPolar(mp.mpf(log_mag), mp.mpf(phase))
+        with precision_scope(bits):
+            got, want = log_derivative(s, z), _reference_log_derivative(s, z)
+        assert (got.log_mag._mpf_, got.phase._mpf_) == (want.log_mag._mpf_, want.phase._mpf_)
+
+    def test_zero_values_are_kept_per_precision(self, sched):
+        s = truncated(sched, 8)
+        z = LogPolar(mp.mpf(2), mp.mpf(1))
+        for bits in (64, 200, 64):
+            with precision_scope(bits):
+                log_derivative(s, z)
+        assert sorted(k[1] for k in s.tables if isinstance(k, tuple) and k[0] == "exp") == [94, 230]
+
     def test_single_zero(self):
         s = make_schedule([Zero(1, F(1), F(0))])
         with mp.workprec(300):
@@ -545,6 +605,93 @@ class TestLogDerivative:
         d8 = log_derivative(truncated(sched, 8), z).to_complex()
         d12 = log_derivative(sched, z).to_complex()
         assert abs(d8 - d12) / abs(d12) < mp.mpf("1e-6")
+
+
+LOG_DERIVATIVE_SCHEDULES = {
+    "rows": build_row_schedule(3, 1, 12),
+    "sectors": build_sector_schedule(2, 5),
+}
+
+
+def _uncut_factors(x, y, x_size, x_err, table):
+    """_float_factors without its far-zero stop: every zero with
+    Re s <= -40 through the float form of the kernel's direct branch, as the
+    loop ran before it stopped at the first such zero."""
+    lf = err_lf = abs_lf = 0.0
+    total = 0j
+    err_total = abs_total = 0.0
+    for log_r, angle in table:
+        s = complex(x - log_r, y - angle)
+        es = 4 * _EPS * (x_size + abs(log_r) + 10) + 2 * x_err
+        if s.real >= 40:
+            m, t = s.real, 1.0
+            tiny = 3 * math.exp(-s.real)
+            em, et = es + tiny, tiny
+        elif s.real <= -40:
+            e = cmath.exp(s)
+            m, t = -e.real, -e
+            em = et = 2 * abs(e) * (es + abs(e) + _EPS)
+        else:
+            a, cos, sin = math.exp(s.real), math.cos(s.imag), math.sin(s.imag)
+            d = complex(math.expm1(s.real) * cos - 2 * math.sin(s.imag / 2) ** 2, a * sin)
+            ad = abs(d)
+            rel = (a + 1) * (es + 8 * _EPS) / ad if ad else math.inf
+            if rel > 1e-3:
+                return None
+            m = math.log(ad)
+            t = complex(a * cos, a * sin) / d
+            em = 2 * rel + _EPS * abs(m)
+            et = abs(t) * (2 * rel + es + 8 * _EPS)
+        lf += m
+        err_lf += em
+        abs_lf += abs(m)
+        total += t
+        err_total += et
+        abs_total += abs(t)
+    err_lf += len(table) * _EPS * abs_lf
+    err_total += len(table) * _EPS * abs_total
+    return lf, err_lf, total, err_total
+
+
+FAR_ZERO_SCHEDULES = {
+    "rows": build_row_schedule(3, 1, 12),
+    "sectors": build_sector_schedule(3, 6),
+}
+
+
+class TestFarZeroStop:
+    @given(
+        st.sampled_from(sorted(FAR_ZERO_SCHEDULES)),
+        st.integers(1, 12),
+        st.floats(-5, 120),
+        st.floats(-math.pi, math.pi),
+        st.sampled_from([0.0, 1e-15, 1e-9]),
+    )
+    @example(layout="rows", rows=12, x=-45.0, y=0.5, x_err=0.0)  # every zero is far
+    @example(layout="rows", rows=12, x=5.0, y=3.0, x_err=0.0)  # criterion 9's moduli
+    @example(layout="sectors", rows=12, x=90.0, y=-1.0, x_err=1e-9)
+    @settings(max_examples=200, deadline=None)
+    def test_cut_sums_lie_within_the_added_error_of_the_uncut_sums(
+            self, layout, rows, x, y, x_err):
+        """On the first rings of a schedule: both loops give up together;
+        otherwise each cut sum lies within its error bound of the uncut
+        sum, and the stop raises that bound by no more than one e^-40 per
+        zero it skips."""
+        s = FAR_ZERO_SCHEDULES[layout]
+        table = _float_constants(truncated(s, rows))
+        x_size = abs(x) + 1
+        got = _float_factors(x, y, x_size, x_err, table)
+        want = _uncut_factors(x, y, x_size, x_err, table)
+        assert (got is None) == (want is None)
+        if got is None:
+            return
+        far = sum(x - log_r <= -40 for log_r, _ in table)
+        for value, err, ref_value, ref_err in ((got[0], got[1], want[0], want[1]),
+                                               (got[2], got[3], want[2], want[3])):
+            assert abs(value - ref_value) <= err
+            assert err <= ref_err + 2 * far * math.exp(-40)
+        if not far:
+            assert got == want
 
 
 def _exhaustive_floor(schedule, j, points):
@@ -713,6 +860,34 @@ class TestSectorBound:
         z = LogPolar(mp.mpf(4), 2 * mp.pi * mp.mpf(turn.numerator) / turn.denominator)
         with pytest.raises(ValueError, match="zero arc"):
             _sector_bound_check(s, z, 0.01)
+
+    @given(
+        st.data(),
+        st.sampled_from([-1, 1]),
+        st.integers(-2**12, 2**12),
+        st.sampled_from([2**-40, 2**-52, 2**-60, 2**-200]),
+        st.sampled_from([mp.mpf("0.3"), mp.mpf("0.01"), mp.mpf(2) ** -30]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_float_arc_check_decides_as_mp(self, data, side, steps, step, alpha0):
+        """Turns at and near the edges where an arc stops rejecting the
+        ray, on both sides of every arc (zero rays and source pieces):
+        _sector_ring raises what the mp-only check raises, and passes
+        exactly where it passes."""
+        s = build_row_schedule(3, 1, 12)
+        with mp.workprec(default_precision() + _GUARD):
+            arcs = evaluator._ray_arcs(s)
+            center, half_width, _ = data.draw(st.sampled_from(arcs))
+            turn = center + side * (half_width + alpha0 / (2 * mp.pi)) + steps * mp.mpf(step)
+            turn -= mp.floor(turn + mp.mpf(1) / 2)  # into [-1/2, 1/2)
+            z = LogPolar(mp.mpf(4), 2 * mp.pi * turn)
+            outcomes = []
+            for check in (evaluator._sector_ring, _reference_sector_ring):
+                try:
+                    outcomes.append(check(s, z, alpha0, arcs))
+                except ValueError as exc:
+                    outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
 
     def test_small_product_constant(self):
         lo, hi = small_product_constant()

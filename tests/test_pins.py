@@ -4,7 +4,9 @@ perfbench/pins.json records the sha256 of every artifact a benchmark cycle
 writes that passed its checks.  Here every command of one cli-pipeline cycle,
 and the build-set/derive pairs of one build-large cycle, run through the CLI
 at the benchmark's precision, and each pinned artifact must have its pinned
-digest.  The plans and pins are only read.
+digest.  The verify-core report goes through the benchmark's own oracle, so
+a criterion that fails or moves is named.  The plans, pins and oracle are
+only read.
 """
 
 import hashlib
@@ -21,6 +23,7 @@ BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 if str(BENCH) not in sys.path:
     sys.path.insert(0, str(BENCH))
 
+import oracle  # noqa: E402
 import plans  # noqa: E402
 
 PINS = json.loads((BENCH / "pins.json").read_text())
@@ -49,3 +52,14 @@ def test_pinned_artifacts_keep_their_bytes(workload, seed, select, tmp_path, mon
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            if (tmp_path / name).exists() else None for name in wanted}
     assert got == wanted
+
+
+def test_verify_core_report_passes_the_oracle(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    ((cmd,),) = plans.plan("verify-core", 0)
+    result = CliRunner().invoke(main, ["--precision", str(plans.PRECISION), *cmd["argv"]],
+                                catch_exceptions=False)
+    assert result.exit_code == 0
+    verdicts = oracle.check_verify_report((tmp_path / cmd["out"]).read_bytes(), PINS)
+    assert len(verdicts) == 11  # ten criteria and the report digest
+    assert [message for verdict, message in verdicts if verdict != "ok"] == []

@@ -50,10 +50,22 @@ def _center(turn, modulus):
     return _mpf_fraction(modulus) * mp.exp(mp.mpc(0, 2 * mp.pi * _mpf_fraction(turn)))
 
 
-def _exhaustive_sweep(schedule, points, rule, n_range):
-    """The sweep without screening: spherical_derivative at every mesh point.
+def _full(z):
+    """A mesh point at full precision: a grid point built, a zero preimage
+    as it is."""
+    return z.full() if isinstance(z, probe._GridPoint) else z
 
-    Returns the rows and, per row, (j, [(z, j * f#(j z)) per mesh point z]).
+
+def _forced_mesh(schedule, j, turn, modulus, radius):
+    return [_full(z) for z in probe._mesh(schedule, j, turn, modulus, radius)]
+
+
+def _exhaustive_sweep(schedule, points, rule, n_range):
+    """The sweep without screening: spherical_derivative at every mesh point,
+    every grid point built at full precision.
+
+    Returns the rows and, per row, (j, [(z, j * f#(j z)) per mesh point z]),
+    z as _mesh gives it to the screen.
     """
     rows = schedule.n_rings
     out = []
@@ -72,7 +84,7 @@ def _exhaustive_sweep(schedule, points, rule, n_range):
                 best = mp.mpf(0)
                 values = []
                 for z in probe._mesh(schedule, j, turn, modulus, radius):
-                    sd = mp.mpf(j) * spherical_derivative(schedule, j, z)
+                    sd = mp.mpf(j) * spherical_derivative(schedule, j, _full(z))
                     values.append((z, sd))
                     if sd > best:
                         best = sd
@@ -541,7 +553,7 @@ class TestMesh:
         preimages = 0
         with mp.workprec(default_precision() + _GUARD):
             for j, turn, modulus, radius in _criterion9_disks(sched):
-                mesh = probe._mesh(s, j, turn, modulus, radius)
+                mesh = _forced_mesh(s, j, turn, modulus, radius)
                 assert mesh == _reference_mesh(_center(turn, modulus), radius, s, j)
                 preimages += sum(z.exact is not None for z in mesh)
         # floats place every other zero of the ten meshes outside
@@ -558,7 +570,7 @@ class TestMesh:
             for n, j in dilation_factors(rule, s.radii, k_range):
                 radius = mp.mpf(1) / n
                 for turn in s.enumeration(sector)[:2]:
-                    mesh = probe._mesh(s, j, turn, HALF, radius)
+                    mesh = _forced_mesh(s, j, turn, HALF, radius)
                     assert mesh == _reference_mesh(_center(turn, HALF), radius, s, j)
                     preimages += sum(z.exact is not None for z in mesh)
         assert preimages > 0
@@ -574,7 +586,7 @@ class TestMesh:
             # the preimage lies 1e-13 inside or outside the disk's edge
             gap = mp.mpf("1e-13") if inside else -mp.mpf("1e-13")
             radius = abs(pre.to_complex() - center) + gap
-            mesh = probe._mesh(sched, j, turn, HALF, radius)
+            mesh = _forced_mesh(sched, j, turn, HALF, radius)
             assert mesh == _reference_mesh(center, radius, sched, j)
             assert (pre in mesh) == inside
         assert len(mp_disk_tests) == sum(z.exact is not None for z in mesh) + (not inside)
@@ -586,11 +598,84 @@ class TestMesh:
         first = s.zeros[0]
         with mp.workprec(default_precision() + _GUARD):
             radius = mp.mpf(1) / 5
-            mesh = probe._mesh(s, j, first.turn, HALF, radius)
+            mesh = _forced_mesh(s, j, first.turn, HALF, radius)
             assert mesh == _reference_mesh(_center(first.turn, HALF), radius, s, j)
             # |e/5 - 1/2| < 1/5 on the first zero's ray
             assert LogPolar.from_exact(first.log_r, first.turn, den=j) in mesh
         assert len(mp_disk_tests) == sum(z.exact is not None for z in mesh)
+
+
+def _grid_case(turn, modulus, n, k, m):
+    """probe._grid_point and the point it stands for, at full precision, on
+    the mesh of the disk of radius 1/n around modulus e^(2 pi i turn)."""
+    center = _center(turn, modulus)
+    radius = mp.mpf(1) / n
+    grid = probe._grid_point(center, radius, k, m)
+    return grid, grid.full()
+
+
+def _phase_gap(a, b):
+    """|a - b| reduced modulo 2 pi to [0, pi]: phases may sit on either side
+    of the cut at pi."""
+    d = mp.fmod(abs(a - b), 2 * mp.pi)
+    return min(d, 2 * mp.pi - d)
+
+
+class TestGridPoints:
+    @given(
+        st.sampled_from([64, 200, 333]),
+        st.fractions(0, 3, max_denominator=10**6),
+        st.fractions(F(1, 10**6), 4, max_denominator=10**6),
+        st.integers(1, 40),
+        st.integers(0, 3),
+        st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_floats_lie_within_their_error(self, bits, turn, modulus, n, k, data):
+        """Disks anywhere around the origin, including ones that reach it."""
+        m = data.draw(st.integers(0, max(0, 8 * k - 1)))
+        with precision_scope(bits), mp.workprec(default_precision() + _GUARD):
+            grid, full = _grid_case(turn, modulus, n, k, m)
+            if grid.err < math.inf:
+                assert abs(mp.mpf(grid.log_mag) - full.log_mag) <= grid.err
+                assert _phase_gap(mp.mpf(grid.phase), full.phase) <= grid.err
+
+    @given(
+        st.sampled_from([64, 200]),
+        st.integers(1, 40),
+        st.integers(1, 3),
+        st.integers(1, 16),
+        st.sampled_from([-1, 1]),
+        st.integers(-10**6, 10**6),
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_floats_lie_within_their_error_near_the_origin(
+            self, bits, n, k, digits, sign, twist, data):
+        """Grid point m of ring k at about 10^-digits times the center's
+        modulus from the origin: the center opposite to it, at k/(3n) times
+        1 +- 10^-digits, its turn moved by twist 10^-(digits + 6)."""
+        m = data.draw(st.integers(0, 8 * k - 1))
+        turn = (F(m, 8 * k) + HALF + F(twist, 10 ** (digits + 6))) % 1
+        modulus = F(k, 3 * n) * (1 + sign * F(1, 10 ** digits))
+        with precision_scope(bits), mp.workprec(default_precision() + _GUARD):
+            grid, full = _grid_case(turn, modulus, n, k, m)
+            if grid.err < math.inf:
+                assert abs(mp.mpf(grid.log_mag) - full.log_mag) <= grid.err
+                assert _phase_gap(mp.mpf(grid.phase), full.phase) <= grid.err
+
+    @given(st.sampled_from([64, 200]), st.integers(1, 40), st.integers(1, 3), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_no_bound_at_the_origin(self, sched, bits, n, k, data):
+        """A disk whose grid point m of ring k falls on the origin: modulus
+        k/(3n), the point's ring radius, and the center opposite to it."""
+        m = data.draw(st.integers(0, 8 * k - 1))
+        turn = (F(m, 8 * k) + HALF) % 1
+        with precision_scope(bits), mp.workprec(default_precision() + _GUARD):
+            grid, full = _grid_case(turn, F(k, 3 * n), n, k, m)
+            assert grid.err == math.inf
+            assert full.is_zero or full.log_mag < -50
+            assert _spherical_log_bound(sched, 1, grid) == math.inf
 
 
 class TestOrderReport:
