@@ -71,7 +71,7 @@ from mpmath.libmp import (
 )
 
 from .pointset import _hull, _pieces
-from .schedule import Zero, ZeroSchedule, _iv_fraction, _iv_prec
+from .schedule import ZeroSchedule, _iv_fraction, _iv_prec
 
 __all__ = [
     "LogPolar",
@@ -121,13 +121,6 @@ class ExactScale:
     log_rat: Fraction
     scale: Fraction
     turn: Fraction
-
-    def hits(self, zero: Zero) -> bool:
-        return (
-            self.scale == 1
-            and self.log_rat == zero.log_r
-            and (self.turn - zero.turn) % 1 == 0
-        )
 
 
 @dataclass(frozen=True)
@@ -267,11 +260,21 @@ class EvalResult:
         return self.value.log_mag - self.tail_log_bound
 
 
+def _kept(schedule: ZeroSchedule, key, build):
+    """schedule.tables[key], made by build() on first use: the one reader
+    and writer of the per-schedule tables."""
+    if key not in schedule.tables:
+        schedule.tables[key] = build()
+    return schedule.tables[key]
+
+
 def _hit(schedule: ZeroSchedule, z: LogPolar) -> Optional[int]:
-    """The index of the scheduled zero that z is exactly, if any."""
-    if z.exact is None:
+    """The index of the first scheduled zero that z is exactly, if any."""
+    if z.exact is None or z.exact.scale != 1:
         return None
-    return next((i for i, zero in enumerate(schedule.zeros) if z.exact.hits(zero)), None)
+    first = _kept(schedule, "exact", lambda: dict(reversed(
+        [((zero.log_r, zero.turn), i) for i, zero in enumerate(schedule.zeros)])))
+    return first.get((z.exact.log_rat, z.exact.turn))
 
 
 def _tail_hypothesis(schedule: ZeroSchedule, log_mag) -> bool:
@@ -288,15 +291,10 @@ def _zero_constants(schedule: ZeroSchedule) -> Tuple[Tuple[tuple, tuple], ...]:
     Built once per schedule and working precision; the values are the ones
     the kernels would compute inline, so results are bit-identical.
     """
-    key = mp.prec
-    table = schedule.tables.get(key)
-    if table is None:
-        table = tuple(
-            (_mpf_fraction(zero.log_r)._mpf_, (2 * mp.pi * _mpf_fraction(zero.turn))._mpf_)
-            for zero in schedule.zeros
-        )
-        schedule.tables[key] = table
-    return table
+    return _kept(schedule, mp.prec, lambda: tuple(
+        (_mpf_fraction(zero.log_r)._mpf_, (2 * mp.pi * _mpf_fraction(zero.turn))._mpf_)
+        for zero in schedule.zeros
+    ))
 
 
 def _tail_bound(schedule: ZeroSchedule, log_mag):
@@ -414,11 +412,11 @@ def _derivative_sum(schedule: ZeroSchedule, z: LogPolar):
     """log_derivative without its check for a pole: the sum of 1/(z - b) by
     the libmp calls of mp's `total += 1 / (z - b)`, so with its bits; the b,
     mp.exp of _zero_constants, are built once per schedule and precision."""
-    prec, key = mp.prec, ("exp", mp.prec)
-    if key not in schedule.tables:
-        schedule.tables[key] = tuple(mpc_exp(c, prec, _RN) for c in _zero_constants(schedule))
+    prec = mp.prec
+    zeros = _kept(schedule, ("exp", prec),
+                  lambda: tuple(mpc_exp(c, prec, _RN) for c in _zero_constants(schedule)))
     zc, total = z.to_complex()._mpc_, (fzero, fzero)
-    for b in schedule.tables[key]:
+    for b in zeros:
         term = mpc_mpf_div(fone, mpc_sub(zc, b, prec, _RN), prec, _RN)
         total = mpc_add(total, term, prec, _RN)
     return LogPolar.from_complex(mp.make_mpc(total))
@@ -486,13 +484,9 @@ _NOISE = 1e-3
 
 def _float_constants(schedule: ZeroSchedule) -> Tuple[Tuple[float, float], ...]:
     """(log a_ring, 2 pi turn) as floats per zero, aligned with schedule.zeros."""
-    table = schedule.tables.get("float")
-    if table is None:
-        table = tuple(
-            (float(zero.log_r), 2 * math.pi * float(zero.turn)) for zero in schedule.zeros
-        )
-        schedule.tables["float"] = table
-    return table
+    return _kept(schedule, "float", lambda: tuple(
+        (float(zero.log_r), 2 * math.pi * float(zero.turn)) for zero in schedule.zeros
+    ))
 
 
 def _log_sigmoid_peak(x: float) -> float:
@@ -688,9 +682,8 @@ def _screened(bounds: Sequence[float], certify) -> dict:
 
 def family_floor(schedule: ZeroSchedule, j: int, points: Sequence[LogPolar]):
     """Certified floor of log|f_j| on the points: the least
-    EvalResult.floor of family_eval(schedule, j, z), the difference taken
-    at the caller's precision (-inf if some point misses the tail
-    hypothesis or hits a zero).
+    EvalResult.floor of family_eval(schedule, j, z) (-inf if some point
+    misses the tail hypothesis or hits a zero).
 
     Screened (_screened) with _floor_log_bound, which is -inf at
     exact-tagged points, outside the tail hypothesis and wherever floats
@@ -701,10 +694,10 @@ def family_floor(schedule: ZeroSchedule, j: int, points: Sequence[LogPolar]):
     with mp.workprec(default_precision() + _GUARD):
         bounds = [_floor_log_bound(schedule, j, z) for z in points]
 
-    def certify(k):
-        return family_eval(schedule, j, points[k]).floor
+        def certify(k):
+            return family_eval(schedule, j, points[k]).floor
 
-    return min(_screened(bounds, certify).values())
+        return min(_screened(bounds, certify).values())
 
 
 # -- sector lower bound ---------------------------------------------------------

@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, FrozenSet, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 __all__ = [
     "Ordinal",
@@ -147,9 +147,9 @@ def ordinal_sub_left(a: Ordinal, b: Ordinal) -> Ordinal:
 # -- enumeration of the ordinals below a bound ------------------------------
 #
 # Description size: size(0) = 1, size(sum of w^e*c terms) = 1 + sum(size(e)+c).
-# The enumeration emits, for size budget 1, 2, 3, ..., all not-yet-seen
-# ordinals below the bound of that size, in increasing ordinal order.  It is
-# injective and every ordinal below the bound appears at a finite index.
+# The enumeration lists, for size 1, 2, 3, ..., the ordinals below the bound
+# of exactly that size, in increasing ordinal order.  It is injective and
+# every ordinal below the bound appears at a finite index.
 
 
 @lru_cache(maxsize=None)
@@ -158,40 +158,29 @@ def _size(a: Ordinal) -> int:
 
 
 @lru_cache(maxsize=None)
-def _bounded_below(a: Ordinal, budget: int) -> FrozenSet[Ordinal]:
-    """All ordinals below a whose description size is within the budget."""
-    if budget < 1 or a.is_zero:
-        return frozenset()
-    out = {ZERO}
+def _below_of_size(a: Ordinal, size: int) -> Tuple[Ordinal, ...]:
+    """The ordinals below a of description size exactly `size`, ascending.
+
+    Every nonzero b < a is w^e*c + t with t < w^e, and either e < e0, or
+    e = e0 and c < c0, or (e, c) = (e0, c0) and t < rest, for a = w^e0*c0 +
+    rest; size(b) = size(e) + c + size(t)."""
+    if a.is_zero or size < 1:
+        return ()
+    if size == 1:
+        return (ZERO,)
     e0, c0 = a.terms[0]
     rest = Ordinal(a.terms[1:])
-    # leading exponent strictly below e0
-    for e in _bounded_below(e0, budget - 2):
-        se = _size(e)
-        for c in range(1, budget - se):
-            for tail in _bounded_below(Ordinal.omega_power(e), budget - se - c):
-                out.add(Ordinal(((e, c),) + tail.terms))
-            out.add(Ordinal(((e, c),)))
-    # leading term w^e0 with a smaller coefficient
-    se0 = _size(e0)
-    for c in range(1, c0):
-        if se0 + c + 1 > budget:
-            break
-        for tail in _bounded_below(Ordinal.omega_power(e0), budget - se0 - c):
-            out.add(Ordinal(((e0, c),) + tail.terms))
-        out.add(Ordinal(((e0, c),)))
-    # leading term equal, strictly smaller remainder
-    head_size = se0 + c0
-    if head_size + 1 <= budget:
-        for tail in _bounded_below(rest, budget - head_size):
-            out.add(Ordinal(((e0, c0),) + tail.terms))
-    return frozenset(v for v in out if _size(v) <= budget)
+    heads = [(e, c, Ordinal.omega_power(e)) for se in range(1, size - 1)
+             for e in _below_of_size(e0, se) for c in range(1, size - se)]
+    heads += [(e0, c, rest if c == c0 else Ordinal.omega_power(e0))
+              for c in range(1, min(c0, size - _size(e0) - 1) + 1)]
+    return tuple(sorted(Ordinal(((e, c),) + t.terms) for e, c, bound in heads
+                        for t in _below_of_size(bound, size - _size(e) - c)))
 
 
-# Per bound: the enumeration through the last budget tried, the set of all
-# ordinals it holds, and the next budget.  Each budget only appends, so one
-# stored prefix answers every count.
-_PREFIXES: Dict[Ordinal, Tuple[List[Ordinal], FrozenSet[Ordinal], int]] = {}
+# Per bound: the enumeration through the sizes listed so far and the next
+# size.  Each size only appends, so one stored prefix answers every count.
+_PREFIXES: Dict[Ordinal, Tuple[List[Ordinal], int]] = {}
 
 
 def enumerate_below(a: OrdinalLike, count: int) -> List[Ordinal]:
@@ -204,13 +193,11 @@ def enumerate_below(a: OrdinalLike, count: int) -> List[Ordinal]:
     a = as_ordinal(a)
     if count < 1:
         raise ValueError("count must be >= 1")
-    out, prev, budget = _PREFIXES.get(a) or ([], frozenset(), 1)
-    while len(out) < count and budget <= count + 2:
-        cur = _bounded_below(a, budget)
-        out.extend(sorted(cur - prev))
-        prev = cur
-        budget += 1
-    _PREFIXES[a] = (out, prev, budget)
+    out, size = _PREFIXES.get(a) or ([], 1)
+    while len(out) < count and size <= count + 2:
+        out.extend(_below_of_size(a, size))
+        size += 1
+    _PREFIXES[a] = (out, size)
     return out[:count]
 
 

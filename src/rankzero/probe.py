@@ -42,6 +42,7 @@ from .evaluator import (
     _GUARD,
     LogPolar,
     _distance_log_bounds,
+    _kept,
     _mpf_fraction,
     _screened,
     _spherical_log_bound,
@@ -345,7 +346,7 @@ def _zero_distance(schedule: ZeroSchedule, j: int, r: Fraction,
     """
     point = _iv_fraction(r) * _cis(turn)
     found = {}
-    zeros = schedule.tables.setdefault(("iv", iv.prec), {})  # kept per precision
+    zeros = _kept(schedule, ("iv", iv.prec), dict)  # filled as the screen asks
 
     def certify(i):
         if i not in zeros:

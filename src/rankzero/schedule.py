@@ -205,8 +205,9 @@ class ZeroSchedule:
     # enumeration actually used per sector (key 0 holds the row layout's one)
     angles: Dict[int, Tuple[Fraction, ...]] = field(default_factory=dict)
     sources: Dict[int, Optional[RankTree]] = field(default_factory=dict)
-    # per-zero numeric constants of the evaluator and the probe, built on
-    # first use and keyed by what they depend on (a precision, or "float")
+    # per-zero numeric constants of the evaluator and the probe, keyed by
+    # what they depend on (a precision, "float" or "exact"); evaluator._kept
+    # is their only reader and writer, and builds each on first use
     tables: Dict[object, object] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )

@@ -81,8 +81,18 @@ def core_kernel_calls():
     tail bound, _tail_bound, and of its scan for an exact hit, _hit; the
     zeros the float screens' loop, _float_factors, takes; and the sweep's
     full-precision grid points, LogPolar.from_complex called from the probe
-    layer; over one core suite run at 200 bits."""
+    layer; and the per-schedule tables _kept builds, as ("tables", kind)
+    with the kind a precision or a key's first part, and how many of them
+    were built twice for one schedule; over one core suite run at 200
+    bits."""
     calls = Counter()
+    built = []  # (schedule, key): holds the schedules, so no id is reused
+
+    def kept(schedule, key, build):
+        def counted_build():
+            built.append((schedule, key))
+            return build()
+        return evaluator_kept(schedule, key, counted_build)
 
     def counted(name, fn):
         def call(*args):
@@ -101,14 +111,20 @@ def core_kernel_calls():
             calls["sweep from_complex"] += 1
         return from_complex(value)
 
-    screen_loop = evaluator._float_factors
+    screen_loop, evaluator_kept = evaluator._float_factors, evaluator._kept
     with pytest.MonkeyPatch.context() as patch:
         for name in ("_log_one_minus_exp", "_tail_bound", "_hit"):
             patch.setattr(evaluator, name, counted(name, getattr(evaluator, name)))
         patch.setattr(evaluator, "_float_factors", float_factors)
         patch.setattr(evaluator.LogPolar, "from_complex", staticmethod(grid_point))
+        for module in (evaluator, probe):
+            patch.setattr(module, "_kept", kept)
         with precision_scope(200):
             verification._run_core()
+    for _, key in built:
+        calls["tables", key[0] if isinstance(key, tuple) else key] += 1
+    builds = Counter((id(schedule), key) for schedule, key in built)
+    calls["tables built twice"] = sum(n > 1 for n in builds.values())
     return calls
 
 
@@ -145,3 +161,11 @@ def test_core_suite_full_precision_grid_points(core_kernel_calls):
     # 490 before the sweep's meshes built their grid points in floats: all
     # 49 of each of criterion 9's ten meshes
     assert core_kernel_calls["sweep from_complex"] == 8
+
+
+def test_core_suite_builds_each_table_once(core_kernel_calls):
+    # float constants, zero constants at 230 bits, interval zeros per
+    # iv.prec, the exact-hit index and the exp zero values
+    assert core_kernel_calls["tables built twice"] == 0
+    built = {key[1]: n for key, n in core_kernel_calls.items() if isinstance(key, tuple)}
+    assert built == {"float": 5, 230: 3, "iv": 9, "exact": 1, "exp": 1}

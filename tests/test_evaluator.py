@@ -33,6 +33,7 @@ from rankzero.evaluator import (
     _float_factors,
     _float_tail,
     _floor_log_bound,
+    _hit,
     _log_one_minus_exp,
     _log_product,
     _norm_phase,
@@ -414,6 +415,49 @@ def test_log_sigmoid_peak_is_even(x):
     assert evaluator._log_sigmoid_peak(x) == old == evaluator._log_sigmoid_peak(-x)
 
 
+def _reference_hit(schedule, z):
+    """The scan _hit replaced: the first zero in schedule order that z is
+    exactly."""
+    if z.exact is None:
+        return None
+    e = z.exact
+    return next((i for i, zero in enumerate(schedule.zeros)
+                 if e.scale == 1 and e.log_rat == zero.log_r
+                 and (e.turn - zero.turn) % 1 == 0), None)
+
+
+HIT_TURNS = [F(k, 8) for k in range(8)]
+
+
+class TestHit:
+    @given(
+        st.lists(st.tuples(st.integers(1, 4), st.sampled_from(HIT_TURNS)), max_size=8),
+        st.lists(st.tuples(st.integers(1, 5), st.sampled_from(HIT_TURNS + [F(1, 3), F(9, 8)]),
+                           st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=6),
+    )
+    @example([(2, F(1, 8)), (2, F(1, 8)), (3, F(3, 8))], [(2, F(1, 8), 1, 1)])
+    @example([(2, F(1, 8)), (2, F(1, 8))], [(2, F(9, 8), 2, 2), (2, F(1, 8), 1, 3)])
+    @settings(max_examples=80, deadline=None)
+    def test_lookup_is_the_first_index_the_scan_finds(self, rings, points):
+        """On doubled zeros, exact points off every zero (off-ladder moduli
+        at ring 5, turns 1/3 and 9/8) and dilated points j z with z tagged
+        e^log_r / den, one ladder for all."""
+        radii = build_radii(6)
+        s = make_schedule([Zero(n, radii.log_radius(n), t) for n, t in sorted(rings)])
+        for n, turn, den, j in points:
+            log_r = radii.log_radius(n) if n < 5 else F(5, 2)
+            w = LogPolar.from_exact(log_r, turn, den=den).scaled_by_int(j)
+            assert _hit(s, w) == _reference_hit(s, w)
+        assert _hit(s, LogPolar(mp.mpf(2), mp.mpf(0))) is None
+
+    def test_dilated_points_off_scale_build_no_table(self):
+        s = make_schedule([Zero(2, F(2), F(1, 8))])
+        assert _hit(s, LogPolar.from_exact(F(2), F(1, 8)).scaled_by_int(2)) is None
+        assert "exact" not in s.tables
+        assert _hit(s, LogPolar.from_exact(F(2), F(1, 8), den=2).scaled_by_int(2)) == 0
+        assert "exact" in s.tables
+
+
 class TestLogEval:
     def test_value_at_origin_is_one(self, sched):
         res = log_eval(truncated(sched, 8), LogPolar.origin())
@@ -695,11 +739,13 @@ class TestFarZeroStop:
 
 
 def _exhaustive_floor(schedule, j, points):
-    """The floor without screening: family_eval at every point."""
+    """The floor without screening: family_eval at every point, each
+    difference taken at family_eval's working precision."""
     values = []
-    for z in points:
-        res = family_eval(schedule, j, z)
-        values.append(res.value.log_mag - res.tail_log_bound)
+    with mp.workprec(default_precision() + _GUARD):
+        for z in points:
+            res = family_eval(schedule, j, z)
+            values.append(res.value.log_mag - res.tail_log_bound)
     return min(values)
 
 
@@ -736,7 +782,7 @@ class TestFloor:
         s = make(sched)
         j = dilation_factor(rule, s.radii, k)
         points = make_points(s, j)
-        # mpf ==, at the caller's precision
+        # mpf ==, both at the working precision
         assert family_floor(s, j, points) == _exhaustive_floor(s, j, points)
 
     @pytest.mark.parametrize("case", sorted(FLOOR_CASES))

@@ -1,5 +1,7 @@
 import random
-from functools import reduce
+import sys
+from functools import lru_cache, reduce
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -16,7 +18,13 @@ from rankzero.ordinal import (
     parse_ordinal,
     predecessor,
 )
-from rankzero.ordinal import _PREFIXES, _bounded_below  # the memo under test
+from rankzero.ordinal import _PREFIXES, _below_of_size, _size  # the memo under test
+
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+if str(BENCH) not in sys.path:
+    sys.path.insert(0, str(BENCH))
+
+import oracle  # noqa: E402  (read only)
 
 
 def o(text: str) -> Ordinal:
@@ -49,6 +57,39 @@ def _cnf_compare(a: Ordinal, b: Ordinal) -> int:
     if len(a.terms) == len(b.terms):
         return 0
     return -1 if len(a.terms) < len(b.terms) else 1
+
+
+@lru_cache(maxsize=None)
+def _bounded_below(a: Ordinal, budget: int) -> frozenset:
+    """Every ordinal below a of description size at most the budget: the
+    cumulative sets the enumeration once took differences of, generated by
+    over-generating in three cases and filtering by size."""
+    if budget < 1 or a.is_zero:
+        return frozenset()
+    out = {ZERO}
+    e0, c0 = a.terms[0]
+    rest = Ordinal(a.terms[1:])
+    # leading exponent strictly below e0
+    for e in _bounded_below(e0, budget - 2):
+        se = _size(e)
+        for c in range(1, budget - se):
+            for tail in _bounded_below(Ordinal.omega_power(e), budget - se - c):
+                out.add(Ordinal(((e, c),) + tail.terms))
+            out.add(Ordinal(((e, c),)))
+    # leading term w^e0 with a smaller coefficient
+    se0 = _size(e0)
+    for c in range(1, c0):
+        if se0 + c + 1 > budget:
+            break
+        for tail in _bounded_below(Ordinal.omega_power(e0), budget - se0 - c):
+            out.add(Ordinal(((e0, c),) + tail.terms))
+        out.add(Ordinal(((e0, c),)))
+    # leading term equal, strictly smaller remainder
+    head_size = se0 + c0
+    if head_size + 1 <= budget:
+        for tail in _bounded_below(rest, budget - head_size):
+            out.add(Ordinal(((e0, c0),) + tail.terms))
+    return frozenset(v for v in out if _size(v) <= budget)
 
 
 def _agrees_with_cnf_compare(a: Ordinal, b: Ordinal) -> bool:
@@ -171,6 +212,22 @@ class TestEnumerateBelow:
         for target in targets:
             assert o(target) < o(limit)
             assert o(target) in prefix
+
+    @given(ordinals)
+    @example(o("w^(w^2+1)*3"))
+    @example(o("w^2*3+w"))
+    @settings(max_examples=60, deadline=None)
+    def test_each_size_is_the_difference_of_the_cumulative_sets(self, a):
+        for size in range(1, 12):
+            want = sorted(_bounded_below(a, size) - _bounded_below(a, size - 1))
+            assert list(_below_of_size(a, size)) == want, size
+
+    @pytest.mark.parametrize("limit", sorted(oracle.LIMIT_ENUMERATIONS))
+    def test_limit_layouts_take_the_pinned_enumeration(self, limit):
+        """The limit layout seeds sector t with entry t - 1, so the 20
+        entries the benchmark pins per limit rank must not move."""
+        want = [o(text) for text in oracle.LIMIT_ENUMERATIONS[limit]]
+        assert enumerate_below(o(limit), 20) == want
 
     def test_deterministic(self):
         assert enumerate_below(o("w^2"), 25) == enumerate_below(o("w^2"), 25)
