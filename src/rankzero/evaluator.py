@@ -2,22 +2,22 @@
 
 The products have zeros at moduli e^1, e^2, e^3, e^5, e^8, ..., so values
 and arguments routinely live at moduli far beyond hardware floats.  Complex
-numbers are therefore carried as (log of modulus, phase); the only kernel
-that ever matters is log(1 - e^s) for a complex s, which is evaluated on
-three documented branches:
+numbers are therefore carried as (log of modulus, phase).  The product
+itself is taken as a product: with z = e^(log|z| + i phase), computed once
+per point, and b^-1 = e^(-log|b| - i arg b), kept per zero and working
+precision, each zero b costs w = z b^-1, d = 1 - w and P <- P d, and
+log|P| and arg P are taken once at the end.  mpf exponents are unbounded,
+so P neither overflows nor underflows, at any modulus.
 
-* Re s >= +40:  1 - e^s = -e^s (1 - e^-s); the tiny correction is kept,
-* Re s <= -40:  direct log(1 - e^s), no cancellation possible,
-* otherwise:    direct evaluation, switching to an expm1-based path when
-  1 - e^s suffers cancellation (|1 - e^s| < 1/2).
-
-The kernel, the product loop and _norm_phase work on libmp's raw tuples
-(_mpf_ for a real, an _mpc_ pair for a complex).  They call the libmp
-operations that mp's arithmetic, exp, log, abs, arg and fmod call, at the
-working precision and rounding to nearest, in the order mp-object code
-would call them, so they give the bits the mp objects gave, without the
-objects' wrappers; only the expm1 path goes through mp.expm1, as libmp has
-no complex expm1.
+The product loop works on libmp's raw tuples (_mpf_ for a real, an _mpc_
+pair for a complex), at the working precision p and rounding to nearest,
+without the mp objects' wrappers.  libmp's complex multiply forms its four
+products exactly and rounds each part once, and so does its subtraction,
+so a computed factor is (1 - w)(1 + delta) with |delta| at most
+u (1 + 4 |w| / |1 - w|) to first order, u = 2^-p, the 4 u covering the
+exponentials of z and b^-1 and the multiply that forms w; each multiply
+into P adds one more u (Higham, Accuracy and Stability of Numerical
+Algorithms, 2nd ed., ch. 3).
 
 Every entry point reads all the rings of the schedule it is given; a
 caller that wants fewer rings passes a shorter schedule.  The tail past
@@ -27,12 +27,12 @@ j * q_j / (1 - q_j), a convergent majorant whenever |z| does not exceed
 the radius two rings below the last.
 
 The product loop, _log_product, takes the zeros in ascending modulus and
-stops at the first zero b where |z/b| is so small that neither its factor
-nor any later one can move a bit of the two rounded sums: round-to-nearest
-leaves a p-bit sum unchanged by an addend below 2^-(p+2) of it.  The test
-runs in floats with a margin of 2^8 (derived at _CUT_BITS), and a sum that
-is 0, or 0 as a float, never stops the loop, so the sums, and every byte
-written from them, are those of the whole table.
+stops at the first zero where |P| |w| (zeros left) is below
+2^-(p+2) min(|Re P|, |Im P|): that factor and every later one round to
+(1, -Im w), and multiplying P by it leaves both rounded parts of P as they
+are.  The test runs in floats with a margin of 2^8 (derived at _CUT_BITS),
+and a part of P that is 0 never stops the loop, so P, and every byte
+written from it, is that of the whole table.
 
 No certified tail is claimed for the logarithmic derivative; its consumers
 only use self-consistency and monotone comparisons.
@@ -49,8 +49,9 @@ the probe layer _distance_log_bounds (nearest-zero search, and the sweep
 meshes' disk tests) and _spherical_log_bound (condition-(M) sweep; finite
 at exact zero preimages, and given the grid points in floats with a stated
 error, so only those it certifies are built at full precision).  Their
-loop, _float_factors, stops at the first zero with Re s <= -40, adding the
-zeros left times e^(Re s), raised for rounding, to its error bounds.
+loop, _float_factors, sums log|1 - e^s| on two branches, Re s >= 40 and
+below, and stops at the first zero with Re s <= -40, adding the zeros
+left times e^(Re s), raised for rounding, to its error bounds.
 """
 
 from __future__ import annotations
@@ -65,9 +66,9 @@ from typing import List, Optional, Sequence, Tuple
 
 from mpmath import iv, mp
 from mpmath.libmp import (
-    fninf, fone, fzero, from_int, mpc_add, mpc_exp, mpc_log, mpc_mpf_div, mpc_neg,
-    mpc_sub, mpf_add, mpf_atan2, mpf_ge, mpf_gt, mpf_hypot, mpf_le, mpf_log, mpf_lt,
-    mpf_mod, mpf_neg, mpf_sub, round_nearest as _RN, to_float,
+    fone, fzero, mpc_add, mpc_exp, mpc_mpf_div, mpc_mul, mpc_sub, mpf_add, mpf_atan2,
+    mpf_gt, mpf_hypot, mpf_le, mpf_log, mpf_mod, mpf_neg, mpf_sub, round_nearest as _RN,
+    to_float,
 )
 
 from .pointset import _hull, _pieces
@@ -203,41 +204,9 @@ def _norm_phase(x):
     return x
 
 
-# -- the kernel ---------------------------------------------------------------
-
+# Re s = +-40 splits _float_factors' two branches and is where it stops
 _BRANCH = 40
-_ABOVE, _BELOW = from_int(_BRANCH), from_int(-_BRANCH)
-_HALF = mp.mpf(0.5)._mpf_
 _ONE = (fone, fzero)
-
-
-def _log_one_minus_exp(s) -> Tuple[tuple, tuple]:
-    """(log|1 - e^s|, arg(1 - e^s)) as _mpf_ tuples for a complex s given as
-    an _mpc_ pair of working-precision parts; (-inf, 0) when e^s is exactly
-    1."""
-    prec = mp.prec
-    re, im = s
-    if mpf_ge(re, _ABOVE):
-        # 1 - e^s = -e^s (1 - e^-s); e^-s is tiny but its effect is kept
-        u = mpc_exp(mpc_neg(s, prec, _RN), prec, _RN)
-        rest = mpc_log(mpc_sub(_ONE, u, prec, _RN), prec, _RN)
-        mag = mpf_add(re, rest[0], prec, _RN)
-        ph = mpf_add(mpf_add(_pi(prec)[0], im, prec, _RN), rest[1], prec, _RN)
-        return mag, _norm_phase(ph)
-    if mpf_le(re, _BELOW):
-        v = mpc_log(mpc_sub(_ONE, mpc_exp(s, prec, _RN), prec, _RN), prec, _RN)
-        return v[0], _norm_phase(v[1])
-    d = mpc_sub(_ONE, mpc_exp(s, prec, _RN), prec, _RN)
-    if d == (fzero, fzero):
-        return fninf, fzero
-    size = mpf_hypot(d[0], d[1], prec, _RN)
-    if mpf_lt(size, _HALF):
-        # cancellation zone: expm1 (with its 10 guard bits) keeps full precision
-        d = (-mp.expm1(mp.make_mpc(s)))._mpc_
-        if d == (fzero, fzero):
-            return fninf, fzero
-        size = mpf_hypot(d[0], d[1], prec, _RN)
-    return mpf_log(size, prec, _RN), mpf_atan2(d[1], d[0], prec, _RN)
 
 
 @dataclass(frozen=True)
@@ -288,8 +257,7 @@ def _zero_constants(schedule: ZeroSchedule) -> Tuple[Tuple[tuple, tuple], ...]:
     """(log a_ring, 2 pi turn) as _mpf_ tuples per zero, aligned with
     schedule.zeros.
 
-    Built once per schedule and working precision; the values are the ones
-    the kernels would compute inline, so results are bit-identical.
+    Built once per schedule and working precision.
     """
     return _kept(schedule, mp.prec, lambda: tuple(
         (_mpf_fraction(zero.log_r)._mpf_, (2 * mp.pi * _mpf_fraction(zero.turn))._mpf_)
@@ -331,51 +299,80 @@ def _tail_bound(schedule: ZeroSchedule, log_mag):
         return mp.mpf(total.b)
 
 
-# The product loop stops at the first factor that cannot move either
-# rounded sum S (mag or ph) at p = mp.prec bits.  Let q = e^re, re being the
-# kernel's input log|z| - log|b|, and suppose 2q < 2^-(p + c) min(|S|, 1):
-# * q < 2^-(p + 2), so re <= -40 and the kernel takes log(1 - e^s) directly;
-#   e^s rounds to w with |w| < 2q, so Re(1 - w) rounds to exactly 1 and
-#   1 - w = 1 + iy with |y| < 2q;
-# * log|1 + iy| <= y^2 / 2 and |atan y| <= |y|, so both the log modulus and
-#   the phase of the factor are below 2q (_norm_phase sends a negative phase
-#   that small to 0 and keeps a positive one);
-# * round-to-nearest leaves a p-bit S unchanged by an addend below half the
-#   spacing of p-bit numbers under |S|, which is at least 2^-(p + 2) |S|
-#   (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 2.1).
-# So c = 2 would do in exact arithmetic; c = 10 leaves a factor 2^8 for the
-# float test (relative errors near 2^-52 in re, |S| and the log) and for
-# mpmath's exp and atan, which are a few ulps off, not correctly rounded.
-# The table ascends in log|b|, so every later q is smaller and passes the
-# same test against the same sums: the loop can end there.  A sum that is 0,
-# or 0 as a float, never passes.
+def _inverses(table) -> Tuple[Tuple[float, tuple], ...]:
+    """(log|b| as a float, b^-1 = e^(-log|b| - i arg b) as an _mpc_ pair) per
+    pair (log|b|, arg b) of table, at the working precision."""
+    prec = mp.prec
+    return tuple((to_float(log_r, rnd=_RN), mpc_exp((mpf_neg(log_r), mpf_neg(angle)), prec, _RN))
+                 for log_r, angle in table)
+
+
+def _zero_inverses(schedule: ZeroSchedule):
+    """_inverses of _zero_constants, built once per schedule and precision."""
+    return _kept(schedule, ("inv", mp.prec), lambda: _inverses(_zero_constants(schedule)))
+
+
+# The product loop stops at the first zero where no factor from it on can
+# move a bit of P at p = mp.prec bits.  Suppose the computed w obeys
+# |P| |w| n < 2^-(p + 2) m, n being the zeros left and m = min(|Re P|, |Im P|):
+# * |w| < 2^-(p + 2), so Re(1 - w) rounds to exactly 1 and the factor is
+#   exactly (1, -y), y = Im w, |y| <= |w|;
+# * mpc_mul rounds Re P + y Im P and Im P - y Re P once each, and |y| |P| is
+#   below 2^-(p + 2) of both |Re P| and |Im P|; round-to-nearest leaves a
+#   p-bit number unchanged by an addend below half the spacing of p-bit
+#   numbers under it, which is at least 2^-(p + 1) of it (Higham, Accuracy
+#   and Stability of Numerical Algorithms, 2nd ed., 2.1), so P stays as it
+#   is, and with it the test; every later |w| is no larger up to rounding,
+#   the table ascending in log|b|;
+# * with n, the factors dropped move the exact product by at most a
+#   relative 2^-(p + 1), which a radius on P can add.
+# The loop tests x + log n < -(p + c) log 2 + log(m / |P|) in floats, x being
+# log|z| - log|b|.  c = 2 would do in exact arithmetic; c = 10 leaves a
+# factor 2^8 for the computed |w|, within a relative 4 u of e^x (u = 2^-p:
+# the exponentials of z and b^-1 and the multiply), for the float m / |P|
+# and log n, a few ulps off, and for float rounding in x beyond the bound
+# 4 eps (|log|z|| + |log|b||) added to it (eps = 2^-53).  A part of P that is
+# 0, or 0 as a float once scaled by |P|, never passes.
 _CUT_BITS = 10
 
 
-def _log_product(table, log_mag, phase):
-    """(sum of log|1 - z/b|, sum of arg(1 - z/b)) as mpf over the zeros b of
-    table, pairs (log|b|, arg b) as _zero_constants gives them in ascending
-    log|b|, at z = e^(log_mag + i phase), log_mag and phase as _mpf_ tuples,
-    summed in table order; (-inf, 0) as soon as a factor vanishes.  Stops
-    where no later factor can change either rounded sum, so the sums are the
-    ones the whole table gives."""
+def _log_product(table, log_mag, phase, inverses=None, skip=None):
+    """(log|P|, arg P) as mpf for P the product of (1 - z/b) over the zeros b
+    of table, pairs (log|b|, arg b) as _zero_constants gives them in ascending
+    log|b|, but for the one at index skip, at z = e^(log_mag + i phase),
+    log_mag and phase as _mpf_ tuples; inverses is _inverses(table), made
+    here if not given.  (-inf, 0) when z is a zero to the last bit (log_mag
+    is its log|b| and phase its arg b as _norm_phase reduces it) or P rounds
+    to 0.  Stops where no later factor can change a bit of P, so the result
+    is the one the whole table gives."""
     prec = mp.prec
-    mag = ph = fzero
-    cut = -(prec + _CUT_BITS + 1) * math.log(2)  # log of 2^-(p + c) / 2
-    for log_r, angle in table:
-        re = mpf_sub(log_mag, log_r, prec, _RN)
-        x = to_float(re, rnd=_RN)
-        if x < cut:
-            least = min(abs(to_float(mag, rnd=_RN)), abs(to_float(ph, rnd=_RN)), 1.0)
-            if least > 0 and x < cut + math.log(least):
+    if inverses is None:
+        inverses = _inverses(table)
+    z = mpc_exp((log_mag, phase), prec, _RN)
+    x_z = to_float(log_mag, rnd=_RN)
+    cut = -(prec + _CUT_BITS) * math.log(2)
+    n = len(table)
+    P = _ONE
+    for i, ((log_r, angle), (x_r, inv)) in enumerate(zip(table, inverses)):
+        x = x_z - x_r
+        if x < cut and P[0][1] and P[1][1]:
+            # the parts of P scaled to a top bit near 1, as floats
+            top = max(P[0][2] + P[0][3], P[1][2] + P[1][3])
+            re, im = (to_float((0, man, exp - top, bc), rnd=_RN) for _, man, exp, bc in P)
+            least = min(re, im) / math.hypot(re, im)
+            err = 4 * _EPS * (abs(x_z) + abs(x_r))
+            if least > 0 and x + err + math.log(n - i) < cut + math.log(least):
                 break
-        # both parts have at most prec bits: mp.mpc(re, phase) would keep them
-        m, p = _log_one_minus_exp((re, _norm_phase(mpf_sub(phase, angle, prec, _RN))))
-        if m == fninf:
+        if i == skip:
+            continue
+        if log_r == log_mag and _norm_phase(angle) == phase:
             return mp.ninf, mp.mpf(0)
-        mag = mpf_add(mag, m, prec, _RN)
-        ph = mpf_add(ph, p, prec, _RN)
-    return mp.make_mpf(mag), mp.make_mpf(ph)
+        w = mpc_mul(z, inv, prec, _RN)
+        P = mpc_mul(P, mpc_sub(_ONE, w, prec, _RN), prec, _RN)
+    if P == (fzero, fzero):
+        return mp.ninf, mp.mpf(0)
+    return (mp.make_mpf(mpf_log(mpf_hypot(P[0], P[1], prec, _RN), prec, _RN)),
+            mp.make_mpf(mpf_atan2(P[1], P[0], prec, _RN)))
 
 
 def log_eval(schedule: ZeroSchedule, z: LogPolar) -> EvalResult:
@@ -392,7 +389,7 @@ def log_eval(schedule: ZeroSchedule, z: LogPolar) -> EvalResult:
         if _hit(schedule, z) is not None:
             return EvalResult(LogPolar.origin(), mp.mpf(0))
         mag, ph = _log_product(_zero_constants(schedule), mp.convert(z.log_mag)._mpf_,
-                               mp.convert(z.phase)._mpf_)
+                               mp.convert(z.phase)._mpf_, _zero_inverses(schedule))
         if mag == mp.ninf:
             return EvalResult(LogPolar.origin(), mp.mpf(0))
         if _tail_hypothesis(schedule, z.log_mag):
@@ -438,7 +435,7 @@ def _derivative_at_zero(schedule: ZeroSchedule, hit: int):
     -inf when b is listed twice, a double zero."""
     table = _zero_constants(schedule)
     log_b, angle_b = table[hit]
-    mag, _ = _log_product(table[:hit] + table[hit + 1:], log_b, angle_b)
+    mag, _ = _log_product(table, log_b, _norm_phase(angle_b), _zero_inverses(schedule), hit)
     return mag - mp.make_mpf(log_b)
 
 
@@ -457,7 +454,7 @@ def spherical_derivative(schedule: ZeroSchedule, j: int, z: LogPolar) -> object:
         lf = mp.mpf(0)  # f(0) = 1
         if not w.is_zero:
             lf, _ = _log_product(_zero_constants(schedule), mp.convert(w.log_mag)._mpf_,
-                                 mp.convert(w.phase)._mpf_)
+                                 mp.convert(w.phase)._mpf_, _zero_inverses(schedule))
         if lf == mp.ninf:  # numeric zero without exact tag
             return mp.inf
         ld = _derivative_sum(schedule, w)
@@ -502,8 +499,8 @@ def _float_factors(x: float, y: float, x_size: float, x_err: float, table):
     lf approximates the sum of log|1 - e^s| and S that of e^s / (e^s - 1),
     s = log w - log b; err_lf and err_S bound their rounding to first order,
     given that x_size bounds |x| and the terms x was summed from, and the
-    error x_err of x and y each.  Factors take the first or middle branch
-    of _log_one_minus_exp in floats (the expm1 form for e^s - 1); at the
+    error x_err of x and y each.  A factor with Re s >= 40 is summed as
+    Re s + log|1 - e^-s|, the others through expm1 for e^s - 1; at the
     first zero with Re s <= -40 the loop stops and adds the zeros left times
     a bound on any later term to the error bounds and absolute sums.  None
     where a factor e^s - 1 is within rounding noise of zero."""

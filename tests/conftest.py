@@ -1,0 +1,44 @@
+"""Counts of the zeros the evaluator's product loop takes."""
+
+from collections import Counter
+
+import pytest
+
+import rankzero.evaluator as evaluator
+
+
+class CountedTable:
+    """A table that adds one to calls[key] for every entry a loop takes."""
+
+    def __init__(self, table, calls, key):
+        self.table, self.calls, self.key = table, calls, key
+
+    def __len__(self):
+        return len(self.table)
+
+    def __iter__(self):
+        for entry in self.table:
+            self.calls[self.key] += 1
+            yield entry
+
+
+def count_product_zeros(patch, calls):
+    """Make _log_product, looked up through the evaluator module as its own
+    callers look it up, count under calls["product zeros"] the zeros its loop
+    takes: those it multiplies, a skipped one and the one it stops at."""
+    loop = evaluator._log_product
+
+    def counted(table, log_mag, phase, inverses=None, skip=None):
+        if inverses is None:
+            inverses = evaluator._inverses(table)
+        return loop(CountedTable(table, calls, "product zeros"), log_mag, phase, inverses, skip)
+
+    patch.setattr(evaluator, "_log_product", counted)
+
+
+@pytest.fixture
+def product_zeros(monkeypatch):
+    """A Counter whose "product zeros" are the zeros _log_product takes."""
+    calls = Counter()
+    count_product_zeros(monkeypatch, calls)
+    return calls

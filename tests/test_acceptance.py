@@ -21,6 +21,8 @@ from rankzero.verification import (
     suite_report_bytes,
 )
 
+from conftest import CountedTable, count_product_zeros
+
 # sha256 of `rankzero --precision 200 verify --suite core --out r.json`
 CORE_REPORT_SHA256 = "286a5bb269d9de0870cb4890cb3926f93cf240260f037c9ce0b0d29f969f22e1"
 
@@ -60,31 +62,16 @@ def test_core_report_bytes_are_pinned(core_results):
     assert hashlib.sha256(data).hexdigest() == CORE_REPORT_SHA256
 
 
-class _CountedTable:
-    """A _float_factors table that counts the zeros its loop takes."""
-
-    def __init__(self, table, calls):
-        self.table, self.calls = table, calls
-
-    def __len__(self):
-        return len(self.table)
-
-    def __iter__(self):
-        for pair in self.table:
-            self.calls["_float_factors zeros"] += 1
-            yield pair
-
-
 @pytest.fixture(scope="module")
-def core_kernel_calls():
-    """Calls of the evaluator's kernel, _log_one_minus_exp, of its interval
-    tail bound, _tail_bound, and of its scan for an exact hit, _hit; the
-    zeros the float screens' loop, _float_factors, takes; and the sweep's
-    full-precision grid points, LogPolar.from_complex called from the probe
-    layer; and the per-schedule tables _kept builds, as ("tables", kind)
-    with the kind a precision or a key's first part, and how many of them
-    were built twice for one schedule; over one core suite run at 200
-    bits."""
+def core_counts():
+    """Over one core suite run at 200 bits: the zeros the evaluator's
+    product loop, _log_product, takes; calls of its interval tail bound,
+    _tail_bound, and of its lookup of an exact hit, _hit; the zeros the
+    float screens' loop, _float_factors, takes; the sweep's full-precision
+    grid points, LogPolar.from_complex called from the probe layer; and the
+    per-schedule tables _kept builds, as ("tables", kind) with the kind a
+    precision or a key's first part, and how many of them were built twice
+    for one schedule."""
     calls = Counter()
     built = []  # (schedule, key): holds the schedules, so no id is reused
 
@@ -102,7 +89,7 @@ def core_kernel_calls():
 
     def float_factors(*args):
         *head, table = args
-        return screen_loop(*head, _CountedTable(table, calls))
+        return screen_loop(*head, CountedTable(table, calls, "_float_factors zeros"))
 
     from_complex = evaluator.LogPolar.from_complex
 
@@ -113,8 +100,9 @@ def core_kernel_calls():
 
     screen_loop, evaluator_kept = evaluator._float_factors, evaluator._kept
     with pytest.MonkeyPatch.context() as patch:
-        for name in ("_log_one_minus_exp", "_tail_bound", "_hit"):
+        for name in ("_tail_bound", "_hit"):
             patch.setattr(evaluator, name, counted(name, getattr(evaluator, name)))
+        count_product_zeros(patch, calls)
         patch.setattr(evaluator, "_float_factors", float_factors)
         patch.setattr(evaluator.LogPolar, "from_complex", staticmethod(grid_point))
         for module in (evaluator, probe):
@@ -128,44 +116,45 @@ def core_kernel_calls():
     return calls
 
 
-def test_core_suite_kernel_call_budget(core_kernel_calls):
-    # exactly 1,579 calls, so a product loop that stops calling the kernel
-    # through the module cannot pass; 1,867 before the product loop stopped
-    # at the factors that cannot move its rounded sums, 4,177 before the
-    # sweep bounded zero preimages in floats
-    assert core_kernel_calls["_log_one_minus_exp"] == 1579
+def test_core_suite_product_zero_budget(core_counts):
+    # exactly 1,608 zeros over 24 loops, the one each loop stops at included,
+    # so a loop that takes more or fewer cannot pass; the log-sum loop it
+    # replaced called its kernel 1,579 times, 1,867 before it stopped at the
+    # factors that cannot move its rounded sums, 4,177 before the sweep
+    # bounded zero preimages in floats
+    assert core_counts["product zeros"] == 1608
 
 
-def test_core_suite_interval_tail_budget(core_kernel_calls):
+def test_core_suite_interval_tail_budget(core_counts):
     # 19 calls before spherical_derivative stopped calling log_eval, which
     # bounds a tail it has no use for; 319 before the floor screens bounded
     # the tail in floats
-    assert core_kernel_calls["_tail_bound"] == 11
+    assert core_counts["_tail_bound"] == 11
 
 
-def test_core_suite_exact_hit_scans(core_kernel_calls):
+def test_core_suite_exact_hit_scans(core_counts):
     # 67 before spherical_derivative and log_derivative shared the sum of
     # 1/(z - b), when log_derivative scanned again for the hit that
     # spherical_derivative had just ruled out; 75 before
     # spherical_derivative stopped calling log_eval
-    assert core_kernel_calls["_hit"] == 59
+    assert core_counts["_hit"] == 59
 
 
-def test_core_suite_float_screen_zeros(core_kernel_calls):
+def test_core_suite_float_screen_zeros(core_counts):
     # 64,169 before _float_factors stopped at the first zero with
     # Re s <= -40
-    assert core_kernel_calls["_float_factors zeros"] == 35918
+    assert core_counts["_float_factors zeros"] == 35918
 
 
-def test_core_suite_full_precision_grid_points(core_kernel_calls):
+def test_core_suite_full_precision_grid_points(core_counts):
     # 490 before the sweep's meshes built their grid points in floats: all
     # 49 of each of criterion 9's ten meshes
-    assert core_kernel_calls["sweep from_complex"] == 8
+    assert core_counts["sweep from_complex"] == 8
 
 
-def test_core_suite_builds_each_table_once(core_kernel_calls):
+def test_core_suite_builds_each_table_once(core_counts):
     # float constants, zero constants at 230 bits, interval zeros per
-    # iv.prec, the exact-hit index and the exp zero values
-    assert core_kernel_calls["tables built twice"] == 0
-    built = {key[1]: n for key, n in core_kernel_calls.items() if isinstance(key, tuple)}
-    assert built == {"float": 5, 230: 3, "iv": 9, "exact": 1, "exp": 1}
+    # iv.prec, the exact-hit index, the exp zero values and the inverse zeros
+    assert core_counts["tables built twice"] == 0
+    built = {key[1]: n for key, n in core_counts.items() if isinstance(key, tuple)}
+    assert built == {"float": 5, 230: 3, "iv": 9, "exact": 1, "exp": 1, "inv": 3}

@@ -17,7 +17,6 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import rankzero
-import rankzero.evaluator as evaluator
 from rankzero.cli import main
 from rankzero.evaluator import default_precision
 from rankzero.probe import InconclusiveProbe
@@ -115,60 +114,49 @@ BUILD_ZEROS_3_1_6_SHA256 = "cc1e37d0ef5a3f7c6771b2c82d2326c3beaba0ec94bedf20764b
 EVAL_SECTOR_3_6_SHA256 = "1de796008797bab6d4c736603ca183b3ccea684d73ef33f9f425470148572b5d"
 
 
-def test_eval_kernel_calls_and_bytes(runner, tmp_path, monkeypatch):
-    """A sector eval at a large dilation calls the kernel only for the zeros
-    that can move its rounded sums, and writes the bytes of the full sum."""
-    calls = []
-    kernel = evaluator._log_one_minus_exp
-
-    def counted(s):
-        calls.append(s)
-        return kernel(s)
-
-    monkeypatch.setattr(evaluator, "_log_one_minus_exp", counted)
+def test_eval_product_zeros_and_bytes(runner, tmp_path, product_zeros):
+    """A sector eval at a large dilation takes only the zeros that can move
+    its rounded product, and writes the bytes of the whole product."""
     sched, csv = tmp_path / "s.json", tmp_path / "field.csv"
     sched.write_text(json.dumps(schedule_to_json(build_sector_schedule(3, 6))))
     run(runner, "--precision", "200", "eval", "--schedule", str(sched), "--j", "16",
         "--grid", "ring:n=5,samples=64", "--out", str(csv))
-    # 5,824 calls, all 91 zeros at each of the 64 points, before the cut
-    assert len(calls) == 2240
+    # the log-sum loop called its kernel 2,240 times, and 5,824 times, all 91
+    # zeros at each of the 64 points, before its cut
+    # 36 zeros at each point: the 35 multiplied and the one the loop stops at
+    assert product_zeros["product zeros"] == 2304
     assert hashlib.sha256(csv.read_bytes()).hexdigest() == EVAL_SECTOR_3_6_SHA256
 
 
 # sha256 of `rankzero --precision 200 eval` on three layouts no other pin
-# covers, with the kernel calls of that eval and how many of them take the
-# Re s >= 40 branch, from the kernel that ran on mp objects
+# covers, from the kernel that ran on mp objects, with the zeros the product
+# loop takes in that eval, the one it stops at included; the log-sum loop
+# called its kernel 1,600, 3,520 and 3,520 times, 0, 0 and 960 of them on
+# its Re s >= 40 branch
 EVAL_LAYOUT_PINS = {
     "limit-annulus": (
         ["--alpha", "w^2", "--nmax", "6"], ["--j", "25", "--grid", "annulus:n=3,samples=64"],
-        1600, 0, "eb73172f04e12136a3d13359e72f5fa094c3c8d400dd6f53237fffe51444504b"),
+        1664, "eb73172f04e12136a3d13359e72f5fa094c3c8d400dd6f53237fffe51444504b"),
     "rows-large-j": (
         ["--alpha", "w^2+1", "--nu", "2", "--nmax", "10"],
         ["--j", "81193", "--grid", "ring:n=7,samples=64"],
-        3520, 0, "38e6aadab3ff11877189c6b32f5505f9c7c485a60cb3910c33c24d2c2085c847"),
+        3520, "38e6aadab3ff11877189c6b32f5505f9c7c485a60cb3910c33c24d2c2085c847"),
     "re-s-above-40": (
         ["--alpha", "3", "--nu", "1", "--nmax", "10"],
         ["--j", "100000000000000000000", "--grid", "ring:3"],
-        3520, 960, "528034e27f08d036432347160bda0f83c4295250c596251ad57e9de52cf229a6"),
+        3520, "528034e27f08d036432347160bda0f83c4295250c596251ad57e9de52cf229a6"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(EVAL_LAYOUT_PINS))
-def test_eval_bytes_and_kernel_branches(runner, tmp_path, monkeypatch, case):
-    build, grid, n_calls, n_above, digest = EVAL_LAYOUT_PINS[case]
+def test_eval_bytes_and_product_zeros(runner, tmp_path, product_zeros, case):
+    build, grid, n_zeros, digest = EVAL_LAYOUT_PINS[case]
     sched, csv = tmp_path / "s.json", tmp_path / "field.csv"
     run(runner, "--precision", "200", "build-zeros", *build, "--out", str(sched))
-    calls = []
-    kernel = evaluator._log_one_minus_exp
-
-    def counted(s):
-        calls.append(mpmath.mp.make_mpf(s[0]) >= 40)
-        return kernel(s)
-
-    monkeypatch.setattr(evaluator, "_log_one_minus_exp", counted)
+    assert product_zeros["product zeros"] == 0
     run(runner, "--precision", "200", "eval", "--schedule", str(sched), *grid,
         "--out", str(csv))
-    assert (len(calls), sum(calls)) == (n_calls, n_above)
+    assert product_zeros["product zeros"] == n_zeros
     assert hashlib.sha256(csv.read_bytes()).hexdigest() == digest
 
 

@@ -34,7 +34,6 @@ from rankzero.evaluator import (
     _float_tail,
     _floor_log_bound,
     _hit,
-    _log_one_minus_exp,
     _log_product,
     _norm_phase,
     _screened,
@@ -126,13 +125,16 @@ def log_eval_calls(monkeypatch):
     return calls
 
 
-KERNEL_PRECISIONS = [64 + _GUARD, 200 + _GUARD, 333]
+PRODUCT_PRECISIONS = [64 + _GUARD, 200 + _GUARD, 333]
+
+# one zero, b = 1, so the product loop's one factor at z = e^s is 1 - e^s
+_UNIT_ZERO = ((fzero, fzero),)
 
 
-def _kernel(s):
-    """_log_one_minus_exp at an mpc s, as a pair of mpf."""
-    mag, ph = _log_one_minus_exp(s._mpc_)
-    return mp.make_mpf(mag), mp.make_mpf(ph)
+def _factor(s):
+    """_log_product's (log|1 - e^s|, arg(1 - e^s)) at an mpc s: one zero,
+    b = 1, at z = e^s."""
+    return _log_product(_UNIT_ZERO, s.real._mpf_, s.imag._mpf_)
 
 
 def _reference_norm_phase(x):
@@ -146,9 +148,25 @@ def _reference_norm_phase(x):
     return x
 
 
+def _reference_product(table, log_mag, phase):
+    """_log_product on mp objects and without its cut: every factor of the
+    table, in order, at mpf log_mag and phase; (-inf, 0) at a zero to the
+    last bit and where the product rounds to 0."""
+    z = mp.exp(mp.mpc(log_mag, phase))
+    prod = mp.mpc(1)
+    for log_r, angle in table:
+        log_r, angle = mp.make_mpf(log_r), mp.make_mpf(angle)
+        if log_mag == log_r and phase == _reference_norm_phase(angle):
+            return mp.ninf, mp.mpf(0)
+        prod *= 1 - z * mp.exp(mp.mpc(-log_r, -angle))
+    if prod == 0:
+        return mp.ninf, mp.mpf(0)
+    return mp.log(abs(prod)), mp.arg(prod)
+
+
 def _reference_kernel(s):
-    """The kernel on mp objects, as _log_one_minus_exp computed it before it
-    called libmp directly, with every phase through _reference_norm_phase."""
+    """log(1 - e^s) on the three branches of the log-sum kernel that the
+    product form replaced, on mp objects."""
     re = mp.re(s)
     if re >= 40:
         rest = mp.log(1 - mp.exp(-s))
@@ -166,7 +184,26 @@ def _reference_kernel(s):
     return mp.log(abs(d)), mp.arg(d)
 
 
-class TestKernel:
+def _reference_log_product(table, log_mag, phase):
+    """The log-sum loop that the product form replaced, on mp objects and
+    without its cut: the sums of log|1 - z/b| and of arg(1 - z/b) over the
+    table, in order, at mpf log_mag and phase."""
+    mag = ph = mp.mpf(0)
+    for log_r, angle in table:
+        log_r, angle = mp.make_mpf(log_r), mp.make_mpf(angle)
+        m, p = _reference_kernel(mp.mpc(log_mag - log_r, _reference_norm_phase(phase - angle)))
+        if m == mp.ninf:
+            return mp.ninf, mp.mpf(0)
+        mag += m
+        ph += p
+    return mag, ph
+
+
+class TestFactor:
+    """The product loop on one factor, 1 - e^s, at the s where the log-sum
+    kernel it replaced switched branches (Re s = +-40, and its expm1 zone
+    |1 - e^s| < 1/2) and where e^s rounds to 1."""
+
     def brute(self, s):
         with mp.workprec(400):
             v = 1 - mp.exp(s)
@@ -181,25 +218,24 @@ class TestKernel:
     def test_matches_brute_force_across_seams(self, re, im):
         with mp.workprec(230):
             s = mp.mpc(re, im)
-            mag, ph = _kernel(s)
+            mag, ph = _factor(s)
         bm, bp = self.brute(s)
         assert abs(mag - bm) < mp.mpf("1e-55")
         assert abs(ph - bp) < mp.mpf("1e-55")
 
     def test_exact_unit(self):
         with mp.workprec(230):
-            assert _log_one_minus_exp(mp.mpc(0, 0)._mpc_) == (mp.ninf._mpf_, fzero)
+            assert _factor(mp.mpc(0, 0)) == (mp.ninf, 0)
 
-    @pytest.mark.parametrize("prec", KERNEL_PRECISIONS)
+    @pytest.mark.parametrize("prec", PRODUCT_PRECISIONS)
     @pytest.mark.parametrize("point", [
         "seam+", "seam+ulp", "seam+under", "seam-", "seam-ulp", "seam-under", "unit",
         "unit-rounded", "turn", "near-turn", "far-above",
     ])
-    def test_equals_the_mp_object_kernel_at_the_seams(self, prec, point):
+    def test_equals_the_mp_object_product_at_the_seams(self, prec, point):
         """Bit for bit, on both parts: Re s = +-40 and one ulp either side,
         e^s = 1 exactly (s = 0, and a real s whose exponential rounds to 1),
-        s = 2 pi i and s next to it (the expm1 zone), and Re s far above
-        40."""
+        s = 2 pi i and s next to it, and Re s far above 40."""
         with mp.workprec(prec):
             ulp = mp.mpf(2) ** (6 - prec)  # one ulp at 40
             two_pi_i = mp.mpc(0, 2 * mp.pi)
@@ -211,12 +247,12 @@ class TestKernel:
                 "turn": two_pi_i, "near-turn": two_pi_i + mp.mpc("1e-30", "-3e-31"),
                 "far-above": mp.mpc(900, -3.0),
             }[point]
-            got, want = _kernel(s), _reference_kernel(s)
+            got, want = _factor(s), _reference_product(_UNIT_ZERO, s.real, s.imag)
         assert got[0] == want[0] and got[1] == want[1]
         if point in ("unit", "unit-rounded"):
             assert got == (mp.ninf, 0)
 
-    @pytest.mark.parametrize("prec", KERNEL_PRECISIONS)
+    @pytest.mark.parametrize("prec", PRODUCT_PRECISIONS)
     @given(
         st.one_of(st.floats(-60, 60), st.sampled_from([-40.0, 40.0]), st.floats(40, 800),
                   st.floats(-1e-3, 1e-3)),
@@ -228,37 +264,23 @@ class TestKernel:
     @example(re=0.0, re_nudge=0, im=0.0, turns=0, im_nudge=0)
     @example(re=40.0, re_nudge=-1, im=0.5, turns=0, im_nudge=0)
     @settings(max_examples=150, deadline=None)
-    def test_equals_the_mp_object_kernel(self, prec, re, re_nudge, im, turns, im_nudge):
-        """Bit for bit, on both parts.  Re s is spread over both branches
-        and the direct path, put on the seams +-40 and moved off them by
-        whole units of 2^-(prec - 8), beyond float resolution; s near
-        2 pi i k (turns = k) is the expm1 zone, where s = 0 makes e^s
-        exactly 1."""
+    def test_equals_the_mp_object_product(self, prec, re, re_nudge, im, turns, im_nudge):
+        """Bit for bit, on both parts.  Re s is spread over the old branches
+        and put on the seams +-40 and moved off them by whole units of
+        2^-(prec - 8), beyond float resolution; s near 2 pi i k (turns = k)
+        puts 1 - e^s near 0, and s = 0 makes e^s exactly 1."""
         with mp.workprec(prec):
             step = mp.mpf(2) ** -(prec - 8)
             s = mp.mpc(mp.mpf(re) + re_nudge * step,
                        2 * mp.pi * turns + mp.mpf(im) + im_nudge * step)
-            got, want = _kernel(s), _reference_kernel(s)
+            got, want = _factor(s), _reference_product(_UNIT_ZERO, s.real, s.imag)
         assert got[0] == want[0] and got[1] == want[1]
 
 
-def _reference_log_product(table, log_mag, phase):
-    """_log_product on mp objects and without its cut: every factor of the
-    table, in order, at mpf log_mag and phase."""
-    mag = ph = mp.mpf(0)
-    for log_r, angle in table:
-        log_r, angle = mp.make_mpf(log_r), mp.make_mpf(angle)
-        m, p = _reference_kernel(mp.mpc(log_mag - log_r, _reference_norm_phase(phase - angle)))
-        if m == mp.ninf:
-            return mp.ninf, mp.mpf(0)
-        mag += m
-        ph += p
-    return mag, ph
-
-
 def _cut_product(table, log_mag, phase):
-    """_log_product at mpf log_mag and phase."""
-    return _log_product(table, log_mag._mpf_, phase._mpf_)
+    """_log_product, looked up through the evaluator module, at mpf log_mag
+    and phase."""
+    return evaluator._log_product(table, log_mag._mpf_, phase._mpf_)
 
 
 PRODUCT_TABLES = {
@@ -270,19 +292,6 @@ PRODUCT_TABLES = {
 @pytest.fixture(scope="module")
 def product_schedules():
     return {name: build() for name, build in PRODUCT_TABLES.items()}
-
-
-@pytest.fixture
-def kernel_calls(monkeypatch):
-    """A count of _log_one_minus_exp calls made through the evaluator module."""
-    calls = []
-
-    def counted(s):
-        calls.append(s)
-        return _log_one_minus_exp(s)
-
-    monkeypatch.setattr(evaluator, "_log_one_minus_exp", counted)
-    return calls
 
 
 class TestProductCut:
@@ -298,18 +307,17 @@ class TestProductCut:
     def test_cut_product_equals_the_whole_product(
         self, product_schedules, name, prec, data, mode, nudge, phase
     ):
-        """Bit for bit.  z lies gap below the radius of entry k, off the
-        float grid, with the gap spread widely or drawn near the cut for sums
-        of size 1; at k = 0 a large gap makes both sums small, down to float
-        underflow.  "aligned" puts the zeros below k on the positive axis
-        and z on the negative one, so the phase sum stays near 0 while the
-        modulus sum grows.  "at-zero" puts z on entry k, and "without-zero"
-        also takes that entry out of the table, as _derivative_at_zero
-        does."""
+        """Bit for bit against the uncut product.  z lies gap below the
+        radius of entry k, off the float grid, with the gap spread widely or
+        drawn near the cut; at k = 0 a large gap leaves P within a tiny
+        part of 1, down to float underflow.  "aligned" puts the zeros below k
+        on the positive axis and z on the negative one, so Im P stays near 0
+        while |P| grows.  "at-zero" puts z on entry k, and "without-zero"
+        also takes that entry out of the table."""
         with mp.workprec(prec):
             table = _zero_constants(product_schedules[name])
             k = data.draw(st.one_of(st.just(0), st.integers(0, len(table) - 1)))
-            near = (prec + evaluator._CUT_BITS + 1) * math.log(2)
+            near = (prec + evaluator._CUT_BITS) * math.log(2)
             gap = data.draw(st.one_of(st.floats(-5, 900), st.floats(near - 12, near + 12)))
             log_r, angle = table[k]
             log_mag = mp.make_mpf(log_r) - gap + mp.mpf(nudge) * mp.mpf(2) ** -(prec - 10)
@@ -322,7 +330,7 @@ class TestProductCut:
             if mode == "without-zero":
                 table = table[:k] + table[k + 1:]
             got = _cut_product(table, log_mag, z_phase)
-            want = _reference_log_product(table, log_mag, z_phase)
+            want = _reference_product(table, log_mag, z_phase)
             assert got[0] == want[0] and got[1] == want[1]
 
     @pytest.mark.parametrize("prec", [64 + _GUARD, 200 + _GUARD])
@@ -337,23 +345,24 @@ class TestProductCut:
     def test_cut_product_equals_the_whole_product_at_the_edge(
         self, prec, depth, offset, spacing, angles, phase
     ):
-        """Bit for bit on a two-scale table.  A zero of modulus 1, e^depth
-        times |z|, leaves sums of size about e^-depth, down to float
-        underflow; the later zeros start within 20 log units of where a
-        factor stops moving the smaller sum in exact arithmetic (2q below
-        2^-(p+2) of it), which is where a cut that is too eager shows."""
+        """Bit for bit against the uncut product, on a two-scale table.  A
+        zero of modulus 1, e^depth times |z|, leaves P = 1 - w whose
+        imaginary part is about e^-depth of it, down to float underflow; the
+        later zeros start within 20 log units of where a factor stops moving
+        P in exact arithmetic (|w| below 2^-(p+2) min(|Re P|, |Im P|) / |P|),
+        which is where a cut that is too eager shows."""
         with mp.workprec(prec):
             log_mag, z_phase = mp.mpf(-depth), mp.mpf(phase)
             first = ((fzero, mp.mpf(angles[0])._mpf_),)
-            mag, ph = _reference_log_product(first, log_mag, z_phase)
-            least = min(abs(float(mag)), abs(float(ph)), 1.0)
-            edge = (prec + 3) * math.log(2) + math.log(max(least, 1e-300)) + offset
+            _, arg = _reference_product(first, log_mag, z_phase)
+            least = min(abs(math.cos(float(arg))), abs(math.sin(float(arg))))
+            edge = (prec + 2) * math.log(2) - math.log(max(least, 1e-300)) + offset
             table = first + tuple(
                 ((log_mag + edge + i * spacing)._mpf_, mp.mpf(angle)._mpf_)
                 for i, angle in enumerate(angles[1:])
             )
             got = _cut_product(table, log_mag, z_phase)
-            want = _reference_log_product(table, log_mag, z_phase)
+            want = _reference_product(table, log_mag, z_phase)
             assert got[0] == want[0] and got[1] == want[1]
 
     @pytest.mark.parametrize("name", sorted(PRODUCT_TABLES))
@@ -366,26 +375,76 @@ class TestProductCut:
                 assert got == _reference_log_product(table, log_mag, phase)
                 assert got == (mp.ninf, 0)
 
-    def test_cut_drops_only_negligible_factors(self, product_schedules, kernel_calls):
+    def test_cut_drops_only_negligible_factors(self, product_schedules, product_zeros):
         """On criteria 6/8's schedule at |z| = 1, ring 12 (log a_12 = 233)
-        lies beyond the cut and ring 11 (144) before it.  With every
-        partial sum near e^-800, which floats cannot hold, nothing is cut."""
+        lies beyond the cut and ring 11 (144) before it: the loop takes the
+        zeros of rings 1-11 and stops at the first of ring 12.  Far below
+        the first zero, P is 1 but for a part near e^-800, which floats
+        cannot hold, and nothing is cut."""
         s = product_schedules["criteria-6-8"]
         with mp.workprec(200 + _GUARD):
             table = _zero_constants(s)
             _cut_product(table, mp.mpf(0), mp.mpf("0.3"))
-            assert len(kernel_calls) == s.through(11) == len(table) - 12
-            kernel_calls.clear()
+            assert product_zeros["product zeros"] == s.through(11) + 1 == len(table) - 11
+            product_zeros.clear()
             _cut_product(table, mp.make_mpf(table[0][0]) - 800, mp.mpf("0.3"))
-            assert len(kernel_calls) == len(table)
+            assert product_zeros["product zeros"] == len(table)
+
+
+def _brute_product(table, log_mag, phase):
+    """(log|P|, arg P, the sum of 2 + |w| / |1 - w| over the zeros), with
+    P taken on mp objects at twice the working precision and with no cut,
+    from the same mpf log_mag and phase and the same table entries."""
+    with mp.workprec(2 * mp.prec):
+        z = mp.exp(mp.mpc(log_mag, phase))
+        prod, terms = mp.mpc(1), mp.mpf(0)
+        for entry in table:
+            w = z / mp.exp(mp.make_mpc(entry))
+            prod *= 1 - w
+            terms += 2 + abs(w) / abs(1 - w)
+        return mp.log(abs(prod)), mp.arg(prod), terms
+
+
+class TestProductAccuracy:
+    @pytest.mark.parametrize("prec", [94, 230, 333])
+    @pytest.mark.parametrize("name", sorted(PRODUCT_TABLES))
+    @given(st.data(), st.booleans(), st.floats(-math.pi, math.pi))
+    @settings(max_examples=30, deadline=None)
+    def test_within_the_first_order_radius(self, product_schedules, name, prec, data, near,
+                                           theta):
+        """log|P| and arg P lie within 4 R of the brute-force product, R =
+        u (sum of 2 + |w| / |1 - w| over the zeros + |log|P|| + 8), u = 2^-p.
+        To first order a factor is off by a relative u (1 + 4 |w| / |1 - w|)
+        (module docstring), each multiply into P by u, and both are within
+        4 u (2 + |w| / |1 - w|); hypot and log add at most u (|log|P|| + 2),
+        atan2 u pi.  The factors the cut drops are in the brute force and in
+        the sum, at 2 u each.  z lies anywhere up to the last radius, or
+        within 1e-3 to 1e-9 of a zero."""
+        with mp.workprec(prec):
+            table = _zero_constants(product_schedules[name])
+            if near:
+                log_r, angle = (mp.make_mpf(c) for c in table[data.draw(
+                    st.integers(0, len(table) - 1))])
+                step = mp.log(1 + mp.mpf(10) ** -data.draw(st.floats(3, 9)) * mp.expj(theta))
+                log_mag, phase = log_r + step.real, angle + step.imag
+            else:
+                top = float(mp.make_mpf(table[-1][0]))
+                log_mag, phase = mp.mpf(data.draw(st.floats(-5, top))), mp.mpf(theta)
+            got = _log_product(table, log_mag._mpf_, phase._mpf_)
+            mag, arg, terms = _brute_product(table, log_mag, phase)
+        with mp.workprec(2 * prec):
+            radius = 4 * mp.mpf(2) ** -prec * (terms + abs(mag) + 8)
+            assert abs(got[0] - mag) <= radius
+            gap = abs(got[1] - arg)
+            assert min(gap, 2 * mp.pi - gap) <= radius
 
 
 @pytest.mark.parametrize("prec", [64 + _GUARD, 200 + _GUARD])
 @given(st.floats(-3 * math.pi, math.pi), st.integers(0, 200), st.integers(-2**60, 2**60))
 @settings(max_examples=60, deadline=None)
 def test_norm_phase_equals_fmod(prec, x, extra, nudge):
-    """On the phases _log_product reduces, (-3 pi, pi], with up to 200 bits
-    more than the working precision."""
+    """On phases in (-3 pi, pi], with up to 200 bits more than the working
+    precision."""
     with mp.workprec(prec + extra):
         wide = mp.mpf(x) + mp.mpf(nudge) * mp.mpf(2) ** -(prec + 10)
     with mp.workprec(prec):
@@ -858,6 +917,20 @@ class TestSpherical:
         doubled = make_schedule(zeros[:1] * 2 + zeros[1:], n_rings=4)
         assert spherical_derivative(doubled, 1, b) == 0
         assert spherical_derivative(make_schedule(zeros, n_rings=4), 1, b) > 0
+
+    def test_value_at_a_zero_keeps_the_inverse_zeros(self, monkeypatch):
+        """_derivative_at_zero skips the zero inside the product loop, over
+        the inverses kept for the schedule, so no call after the first
+        builds them again."""
+        zeros = [Zero(2, F(2), F(1, 8)), Zero(3, F(3), F(3, 8)), Zero(3, F(3), F(1, 2))]
+        s = make_schedule(zeros, n_rings=4)
+        built, inverses = [], evaluator._inverses
+        monkeypatch.setattr(evaluator, "_inverses",
+                            lambda table: built.append(len(table)) or inverses(table))
+        b = LogPolar.from_exact(F(3), F(3, 8))
+        first = spherical_derivative(s, 1, b)
+        assert 0 < first == spherical_derivative(s, 1, b)
+        assert built == [3]
 
     @pytest.mark.parametrize("j", [1, 3])
     def test_screen_bound_at_a_zero(self, j):

@@ -2,6 +2,8 @@
 
 perfbench/pins.json records the sha256 of every artifact a benchmark cycle
 writes that passed its checks.  Here every command of one cli-pipeline cycle,
+the build-zeros and eval commands of three more cli-pipeline seeds (1 and 6
+fail four of their 26 operations per cycle, 9 three, all in build-zeros),
 and the build-set/derive pairs of one build-large cycle, run through the CLI
 at the benchmark's precision, and each pinned artifact must have its pinned
 digest.  The verify-core report goes through the benchmark's own oracle, so
@@ -33,10 +35,18 @@ def _set_jobs(jobs):
     return [job for job in jobs if job[0]["kind"] == "build-set"]
 
 
+def _eval_jobs(jobs):
+    return [[cmd for cmd in job if cmd["kind"] in ("build-zeros", "eval")] for job in jobs]
+
+
 @pytest.mark.parametrize("workload, seed, select", [
     ("cli-pipeline", 0, list),
+    ("cli-pipeline", 1, _eval_jobs),
+    ("cli-pipeline", 6, _eval_jobs),
+    ("cli-pipeline", 9, _eval_jobs),
     ("build-large", 0, _set_jobs),
-], ids=["cli-pipeline", "build-large-sets"])
+], ids=["cli-pipeline", "cli-pipeline-1-evals", "cli-pipeline-6-evals", "cli-pipeline-9-evals",
+        "build-large-sets"])
 def test_pinned_artifacts_keep_their_bytes(workload, seed, select, tmp_path, monkeypatch):
     pins = PINS[workload][str(seed)]
     monkeypatch.chdir(tmp_path)
