@@ -27,7 +27,7 @@ import mpmath
 from mpmath import mp
 
 from . import __version__
-from .evaluator import LogPolar, default_precision, log_eval, precision_scope
+from .evaluator import LogPolar, _shared_tails, default_precision, log_eval, precision_scope
 from .ordinal import parse_ordinal, predecessor
 from .pointset import (
     Arc,
@@ -250,14 +250,15 @@ def eval_cmd(sched_path: str, j_factor: str, grid: str, rows: Optional[int],
     except (KeyError, ValueError) as exc:
         raise click.UsageError(f"bad grid spec {grid!r}: {exc}") from exc
     lines = ["log_r,turn,log_mag,phase,tail_bound,valid"]
-    for log_r, turn in points:
-        z = LogPolar.from_exact(log_r, turn)
-        res = log_eval(sched, z.scaled_by_int(j) if j > 1 else z)
-        lines.append(
-            f"{log_r},{turn},{mp.nstr(res.value.log_mag, 17)},"
-            f"{mp.nstr(res.value.phase, 17)},{mp.nstr(res.tail_log_bound, 12)},"
-            f"{int(res.valid)}"
-        )
+    with _shared_tails():  # a ring's points share one modulus
+        for log_r, turn in points:
+            z = LogPolar.from_exact(log_r, turn)
+            res = log_eval(sched, z.scaled_by_int(j) if j > 1 else z)
+            lines.append(
+                f"{log_r},{turn},{mp.nstr(res.value.log_mag, 17)},"
+                f"{mp.nstr(res.value.phase, 17)},{mp.nstr(res.tail_log_bound, 12)},"
+                f"{int(res.valid)}"
+            )
     data = ("\n".join(lines) + "\n").encode("ascii")
     _write_with_manifest(out_path, data, "eval",
                          {"j": j_factor, "grid": grid, "rows": rows}, inputs)

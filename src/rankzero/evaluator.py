@@ -9,15 +9,22 @@ precision, each zero b costs w = z b^-1, d = 1 - w and P <- P d, and
 log|P| and arg P are taken once at the end.  mpf exponents are unbounded,
 so P neither overflows nor underflows, at any modulus.
 
-The product loop works on libmp's raw tuples (_mpf_ for a real, an _mpc_
-pair for a complex), at the working precision p and rounding to nearest,
-without the mp objects' wrappers.  libmp's complex multiply forms its four
-products exactly and rounds each part once, and so does its subtraction,
-so a computed factor is (1 - w)(1 + delta) with |delta| at most
-u (1 + 4 |w| / |1 - w|) to first order, u = 2^-p, the 4 u covering the
-exponentials of z and b^-1 and the multiply that forms w; each multiply
-into P adds one more u (Higham, Accuracy and Stability of Numerical
-Algorithms, 2nd ed., ch. 3).
+The product loop runs on integers at the working precision p: each part
+of z, b^-1 and P is m 2^e, m a signed odd mantissa or 0, and each zero costs
+one step, _times_one_minus, with the bits of libmp's
+mpc_mul(P, mpc_sub(1, mpc_mul(z, b^-1))).  libmp multiplies exactly and
+rounds each exact sum once, to nearest with ties to even (Higham, Accuracy
+and Stability of Numerical Algorithms, 2nd ed., 2.1), so rounding the same
+exact sums at the same three points, w, Re(1 - w) and P d, gives the same
+bits; Im(1 - w) = -Im w is exact.  The exception, mpf_add's shortcut for an
+addend wholly more than p + 4 bits below the other, rounds with that addend
+as a sticky unit and can round the other way than the exact sum; _sum
+copies it.  So each rounding is within u = 2^-p of its exact value, or
+17/16 u on the shortcut, and a computed factor is (1 - w)(1 + delta) with
+|delta| at most u (17/16 + 4 |w| / |1 - w|) to first order, the 4 u
+covering the exponentials of z and b^-1 (9/8 u each, rounded from p + 4
+bits) and the multiply that forms w; each multiply into P adds at most
+17/16 u (Higham, ch. 3).
 
 Every entry point reads all the rings of the schedule it is given; a
 caller that wants fewer rings passes a shorter schedule.  The tail past
@@ -66,7 +73,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from mpmath import iv, mp
 from mpmath.libmp import (
-    fone, fzero, mpc_add, mpc_exp, mpc_mpf_div, mpc_mul, mpc_sub, mpf_add, mpf_atan2,
+    fone, fzero, mpc_add, mpc_exp, mpc_mpf_div, mpc_sub, mpf_add, mpf_atan2,
     mpf_gt, mpf_hypot, mpf_le, mpf_log, mpf_mod, mpf_neg, mpf_sub, round_nearest as _RN,
     to_float,
 )
@@ -206,7 +213,8 @@ def _norm_phase(x):
 
 # Re s = +-40 splits _float_factors' two branches and is where it stops
 _BRANCH = 40
-_ONE = (fone, fzero)
+# 1 in _times_one_minus' form: (Re m, Re e, Im m, Im e)
+_ONE = (1, 0, 0, 0)
 
 
 @dataclass(frozen=True)
@@ -248,9 +256,11 @@ def _hit(schedule: ZeroSchedule, z: LogPolar) -> Optional[int]:
 
 def _tail_hypothesis(schedule: ZeroSchedule, log_mag) -> bool:
     """Whether |z| = e^log_mag is at most the radius two rings below the
-    schedule's last, where _tail_bound holds."""
+    schedule's last, where _tail_bound holds; that log radius is kept per
+    schedule and working precision."""
     rows = schedule.n_rings
-    return rows >= 3 and log_mag <= _mpf_fraction(schedule.radii.log_radius(rows - 2))
+    return rows >= 3 and log_mag <= _kept(
+        schedule, ("edge", mp.prec), lambda: _mpf_fraction(schedule.radii.log_radius(rows - 2)))
 
 
 def _zero_constants(schedule: ZeroSchedule) -> Tuple[Tuple[tuple, tuple], ...]:
@@ -265,6 +275,19 @@ def _zero_constants(schedule: ZeroSchedule) -> Tuple[Tuple[tuple, tuple], ...]:
     ))
 
 
+_SHARED_TAILS: ContextVar[bool] = ContextVar("rankzero_shared_tails", default=False)
+
+
+@contextmanager
+def _shared_tails():
+    """Inside the block, _tail_bound keeps each of its sums."""
+    token = _SHARED_TAILS.set(True)
+    try:
+        yield
+    finally:
+        _SHARED_TAILS.reset(token)
+
+
 def _tail_bound(schedule: ZeroSchedule, log_mag):
     """Strict majorant of |log f - log f_schedule| at modulus e^log_mag,
     f_schedule being the product over the scheduled zeros.
@@ -272,15 +295,27 @@ def _tail_bound(schedule: ZeroSchedule, log_mag):
     Ring j holds at most j zeros, each factor obeys
     |log(1 - w)| <= |w| / (1 - |w|), and the ring ratios q_j collapse
     superexponentially, so the series is summed until it is negligible and
-    the rest is closed off geometrically.
+    the rest is closed off geometrically.  The sum depends only on the
+    schedule, the working precision and log_mag, exactly as given; inside
+    _shared_tails it is kept under all three, so the points of one circle
+    share one sum.
     """
     if log_mag == mp.ninf:
         return mp.mpf(0)
+    if not _SHARED_TAILS.get():
+        return _tail_sum(schedule, log_mag)
+    return _kept(schedule, ("tail", mp.prec, mp.convert(log_mag)._mpf_),
+                 lambda: _tail_sum(schedule, log_mag))
+
+
+def _tail_sum(schedule: ZeroSchedule, log_mag):
+    """_tail_bound's interval sum, at log_mag > -inf."""
     with _iv_prec(mp.prec + _GUARD):
         x = iv.mpf(log_mag)
         total = iv.mpf(0)
         j = schedule.n_rings + 1
         last_term = None
+        negligible = mp.mpf(2) ** (-mp.prec - 10)
         for _ in range(400):
             q = iv.exp(x - _iv_fraction(schedule.radii.log_radius(j)))
             if q.b >= 1:
@@ -288,23 +323,96 @@ def _tail_bound(schedule: ZeroSchedule, log_mag):
             term = iv.mpf(j) * q / (1 - q)
             total += term
             last_term = term
-            if term.b < mp.mpf(2) ** (-mp.prec - 10):
+            if term.b < negligible:
                 break
             j += 1
         else:  # pragma: no cover
             raise ArithmeticError("tail bound did not converge")
         # remaining terms decay at least geometrically with ratio 2/e
-        ratio = iv.mpf(2) / iv.exp(iv.mpf(1))
-        total += last_term * ratio / (1 - ratio)
+        ratio, rest = _two_over_e(iv.prec)
+        total += last_term * ratio / rest
         return mp.mpf(total.b)
 
 
-def _inverses(table) -> Tuple[Tuple[float, tuple], ...]:
-    """(log|b| as a float, b^-1 = e^(-log|b| - i arg b) as an _mpc_ pair) per
-    pair (log|b|, arg b) of table, at the working precision."""
+@lru_cache(maxsize=None)
+def _two_over_e(prec: int):
+    """The intervals 2/e and 1 - 2/e at iv precision prec, for _tail_sum."""
+    with _iv_prec(prec):
+        ratio = iv.mpf(2) / iv.exp(iv.mpf(1))
+        return ratio, 1 - ratio
+
+
+def _signed(x) -> Tuple[int, int]:
+    """A finite _mpf_ tuple as (m, e), m signed: x = m 2^e."""
+    return (-x[1] if x[0] else x[1]), x[2]
+
+
+def _mpf(m: int, e: int):
+    """The _mpf_ tuple of m 2^e, m odd or 0."""
+    return (int(m < 0), abs(m), e, abs(m).bit_length()) if m else fzero
+
+
+def _sum(sm: int, se: int, tm: int, te: int, prec: int) -> Tuple[int, int]:
+    """sm 2^se + tm 2^te, the mantissas odd or 0, with the bits of libmp's
+    mpf_add at prec bits, as an odd or zero mantissa and its exponent: the
+    exact sum rounded once, to nearest with ties to even, or, on mpf_add's
+    shortcut (low ends more than 100 bits apart and one addend wholly more
+    than prec + 4 bits below the other), the larger addend with the smaller
+    one as a sticky unit below it."""
+    if not sm or not tm:
+        m, e = (sm, se) if sm else (tm, te)
+    else:
+        offset = se - te
+        if offset > 100 and abs(sm).bit_length() + offset - abs(tm).bit_length() > prec + 4:
+            m, e = (sm << (prec + 4)) + (1 if tm > 0 else -1), se - prec - 4
+        elif offset < -100 and abs(tm).bit_length() - offset - abs(sm).bit_length() > prec + 4:
+            m, e = (tm << (prec + 4)) + (1 if sm > 0 else -1), te - prec - 4
+        elif offset >= 0:
+            m, e = tm + (sm << offset), te
+        else:
+            m, e = sm + (tm << -offset), se
+    if not m:
+        return 0, 0
+    a = -m if m < 0 else m
+    n = a.bit_length() - prec
+    if n > 0:
+        t = a >> (n - 1)
+        if t & 1 and (t & 2 or a & ((1 << (n - 1)) - 1)):
+            a = (t >> 1) + 1
+        else:
+            a = t >> 1
+        e += n
+    if not a & 1:
+        tz = (a & -a).bit_length() - 1
+        a, e = a >> tz, e + tz
+    return (-a if m < 0 else a), e
+
+
+def _times_one_minus(P, z, inv, prec: int):
+    """P (1 - z inv), each complex number as (Re m, Re e, Im m, Im e) in
+    _sum's form, with the bits of libmp's mpc_mul(P, mpc_sub(1,
+    mpc_mul(z, inv))) at prec bits: each part of a product is _sum of two
+    exact products, Re(1 - w) is _sum of 1 and -Re w, and Im(1 - w) = -Im w
+    is exact."""
+    re_m, re_e, im_m, im_e = P
+    zr, zre, zi, zie = z
+    br, bre, bi, bie = inv
+    wr, wre = _sum(zr * br, zre + bre, -(zi * bi), zie + bie, prec)
+    wi, wie = _sum(zr * bi, zre + bie, zi * br, zie + bre, prec)
+    dr, dre = _sum(1, 0, -wr, wre, prec)
+    # Re P d = Re P Re d + Im P Im w and Im P d = -Re P Im w + Im P Re d
+    return (*_sum(re_m * dr, re_e + dre, im_m * wi, im_e + wie, prec),
+            *_sum(-(re_m * wi), re_e + wie, im_m * dr, im_e + dre, prec))
+
+
+def _inverses(table) -> Tuple[Tuple[float, Tuple[int, int, int, int]], ...]:
+    """(log|b| as a float, b^-1 = e^(-log|b| - i arg b) in _times_one_minus'
+    form, from mpc_exp at the working precision) per pair (log|b|, arg b) of
+    table."""
     prec = mp.prec
-    return tuple((to_float(log_r, rnd=_RN), mpc_exp((mpf_neg(log_r), mpf_neg(angle)), prec, _RN))
-                 for log_r, angle in table)
+    exps = (mpc_exp((mpf_neg(log_r), mpf_neg(angle)), prec, _RN) for log_r, angle in table)
+    return tuple((to_float(log_r, rnd=_RN), (*_signed(re), *_signed(im)))
+                 for (log_r, _), (re, im) in zip(table, exps))
 
 
 def _zero_inverses(schedule: ZeroSchedule):
@@ -317,13 +425,14 @@ def _zero_inverses(schedule: ZeroSchedule):
 # |P| |w| n < 2^-(p + 2) m, n being the zeros left and m = min(|Re P|, |Im P|):
 # * |w| < 2^-(p + 2), so Re(1 - w) rounds to exactly 1 and the factor is
 #   exactly (1, -y), y = Im w, |y| <= |w|;
-# * mpc_mul rounds Re P + y Im P and Im P - y Re P once each, and |y| |P| is
-#   below 2^-(p + 2) of both |Re P| and |Im P|; round-to-nearest leaves a
+# * the step rounds Re P + y Im P and Im P - y Re P once each, and |y| |P|
+#   is below 2^-(p + 2) of both |Re P| and |Im P|; round-to-nearest leaves a
 #   p-bit number unchanged by an addend below half the spacing of p-bit
 #   numbers under it, which is at least 2^-(p + 1) of it (Higham, Accuracy
-#   and Stability of Numerical Algorithms, 2nd ed., 2.1), so P stays as it
-#   is, and with it the test; every later |w| is no larger up to rounding,
-#   the table ascending in log|b|;
+#   and Stability of Numerical Algorithms, 2nd ed., 2.1), and so does
+#   mpf_add's sticky shortcut, so P stays as it is, and with it the test;
+#   every later |w| is no larger up to rounding, the table ascending in
+#   log|b|;
 # * with n, the factors dropped move the exact product by at most a
 #   relative 2^-(p + 1), which a radius on P can add.
 # The loop tests x + log n < -(p + c) log 2 + log(m / |P|) in floats, x being
@@ -344,21 +453,27 @@ def _log_product(table, log_mag, phase, inverses=None, skip=None):
     here if not given.  (-inf, 0) when z is a zero to the last bit (log_mag
     is its log|b| and phase its arg b as _norm_phase reduces it) or P rounds
     to 0.  Stops where no later factor can change a bit of P, so the result
-    is the one the whole table gives."""
+    is the one the whole table gives.
+
+    z, each b^-1 and P are held as integers, and each zero costs one
+    _times_one_minus, with the bits of libmp's calls on the _mpf_ tuples;
+    P becomes an _mpf_ pair only for the float cut test and at the end."""
     prec = mp.prec
     if inverses is None:
         inverses = _inverses(table)
-    z = mpc_exp((log_mag, phase), prec, _RN)
+    re, im = mpc_exp((log_mag, phase), prec, _RN)
+    z = (*_signed(re), *_signed(im))
     x_z = to_float(log_mag, rnd=_RN)
     cut = -(prec + _CUT_BITS) * math.log(2)
     n = len(table)
     P = _ONE
     for i, ((log_r, angle), (x_r, inv)) in enumerate(zip(table, inverses)):
         x = x_z - x_r
-        if x < cut and P[0][1] and P[1][1]:
+        if x < cut and P[0] and P[2]:
             # the parts of P scaled to a top bit near 1, as floats
-            top = max(P[0][2] + P[0][3], P[1][2] + P[1][3])
-            re, im = (to_float((0, man, exp - top, bc), rnd=_RN) for _, man, exp, bc in P)
+            re, im = _mpf(*P[:2]), _mpf(*P[2:])
+            top = max(re[2] + re[3], im[2] + im[3])
+            re, im = (to_float((0, man, exp - top, bc), rnd=_RN) for _, man, exp, bc in (re, im))
             least = min(re, im) / math.hypot(re, im)
             err = 4 * _EPS * (abs(x_z) + abs(x_r))
             if least > 0 and x + err + math.log(n - i) < cut + math.log(least):
@@ -367,12 +482,12 @@ def _log_product(table, log_mag, phase, inverses=None, skip=None):
             continue
         if log_r == log_mag and _norm_phase(angle) == phase:
             return mp.ninf, mp.mpf(0)
-        w = mpc_mul(z, inv, prec, _RN)
-        P = mpc_mul(P, mpc_sub(_ONE, w, prec, _RN), prec, _RN)
-    if P == (fzero, fzero):
+        P = _times_one_minus(P, z, inv, prec)
+    if not P[0] and not P[2]:
         return mp.ninf, mp.mpf(0)
-    return (mp.make_mpf(mpf_log(mpf_hypot(P[0], P[1], prec, _RN), prec, _RN)),
-            mp.make_mpf(mpf_atan2(P[1], P[0], prec, _RN)))
+    re, im = _mpf(*P[:2]), _mpf(*P[2:])
+    return (mp.make_mpf(mpf_log(mpf_hypot(re, im, prec, _RN), prec, _RN)),
+            mp.make_mpf(mpf_atan2(im, re, prec, _RN)))
 
 
 def log_eval(schedule: ZeroSchedule, z: LogPolar) -> EvalResult:

@@ -1,10 +1,12 @@
-"""Counts of the zeros the evaluator's product loop takes."""
+"""Counts of the zeros the evaluator's product loop takes and of the
+per-schedule tables it builds."""
 
 from collections import Counter
 
 import pytest
 
 import rankzero.evaluator as evaluator
+import rankzero.probe as probe
 
 
 class CountedTable:
@@ -42,3 +44,27 @@ def product_zeros(monkeypatch):
     calls = Counter()
     count_product_zeros(monkeypatch, calls)
     return calls
+
+
+def record_table_builds(patch, built):
+    """Make _kept, in the evaluator and the probe layer, append (schedule,
+    key) to built for every table it builds; holding the schedules keeps
+    their ids from being reused."""
+    kept = evaluator._kept
+
+    def recorded(schedule, key, build):
+        def recorded_build():
+            built.append((schedule, key))
+            return build()
+        return kept(schedule, key, recorded_build)
+
+    for module in (evaluator, probe):
+        patch.setattr(module, "_kept", recorded)
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """The (schedule, key) of every per-schedule table built in the test."""
+    built = []
+    record_table_builds(monkeypatch, built)
+    return built

@@ -21,7 +21,7 @@ from rankzero.verification import (
     suite_report_bytes,
 )
 
-from conftest import CountedTable, count_product_zeros
+from conftest import CountedTable, count_product_zeros, record_table_builds
 
 # sha256 of `rankzero --precision 200 verify --suite core --out r.json`
 CORE_REPORT_SHA256 = "286a5bb269d9de0870cb4890cb3926f93cf240260f037c9ce0b0d29f969f22e1"
@@ -73,13 +73,7 @@ def core_counts():
     precision or a key's first part, and how many of them were built twice
     for one schedule."""
     calls = Counter()
-    built = []  # (schedule, key): holds the schedules, so no id is reused
-
-    def kept(schedule, key, build):
-        def counted_build():
-            built.append((schedule, key))
-            return build()
-        return evaluator_kept(schedule, key, counted_build)
+    built = []  # (schedule, key) per table built
 
     def counted(name, fn):
         def call(*args):
@@ -98,15 +92,14 @@ def core_counts():
             calls["sweep from_complex"] += 1
         return from_complex(value)
 
-    screen_loop, evaluator_kept = evaluator._float_factors, evaluator._kept
+    screen_loop = evaluator._float_factors
     with pytest.MonkeyPatch.context() as patch:
         for name in ("_tail_bound", "_hit"):
             patch.setattr(evaluator, name, counted(name, getattr(evaluator, name)))
         count_product_zeros(patch, calls)
         patch.setattr(evaluator, "_float_factors", float_factors)
         patch.setattr(evaluator.LogPolar, "from_complex", staticmethod(grid_point))
-        for module in (evaluator, probe):
-            patch.setattr(module, "_kept", kept)
+        record_table_builds(patch, built)
         with precision_scope(200):
             verification._run_core()
     for _, key in built:
@@ -154,7 +147,10 @@ def test_core_suite_full_precision_grid_points(core_counts):
 
 def test_core_suite_builds_each_table_once(core_counts):
     # float constants, zero constants at 230 bits, interval zeros per
-    # iv.prec, the exact-hit index, the exp zero values and the inverse zeros
+    # iv.prec, the exact-hit index, the exp zero values, the inverse zeros
+    # and the tail hypothesis' log radius per precision; no tail sums, which
+    # are kept only inside _shared_tails, and the 11 _tail_bound calls meet
+    # 11 moduli
     assert core_counts["tables built twice"] == 0
     built = {key[1]: n for key, n in core_counts.items() if isinstance(key, tuple)}
-    assert built == {"float": 5, 230: 3, "iv": 9, "exact": 1, "exp": 1, "inv": 3}
+    assert built == {"float": 5, 230: 3, "iv": 9, "exact": 1, "exp": 1, "inv": 3, "edge": 3}

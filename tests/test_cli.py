@@ -114,9 +114,16 @@ BUILD_ZEROS_3_1_6_SHA256 = "cc1e37d0ef5a3f7c6771b2c82d2326c3beaba0ec94bedf20764b
 EVAL_SECTOR_3_6_SHA256 = "1de796008797bab6d4c736603ca183b3ccea684d73ef33f9f425470148572b5d"
 
 
-def test_eval_product_zeros_and_bytes(runner, tmp_path, product_zeros):
+def _tail_sums(table_builds):
+    """How many interval tail sums _tail_bound made: its ("tail", ...)
+    tables."""
+    return sum(isinstance(key, tuple) and key[0] == "tail" for _, key in table_builds)
+
+
+def test_eval_product_zeros_and_bytes(runner, tmp_path, product_zeros, table_builds):
     """A sector eval at a large dilation takes only the zeros that can move
-    its rounded product, and writes the bytes of the whole product."""
+    its rounded product, sums its tail once for the one modulus of its
+    ring, and writes the bytes of the whole product."""
     sched, csv = tmp_path / "s.json", tmp_path / "field.csv"
     sched.write_text(json.dumps(schedule_to_json(build_sector_schedule(3, 6))))
     run(runner, "--precision", "200", "eval", "--schedule", str(sched), "--j", "16",
@@ -125,38 +132,43 @@ def test_eval_product_zeros_and_bytes(runner, tmp_path, product_zeros):
     # zeros at each of the 64 points, before its cut
     # 36 zeros at each point: the 35 multiplied and the one the loop stops at
     assert product_zeros["product zeros"] == 2304
+    # 64 sums, one per point, before the sums were kept per modulus
+    assert _tail_sums(table_builds) == 1
     assert hashlib.sha256(csv.read_bytes()).hexdigest() == EVAL_SECTOR_3_6_SHA256
 
 
 # sha256 of `rankzero --precision 200 eval` on three layouts no other pin
 # covers, from the kernel that ran on mp objects, with the zeros the product
-# loop takes in that eval, the one it stops at included; the log-sum loop
-# called its kernel 1,600, 3,520 and 3,520 times, 0, 0 and 960 of them on
-# its Re s >= 40 branch
+# loop takes in that eval, the one it stops at included, and the interval
+# tail sums it makes; the log-sum loop called its kernel 1,600, 3,520 and
+# 3,520 times, 0, 0 and 960 of them on its Re s >= 40 branch.  An annulus
+# grid has a modulus per point and a ring grid one for all its points, and
+# that of "re-s-above-40" lies outside the tail hypothesis, so it sums none
 EVAL_LAYOUT_PINS = {
     "limit-annulus": (
         ["--alpha", "w^2", "--nmax", "6"], ["--j", "25", "--grid", "annulus:n=3,samples=64"],
-        1664, "eb73172f04e12136a3d13359e72f5fa094c3c8d400dd6f53237fffe51444504b"),
+        1664, 64, "eb73172f04e12136a3d13359e72f5fa094c3c8d400dd6f53237fffe51444504b"),
     "rows-large-j": (
         ["--alpha", "w^2+1", "--nu", "2", "--nmax", "10"],
         ["--j", "81193", "--grid", "ring:n=7,samples=64"],
-        3520, "38e6aadab3ff11877189c6b32f5505f9c7c485a60cb3910c33c24d2c2085c847"),
+        3520, 1, "38e6aadab3ff11877189c6b32f5505f9c7c485a60cb3910c33c24d2c2085c847"),
     "re-s-above-40": (
         ["--alpha", "3", "--nu", "1", "--nmax", "10"],
         ["--j", "100000000000000000000", "--grid", "ring:3"],
-        3520, "528034e27f08d036432347160bda0f83c4295250c596251ad57e9de52cf229a6"),
+        3520, 0, "528034e27f08d036432347160bda0f83c4295250c596251ad57e9de52cf229a6"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(EVAL_LAYOUT_PINS))
-def test_eval_bytes_and_product_zeros(runner, tmp_path, product_zeros, case):
-    build, grid, n_zeros, digest = EVAL_LAYOUT_PINS[case]
+def test_eval_bytes_and_product_zeros(runner, tmp_path, product_zeros, table_builds, case):
+    build, grid, n_zeros, n_tails, digest = EVAL_LAYOUT_PINS[case]
     sched, csv = tmp_path / "s.json", tmp_path / "field.csv"
     run(runner, "--precision", "200", "build-zeros", *build, "--out", str(sched))
     assert product_zeros["product zeros"] == 0
     run(runner, "--precision", "200", "eval", "--schedule", str(sched), *grid,
         "--out", str(csv))
     assert product_zeros["product zeros"] == n_zeros
+    assert _tail_sums(table_builds) == n_tails
     assert hashlib.sha256(csv.read_bytes()).hexdigest() == digest
 
 

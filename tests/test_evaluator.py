@@ -8,7 +8,7 @@ from typing import NamedTuple
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
-from mpmath.libmp import fzero
+from mpmath.libmp import fone, from_man_exp, fzero, mpc_mul, mpc_sub, mpf_add, round_nearest
 
 import rankzero.evaluator as evaluator
 from rankzero import verification
@@ -35,16 +35,21 @@ from rankzero.evaluator import (
     _floor_log_bound,
     _hit,
     _log_product,
+    _mpf,
     _norm_phase,
     _screened,
+    _signed,
     _spherical_log_bound,
+    _sum,
     _tail_bound,
+    _times_one_minus,
     _zero_constants,
 )
 from rankzero.ordinal import as_ordinal
 from rankzero.pointset import Leaf
 from rankzero.probe import GeometricMean, RatioPlus, dilation_factor
 from rankzero.schedule import (
+    RadiiSequence,
     Zero,
     ZeroSchedule,
     build_radii,
@@ -414,9 +419,11 @@ class TestProductAccuracy:
                                            theta):
         """log|P| and arg P lie within 4 R of the brute-force product, R =
         u (sum of 2 + |w| / |1 - w| over the zeros + |log|P|| + 8), u = 2^-p.
-        To first order a factor is off by a relative u (1 + 4 |w| / |1 - w|)
-        (module docstring), each multiply into P by u, and both are within
-        4 u (2 + |w| / |1 - w|); hypot and log add at most u (|log|P|| + 2),
+        To first order a factor is off by a relative
+        u (17/16 + 4 |w| / |1 - w|) (module docstring; 17/16 u covers
+        mpf_add's sticky shortcut), each multiply into P by 17/16 u, and
+        both are within 4 u (2 + |w| / |1 - w|), as 17/8 <= 8; hypot and
+        log add at most u (|log|P|| + 2),
         atan2 u pi.  The factors the cut drops are in the brute force and in
         the sum, at 2 u each.  z lies anywhere up to the last radius, or
         within 1e-3 to 1e-9 of a zero."""
@@ -437,6 +444,94 @@ class TestProductAccuracy:
             assert abs(got[0] - mag) <= radius
             gap = abs(got[1] - arg)
             assert min(gap, 2 * mp.pi - gap) <= radius
+
+
+def _libmp_step(P, z, inv, prec):
+    """P (1 - z inv) by libmp's own calls on _mpc_ pairs: the reference for
+    _times_one_minus."""
+    w = mpc_mul(z, inv, prec, round_nearest)
+    return mpc_mul(P, mpc_sub((fone, fzero), w, prec, round_nearest), prec, round_nearest)
+
+
+@st.composite
+def _step_operands(draw, prec, case):
+    """(P, z, b^-1) as _mpc_ pairs of prec-bit parts, drawn for case:
+    * "free": parts of any size within 2^(+-2p), full or 5-bit mantissas;
+    * "huge-w": |z| at least 2^p, b^-1 near 1, so |w| >= 2^p;
+    * "zero-part": a part of P, z or b^-1 that is 0, or z = (a, a) and
+      b^-1 = (c, c), whose Re w cancels to 0;
+    * "cancel": z = (2^k, y) and b^-1 = (2^-k, y'), y' 0 or tiny, so
+      1 - Re w cancels exactly or nearly;
+    * "tie": mantissas 1 or 3 at exponents about p apart, so that exact
+      sums land on or next to half-ulps;
+    * "sticky": full mantissas with the imaginary parts 2^(p + 5), up to
+      2^(p + 200) or 2^10000 below the real ones, which puts the smaller
+      addend of Re w and of Re(P d) wholly more than p + 4 bits below the
+      larger one."""
+    def real(exp, bits=prec):
+        man = draw(st.integers(1, 2**bits - 1)) | 1
+        man = -man if draw(st.booleans()) else man
+        return from_man_exp(man, exp - abs(man).bit_length(), prec, round_nearest)
+
+    if case == "tie":
+        gap = draw(st.integers(prec - 2, prec + 2))
+        parts = [real(draw(st.sampled_from([0, gap, -gap])), 2) for _ in range(6)]
+    elif case == "sticky":
+        gap = draw(st.one_of(st.just(prec + 5), st.integers(prec + 5, prec + 200),
+                             st.just(10000)))
+        parts = [real(e) for e in (0, -gap, 0, -gap, 0, -gap)]
+    else:
+        parts = [real(draw(st.integers(-2 * prec, 2 * prec)), draw(st.sampled_from([5, prec])))
+                 for _ in range(6)]
+    P, z, inv = parts[:2], parts[2:4], parts[4:]
+    if case == "huge-w":
+        z = [real(prec + draw(st.integers(0, 200))) for _ in range(2)]
+        inv = [real(0), real(draw(st.integers(-prec, 0)))]
+    elif case == "zero-part":
+        which = draw(st.integers(0, 6))
+        if which == 6:
+            z, inv = [z[0], z[0]], [inv[0], inv[0]]
+        else:
+            parts[which] = fzero
+            P, z, inv = parts[:2], parts[2:4], parts[4:]
+    elif case == "cancel":
+        k = draw(st.integers(-2 * prec, 2 * prec))
+        z = [from_man_exp(1, k), z[1]]
+        inv = [from_man_exp(1, -k), fzero if draw(st.booleans()) else real(-k - 2 * prec)]
+    return tuple(P), tuple(z), tuple(inv)
+
+
+def _signed_parts(c):
+    """An _mpc_ pair in _times_one_minus' form."""
+    return (*_signed(c[0]), *_signed(c[1]))
+
+
+class TestFusedStep:
+    @pytest.mark.parametrize("prec", [94, 230, 333])
+    @pytest.mark.parametrize("case", ["free", "huge-w", "zero-part", "cancel", "tie", "sticky"])
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_libmp_calls(self, prec, case, data):
+        """_times_one_minus gives the bits of mpc_mul(P, mpc_sub(1,
+        mpc_mul(z, b^-1))) on both parts (_step_operands draws the cases)."""
+        P, z, inv = data.draw(_step_operands(prec, case))
+        got = _times_one_minus(_signed_parts(P), _signed_parts(z), _signed_parts(inv), prec)
+        assert (_mpf(*got[:2]), _mpf(*got[2:])) == _libmp_step(P, z, inv, prec)
+
+    @pytest.mark.parametrize("prec", [94, 230, 333])
+    def test_sticky_shortcut_rounds_as_mpf_add_does(self, prec):
+        """s + t with s = 2^(2p-1) + 2^(p-1) + 1, a half-ulp and a unit, and
+        t = -(2^150 + 1) 2^-101, whose top, at 2^50, lies 2p - 50 > p + 4
+        bits below s's but above s's last bit, with the low ends 101 bits
+        apart: the exact sum rounds down, while mpf_add's shortcut reads t
+        as a sticky unit below s's last bit and rounds up.  _sum takes the
+        shortcut with it."""
+        sm = (1 << (2 * prec - 1)) + (1 << (prec - 1)) + 1
+        tm = (1 << 150) + 1
+        got = _sum(sm, 0, -tm, -101, prec)
+        assert _mpf(*got) == mpf_add(_mpf(sm, 0), _mpf(-tm, -101), prec, round_nearest)
+        exact = (sm << 101) - tm
+        assert got != _sum(exact, -101, 0, 0, prec)
 
 
 @pytest.mark.parametrize("prec", [64 + _GUARD, 200 + _GUARD])
@@ -597,6 +692,20 @@ class TestLogEval:
             assert _tail_bound(s, x) > _tail_bound(s, third)
 
 
+def test_shared_tails_are_kept_per_precision_and_modulus(sched):
+    """Inside _shared_tails each sum is the one made without it, at the
+    precision and the modulus asked, whatever was kept before."""
+    s = truncated(sched, 6)
+    with evaluator._shared_tails():
+        for prec in (94, 230, 94, 230):
+            with mp.workprec(prec):
+                third = mp.mpf(1) / 3
+                for x in (third, third + mp.mpf(2) ** -(prec - 30)):
+                    assert _tail_bound(s, x) == evaluator._tail_sum(s, x)
+    tails = {key[:2] for key in s.tables if isinstance(key, tuple) and key[0] == "tail"}
+    assert tails == {("tail", 94), ("tail", 230)}
+
+
 @pytest.mark.parametrize("rows", [12, 10, 4])
 @given(st.floats(0, 1000), st.integers(-2**40, 2**40))
 @settings(max_examples=40, deadline=None)
@@ -610,6 +719,25 @@ def test_float_tail_bounds_the_certified_tail(sched, rows, depth, nudge):
         log_mag = min(top, top - depth + mp.mpf(nudge) * mp.mpf(2) ** -90)
         tail = _float_tail(s, log_mag)
         assert _tail_bound(s, log_mag) <= tail < math.inf
+
+
+@pytest.mark.parametrize("first, then", [(94, 333), (333, 94)])
+def test_tail_hypothesis_keeps_its_edge_per_precision(first, then):
+    """On a ladder whose log radii are not dyadic, the edge log a_(rows - 2)
+    = 11/3 rounds differently at each precision.  After a decision at
+    another precision, the edge as it rounds at this one still meets the
+    hypothesis, and the next number above it does not."""
+    logs = (F(4, 3), F(7, 3), F(11, 3), F(6), F(29, 3))
+    zeros = tuple(Zero(n, log_r, F(0)) for n, log_r in enumerate(logs, start=1))
+    s = ZeroSchedule("rows", as_ordinal(1), 1, RadiiSequence(logs), zeros, {0: (F(0),)},
+                     {0: None})
+    with mp.workprec(first):
+        evaluator._tail_hypothesis(s, mp.mpf(0))
+    with mp.workprec(then):
+        edge = _mpf_fraction(logs[2])
+        _, man, exp, _ = edge._mpf_
+        assert evaluator._tail_hypothesis(s, edge)
+        assert not evaluator._tail_hypothesis(s, mp.make_mpf(from_man_exp(man + 1, exp)))
 
 
 def test_float_tail_is_infinite_at_the_first_radius_past_the_schedule(sched):
