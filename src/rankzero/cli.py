@@ -8,11 +8,22 @@ identical manifests mean byte-identical artifacts.
 
 Exit codes: 0 success, 2 usage error, 3 internal invariant breach,
 4 inconclusive probe.
+
+The console script, entry(), calls gc.freeze() before it runs the
+command.  Interpreter exit runs the cyclic collector over every tracked
+object, and `import rankzero.cli` leaves about 22,000 of them (click,
+mpmath and this package); frozen, the collector skips them.  With Python
+3.11 on a 2-CPU x86-64 machine, the median of 15 exits after that import
+is about 20 ms as is, 4.5 ms after gc.freeze() and 1.2 ms under os._exit,
+which would also skip atexit handlers and the caller's own flushes.
+Collections during a command stay on and cost under 1 % of it.  main(),
+as library code and CliRunner call it, freezes nothing.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 import json
 import os
@@ -330,7 +341,8 @@ def verify_cmd(suite: str, out_path: Optional[str]) -> None:
         raise InvariantViolation("acceptance criteria failed")
 
 
-def entry() -> None:  # pragma: no cover
+def entry() -> None:
+    gc.freeze()
     try:
         main(standalone_mode=False)
     except click.UsageError as exc:

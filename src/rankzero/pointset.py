@@ -19,6 +19,7 @@ closed).
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -54,6 +55,7 @@ __all__ = [
     "union_disjoint",
     "singleton_refine",
     "materialize",
+    "enumerate_points",
     "member",
     "cardinality",
     "rank_of",
@@ -483,6 +485,44 @@ def _gather(e: Optional[RankTree], depth: int, per_level: int, out: set) -> None
         taken += 1
         if taken >= per_level:
             break
+
+
+def enumerate_points(e: Optional[RankTree]) -> Iterator[Fraction]:
+    """Every point of the denoted set exactly once, by address weight.
+
+    The weight of a point is the sum of the base child indices along its
+    path from the root, a forest member counting its index from 1; a
+    flagged limit angle weighs what its cluster does.  For W = 0, 1, 2, ...
+    the points of weight exactly W come in ascending angle, and the
+    iteration stops after the last point of a finite set.  Each weight
+    holds finitely many points (child n adds n), so a prefix of any length
+    is reached after finitely many child expansions.
+    """
+    # heap entries (weight, tie, base, node, siblings): node is the child
+    # at `weight` of a parent at `base`, siblings yields the parent's later
+    # (index, child) pairs
+    heap: list = []
+    tie = count()
+
+    def push(base: int, siblings: Iterator) -> None:
+        pair = next(siblings, None)
+        if pair is not None:
+            heapq.heappush(heap, (base + pair[0], next(tie), base, pair[1], siblings))
+
+    if e is not None:
+        push(0, enumerate(e.members, 1) if isinstance(e, Forest) else iter([(0, e)]))
+    while heap:
+        weight, points = heap[0][0], []
+        while heap and heap[0][0] == weight:
+            _, _, base, node, siblings = heapq.heappop(heap)
+            push(base, siblings)
+            if isinstance(node, Leaf):
+                points.append(node.angle)
+                continue
+            if node.with_apex:
+                points.append(node.limit)
+            push(weight, _spec_children(node.arc, node.kids))
+        yield from sorted(points)
 
 
 # -- cardinality and rank profiles --------------------------------------------

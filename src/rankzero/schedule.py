@@ -27,6 +27,8 @@ from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
+from math import inf
 from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
@@ -46,6 +48,8 @@ from .pointset import (
     Arc,
     RankTree,
     build_rank_set,
+    cardinality,
+    enumerate_points,
     materialize,
     tree_from_json,
     tree_to_json,
@@ -277,22 +281,30 @@ class ZeroSchedule:
         return self.angles.get(sector, ())
 
 
-def _enumerate_angles(tree: RankTree, needed: int, label: str) -> Tuple[Fraction, ...]:
-    """Sorted materialized angles, growing the expansion until `needed` are
-    available or the set is exhausted (finite sets return everything)."""
-    per = max(needed, 4)
-    best: List[Fraction] = []
-    for depth in range(1, _MAT_DEPTH_CAP + 1):
-        got = materialize(tree, depth, per)
-        if len(got) >= needed:
-            return tuple(got)
-        if len(got) == len(best) and depth > 2:
-            return tuple(got)  # exhausted: finite set
-        best = got
-    raise ValueError(
-        f"{label}: need {needed} angles but materialize(depth={_MAT_DEPTH_CAP}, "
-        f"per_level={per}) yields only {len(best)}; increase the expansion depth"
-    )
+def _enumerate_angles(tree: RankTree, needed: int) -> Tuple[Fraction, ...]:
+    """The angles a layout takes its zeros from, in one of two orders.
+
+    A finite set, and an infinite one with a leaf within three nested
+    clusters, gives the sorted angles of `materialize`, growing the
+    expansion until `needed` are available or a finite set is exhausted.
+    Any other infinite set, and one whose expansion stops growing before
+    `needed`, gives the first `needed` points of `enumerate_points`, by
+    address weight.  The shallow sets keep the order of `materialize` until
+    they take theirs from `enumerate_points` too, which moves their bytes.
+    """
+    if materialize(tree, 3, 1):
+        per = max(needed, 4)
+        best: List[Fraction] = []
+        for depth in range(1, _MAT_DEPTH_CAP + 1):
+            got = materialize(tree, depth, per)
+            if len(got) >= needed:
+                return tuple(got)
+            if len(got) == len(best) and depth > 2:
+                if cardinality(tree) != inf:
+                    return tuple(got)  # exhausted: finite set
+                break
+            best = got
+    return tuple(islice(enumerate_points(tree), needed))
 
 
 def _layout(variant: str, alpha: Ordinal, nu: Optional[int],
@@ -302,8 +314,7 @@ def _layout(variant: str, alpha: Ordinal, nu: Optional[int],
     rings[i - 1] = (t, count); sector 0 is the row layout's one set, and
     its zeros carry no sector."""
     radii = build_radii(max(3, len(rings)))
-    angles = {t: _enumerate_angles(tree, needed, f"sector {t}" if t else "row layout")
-              for t, tree in trees.items()}
+    angles = {t: _enumerate_angles(tree, needed) for t, tree in trees.items()}
     zeros = tuple(
         Zero(ring, radii.log_radius(ring), turn, t or None)
         for ring, (t, count) in enumerate(rings, start=1)

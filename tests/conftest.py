@@ -1,12 +1,19 @@
 """Counts of the zeros the evaluator's product loop takes and of the
-per-schedule tables it builds."""
+per-schedule tables it builds; the benchmark's plans and oracle, which the
+tests only read, are importable as `plans` and `oracle`."""
 
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 import rankzero.evaluator as evaluator
 import rankzero.probe as probe
+
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+if str(BENCH) not in sys.path:
+    sys.path.insert(0, str(BENCH))
 
 
 class CountedTable:

@@ -13,8 +13,11 @@ import pytest
 
 import rankzero.evaluator as evaluator
 import rankzero.probe as probe
+import rankzero.schedule as schedule
 from rankzero import verification
 from rankzero.evaluator import precision_scope
+from rankzero.ordinal import OMEGA, enumerate_below, successor
+from rankzero.pointset import build_rank_set
 from rankzero.verification import (
     CRITERIA,
     check_determinism,
@@ -71,9 +74,11 @@ def core_counts():
     grid points, LogPolar.from_complex called from the probe layer; and the
     per-schedule tables _kept builds, as ("tables", kind) with the kind a
     precision or a key's first part, and how many of them were built twice
-    for one schedule."""
+    for one schedule; and, under "fallback trees", the sets whose angles a
+    layout took from enumerate_points."""
     calls = Counter()
     built = []  # (schedule, key) per table built
+    fallbacks = []
 
     def counted(name, fn):
         def call(*args):
@@ -92,7 +97,12 @@ def core_counts():
             calls["sweep from_complex"] += 1
         return from_complex(value)
 
+    def enumerate_points(tree):
+        fallbacks.append(tree)
+        return points(tree)
+
     screen_loop = evaluator._float_factors
+    points = schedule.enumerate_points
     with pytest.MonkeyPatch.context() as patch:
         for name in ("_tail_bound", "_hit"):
             patch.setattr(evaluator, name, counted(name, getattr(evaluator, name)))
@@ -100,12 +110,14 @@ def core_counts():
         patch.setattr(evaluator, "_float_factors", float_factors)
         patch.setattr(evaluator.LogPolar, "from_complex", staticmethod(grid_point))
         record_table_builds(patch, built)
+        patch.setattr(schedule, "enumerate_points", enumerate_points)
         with precision_scope(200):
             verification._run_core()
     for _, key in built:
         calls["tables", key[0] if isinstance(key, tuple) else key] += 1
     builds = Counter((id(schedule), key) for schedule, key in built)
     calls["tables built twice"] = sum(n > 1 for n in builds.values())
+    calls["fallback trees"] = fallbacks
     return calls
 
 
@@ -154,3 +166,12 @@ def test_core_suite_builds_each_table_once(core_counts):
     assert core_counts["tables built twice"] == 0
     built = {key[1]: n for key, n in core_counts.items() if isinstance(key, tuple)}
     assert built == {"float": 5, 230: 3, "iv": 9, "exact": 1, "exp": 1, "inv": 3, "edge": 3}
+
+
+def test_core_suite_enumerates_one_deep_set(core_counts):
+    # criterion 10's limit layout of w at 5 super-rows: sector 5 hosts a set
+    # of collapse rank b_5 = 4, whose first leaf lies four clusters deep; it
+    # had no zeros before deep sets took their points from enumerate_points
+    b5 = enumerate_below(OMEGA, 5)[4]
+    assert core_counts["fallback trees"] == [
+        build_rank_set(successor(b5), 1, schedule.sector_arc(5))]

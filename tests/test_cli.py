@@ -1,4 +1,5 @@
 import copy
+import gc
 import hashlib
 import json
 import math
@@ -17,7 +18,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import rankzero
-from rankzero.cli import main
+from rankzero.cli import entry, main
 from rankzero.evaluator import default_precision
 from rankzero.probe import InconclusiveProbe
 from rankzero.schedule import build_row_schedule, build_sector_schedule, schedule_to_json
@@ -143,11 +144,16 @@ def test_eval_product_zeros_and_bytes(runner, tmp_path, product_zeros, table_bui
 # tail sums it makes; the log-sum loop called its kernel 1,600, 3,520 and
 # 3,520 times, 0, 0 and 960 of them on its Re s >= 40 branch.  An annulus
 # grid has a modulus per point and a ring grid one for all its points, and
-# that of "re-s-above-40" lies outside the tail hypothesis, so it sums none
+# that of "re-s-above-40" lies outside the tail hypothesis, so it sums none.
+# Sector 6 of "limit-annulus" hosts a set of collapse rank b_6 = 4, which
+# had no points before deep sets took theirs from enumerate_points: ring 21
+# was empty, the schedule had 20 rings, and the CSV hashed to eb73172f...;
+# with ring 21 filled its tail bounds and tail-hypothesis edge move, and
+# the 1,664 zeros and 64 tail sums stay
 EVAL_LAYOUT_PINS = {
     "limit-annulus": (
         ["--alpha", "w^2", "--nmax", "6"], ["--j", "25", "--grid", "annulus:n=3,samples=64"],
-        1664, 64, "eb73172f04e12136a3d13359e72f5fa094c3c8d400dd6f53237fffe51444504b"),
+        1664, 64, "b16dd7408760ddead7fe439b85584ad0bf883728381fa929d413b334a0750361"),
     "rows-large-j": (
         ["--alpha", "w^2+1", "--nu", "2", "--nmax", "10"],
         ["--j", "81193", "--grid", "ring:n=7,samples=64"],
@@ -195,12 +201,17 @@ def test_eval_rows_bytes(runner, tmp_path, schedules, layout, rows):
 
 
 def test_eval_rows_at_an_empty_ring_is_the_ring_below(runner, tmp_path):
-    """Ring 15 of this limit layout holds no zeros, so the schedule cut at 15
-    rings is the one cut at 14, and its tail is bounded from ring 15 on: a
-    valid bound, looser than one that starts past ring 15."""
+    """Ring 15 of this loaded limit layout holds no zeros, so the schedule
+    cut at 15 rings is the one cut at 14, and its tail is bounded from ring
+    15 on: a valid bound, looser than one that starts past ring 15.  No
+    builder leaves a ring empty, but the loader does not count zeros per
+    ring, so a schedule edited by hand can."""
     sched = tmp_path / "s.json"
     run(runner, "build-zeros", "--alpha", "w", "--nmax", "6", "--out", str(sched))
-    assert not [z for z in json.loads(sched.read_text())["zeros"] if z["row"] == 15]
+    obj = json.loads(sched.read_text())
+    kept = [z for z in obj["zeros"] if z["row"] != 15]
+    assert len(obj["zeros"]) - len(kept) == 5
+    sched.write_text(json.dumps({**obj, "zeros": kept}))
     fields = {}
     for rows in (14, 15):
         csv = tmp_path / f"rows-{rows}.csv"
@@ -208,6 +219,20 @@ def test_eval_rows_at_an_empty_ring_is_the_ring_below(runner, tmp_path):
         fields[rows] = csv.read_text()
     assert fields[14] == fields[15]
     assert all(line.endswith(",1") for line in fields[15].splitlines()[1:])
+
+
+def test_entry_freezes_the_import_heap(monkeypatch):
+    """The console script moves what import left on the heap out of the
+    collector's reach before the command runs, usage errors included."""
+    monkeypatch.setattr(sys, "argv", ["rankzero", "verify", "--suite", "bad"])
+    assert gc.get_freeze_count() == 0
+    try:
+        with pytest.raises(SystemExit) as stop:
+            entry()
+        assert stop.value.code == 2
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
 
 
 class TestManifests:

@@ -26,6 +26,7 @@ from rankzero.pointset import (
     derive,
     canonical_json,
     derive_once,
+    enumerate_points,
     materialize,
     member,
     rank_of,
@@ -35,7 +36,7 @@ from rankzero.pointset import (
     tree_to_json,
     union_disjoint,
 )
-from rankzero.pointset import _child_arc, _spec_children  # private helpers under test
+from rankzero.pointset import Cluster, Forest, _child_arc, _spec_children  # under test
 from rankzero.schedule import standard_arc
 
 
@@ -411,6 +412,91 @@ class TestMaterialize:
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             materialize(Leaf(F(0)), 0, 1)
+
+
+def _weights(tree, bound):
+    """Every point of weight at most `bound`, as angle -> weight, by plain
+    recursion over the children: child n adds n, forest member i adds i."""
+    if isinstance(tree, Leaf):
+        return {tree.angle: 0}
+    if isinstance(tree, Forest):
+        pairs = enumerate(tree.members, 1)
+    else:
+        pairs = _spec_children(tree.arc, tree.kids)
+    out = {tree.limit: 0} if isinstance(tree, Cluster) and tree.with_apex else {}
+    for n, child in pairs:
+        if n > bound:
+            break
+        out.update({a: w + n for a, w in _weights(child, bound - n).items()})
+    return out
+
+
+def _first_leaf(tree):
+    """The leaf reached through the first member and every first child."""
+    if isinstance(tree, Forest):
+        tree = tree.members[0]
+    while not isinstance(tree, Leaf):
+        tree = next(_spec_children(tree.arc, tree.kids))[1]
+    return tree.angle
+
+
+def _enumeration_trees():
+    deep = build_rank_set(6, 1, HOST)
+    limit = build_rank_set(o("w*2"), 1, standard_arc())
+    return {
+        "rank-2": build_rank_set(2, 1, HOST),
+        "rank-5": build_rank_set(5, 1, HOST),
+        "rank-6": deep,
+        "rank-w+5": build_rank_set(o("w+5"), 1, HOST),
+        "rank-w^w": build_rank_set(o("w^w"), 1, HOST),
+        "forest-6x3": build_rank_set(6, 3, HOST),
+        "forest-w+3x2": build_rank_set(o("w+3"), 2, HOST),
+        "derived-6-by-2": derive(deep, 2),
+        "derived-w^2-by-w+1": derive(build_rank_set(o("w^2"), 1, HOST), o("w+1")),
+        "derived-forest": derive(build_rank_set(5, 2, HOST), 1),
+        "picked-w*2-at-w": singleton_refine(limit, OMEGA, limit.limit),
+        "picked-6-at-2": singleton_refine(deep, 2, deep.limit),
+        "finite-forest": derive(build_rank_set(4, 3, HOST), 3),
+        "leaf": Leaf(F(1, 8)),
+    }
+
+
+ENUMERATION_TREES = _enumeration_trees()
+
+
+class TestEnumeratePoints:
+    @pytest.mark.parametrize("name", sorted(ENUMERATION_TREES))
+    def test_each_point_once_by_weight_then_angle(self, name):
+        tree = ENUMERATION_TREES[name]
+        prefix = list(islice(enumerate_points(tree), 60))
+        assert len(set(prefix)) == len(prefix)
+        assert len(prefix) == min(60, cardinality(tree))
+        assert _first_leaf(tree) in prefix[:50]
+        bound = 0
+        while not set(prefix) <= set(weights := _weights(tree, bound)):
+            bound += 1
+        keys = [(weights[a], a) for a in prefix]
+        assert keys == sorted(keys)
+        # every point lighter than the prefix's last weight is in the prefix
+        last = keys[-1][0]
+        assert {a for a, w in weights.items() if w < last} <= set(prefix)
+        assert all(member(tree, a) for a in prefix)
+
+    def test_a_finite_set_stops_at_its_cardinality(self):
+        tree = ENUMERATION_TREES["finite-forest"]
+        assert list(enumerate_points(tree)) == materialize(tree, 1, 1)
+        assert len(materialize(tree, 1, 1)) == cardinality(tree) == 3
+        assert list(enumerate_points(None)) == []
+
+    def test_weights_of_rank_six(self):
+        # E(6) collapses at stage 5: its leaves sit at depth 5, so weight W
+        # holds C(W - 1, 4) of them
+        tree = ENUMERATION_TREES["rank-6"]
+        weights = _weights(tree, 8)
+        counts = [sum(w == k for w in weights.values()) for k in range(9)]
+        assert counts == [0, 0, 0, 0, 0, 1, 5, 15, 35]
+        order = sorted(weights, key=lambda a: (weights[a], a))
+        assert list(islice(enumerate_points(tree), 56)) == order
 
 
 class TestProfile:

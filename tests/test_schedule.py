@@ -1,13 +1,26 @@
 import json
 from dataclasses import replace
 from fractions import Fraction as F
+from itertools import islice
+from math import inf
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
-from rankzero.ordinal import OMEGA, enumerate_below, parse_ordinal
-from rankzero.pointset import Leaf, build_rank_set, canonical_json, cardinality, derive
+import oracle
+import plans
+import rankzero.schedule as schedule
+from rankzero.ordinal import OMEGA, enumerate_below, parse_ordinal, successor
+from rankzero.pointset import (
+    Leaf,
+    build_rank_set,
+    canonical_json,
+    cardinality,
+    derive,
+    enumerate_points,
+    materialize,
+)
 from rankzero.schedule import (
     RadiiSequence,
     build_limit_schedule,
@@ -176,6 +189,132 @@ class TestLimitSchedule:
         tree = s.source_tree(t)
         assert derive(tree, parse_ordinal("w+1")) == Leaf(sector_arc(t).center)
         assert derive(tree, parse_ordinal("w+2")) is None
+
+
+def _materialized_angles(tree, needed):
+    """The enumeration before deep sets had points: sorted angles of
+    materialize, read as exhausted when depth 3 adds none to depth 2, so a
+    set whose first leaf lies deeper than three clusters gave none."""
+    per = max(needed, 4)
+    best = []
+    for depth in range(1, 10):
+        got = materialize(tree, depth, per)
+        if len(got) >= needed:
+            return tuple(got)
+        if len(got) == len(best) and depth > 2:
+            return tuple(got)
+        best = got
+    raise ValueError(f"need {needed} angles, materialize yields {len(best)}")
+
+
+def _layout_trees():
+    """(tree, needed) of every set a layout of the benchmark's cli-pipeline
+    plans builds: row ranks at every nmax, with nu 1 or 2 for the shallow
+    pool and 1 otherwise, and sector ranks at their slot's nmax; and a few
+    finite sets."""
+    cases = []
+    pools = {"shallow": plans.SHALLOW, "deep": plans.DEEP, "defect": plans.DEFECT}
+    for kind, pool in pools.items():
+        nus = plans.ROW_NU if kind == "shallow" else (1,)
+        sector_nmax = plans.SECTOR_SLOTS[kind][0]
+        for a in map(parse_ordinal, pool):
+            cases.extend((build_rank_set(a, nu, standard_arc()), nmax)
+                         for nmax in plans.ROW_NMAX for nu in nus)
+            cases.extend((build_rank_set(a, t, sector_arc(t)), sector_nmax)
+                         for t in range(1, sector_nmax + 1))
+    # finite sets: t points in sector t, and three points of E(4, 3)
+    cases.extend((build_rank_set(1, t, sector_arc(t)), 6) for t in range(1, 7))
+    cases.append((derive(build_rank_set(4, 3, standard_arc()), 3), 4))
+    for alpha in plans.LIMIT_RANKS:
+        betas = enumerate_below(parse_ordinal(alpha), 6)
+        cases.extend((build_rank_set(successor(b), 1, sector_arc(t)), n)
+                     for t, b in enumerate(betas, 1) for n in (5, 6) if t <= n)
+    return cases
+
+
+class TestEnumeration:
+    def test_sets_the_old_enumeration_filled_keep_their_angles(self):
+        """Where the old enumeration gave every angle a layout needs, or
+        exhausted a finite set, the angles are the same; every other set
+        takes the first points of enumerate_points."""
+        filled = 0
+        for tree, needed in _layout_trees():
+            old = _materialized_angles(tree, needed)
+            new = schedule._enumerate_angles(tree, needed)
+            if len(old) >= needed or cardinality(tree) != inf:
+                assert new == old
+            else:
+                assert old == ()
+                assert new == tuple(islice(enumerate_points(tree), needed))
+                filled += 1
+        # rows: 4 ranks x 3 nmax; sectors: 4 ranks x 5 sectors; limits:
+        # b_5 = 4 and b_6 = 5 of w at nmax 5 and 6, b_6 = 4 of the other
+        # four at nmax 6
+        assert filled == 12 + 20 + 3 + 4
+
+    def test_deep_sets_skip_the_materialize_loop(self, monkeypatch):
+        depths = []
+        real = schedule.materialize
+
+        def recorded(tree, depth, per):
+            depths.append((depth, per))
+            return real(tree, depth, per)
+
+        monkeypatch.setattr(schedule, "materialize", recorded)
+        got = schedule._enumerate_angles(build_rank_set(5, 1, standard_arc()), 12)
+        assert len(got) == 12 and depths == [(3, 1)]
+
+
+def _layout_cases():
+    cases = []
+    for alpha in plans.SHALLOW + plans.DEEP + plans.DEFECT:
+        cases.extend(("rows", alpha, nmax) for nmax in plans.ROW_NMAX)
+        cases.extend(("sectors", alpha, nmax) for nmax, _ in plans.SECTOR_SLOTS.values())
+    cases.extend(("limit", alpha, nmax) for alpha in plans.LIMIT_RANKS
+                 for nmax, _ in plans.LIMIT_SLOTS)
+    cases.extend(("limit", alpha, nmax) for alpha, window in plans.LARGE_LIMITS for nmax in window)
+    cases.extend(("sectors", alpha, plans.LARGE_SECTOR_NMAX) for alpha in plans.LARGE_SECTOR_RANKS)
+    return sorted(set(cases))
+
+
+def _build(layout, alpha, nmax, nu=1):
+    if layout == "rows":
+        return build_row_schedule(parse_ordinal(alpha), nu, nmax)
+    if layout == "sectors":
+        return build_sector_schedule(parse_ordinal(alpha), nmax)
+    return build_limit_schedule(parse_ordinal(alpha), nmax)
+
+
+def _ring_counts(s):
+    counts = {}
+    for z in s.zeros:
+        counts[z.ring] = counts.get(z.ring, 0) + 1
+    return counts
+
+
+class TestLayoutLaw:
+    @pytest.mark.parametrize("layout, alpha, nmax", _layout_cases())
+    def test_every_ring_holds_what_the_layout_promises(self, layout, alpha, nmax):
+        """Ring n holds min(n, size) zeros, the benchmark oracle's
+        expected_rings, on every rank and nmax the benchmark draws."""
+        want = {ring: count for ring, (count, _) in
+                oracle.expected_rings(layout, alpha, nmax).items()}
+        assert _ring_counts(_build(layout, alpha, nmax)) == want
+
+    @pytest.mark.parametrize("layout, alpha, nmax, nu, zeros", [
+        ("rows", "5", 6, 1, 21),
+        ("rows", "6", 12, 2, 78),
+        ("rows", "w+4", 12, 1, 78),
+        ("sectors", "5", 4, 1, 30),
+        ("sectors", "5", 16, 1, 1496),
+        ("limit", "w", 12, 1, 584),
+        ("limit", "w^w", 20, 1, 2680),
+    ])
+    def test_zero_counts_of_deep_sets(self, layout, alpha, nmax, nu, zeros):
+        # refused, 0, 236 and 2,192 zeros before deep sets had points
+        s = _build(layout, alpha, nmax, nu)
+        assert len(s) == zeros
+        assert set(_ring_counts(s)) == set(range(1, s.radii.n_max + 1))
 
 
 class TestConvergence:
